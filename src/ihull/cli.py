@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cover, gridoracle, hull, lcf, scenarios, spaces
+from . import cover, hull, lcf, scenarios, spaces
 from .errors import (
     BranchIndeterminate,
     IhullError,
@@ -202,18 +202,13 @@ def _cmd_verify(args) -> int:
     return code
 
 
-def _standard_floats(coords) -> tuple[float, float]:
-    values = []
-    for c in coords:
-        if not c.is_exact or any(q != 0 for q, _ in c.terms):
-            raise IhullError("oracle points need exact standard coordinates")
-        values.append(float(c.coefficient(0).lo))
-    return tuple(values)
-
-
 def _cmd_oracle(args) -> int:
-    a = _standard_floats(parse_point(args.p1, precision=args.precision))
-    b = _standard_floats(parse_point(args.p2, precision=args.precision))
+    from . import gridoracle  # scipy: loaded only by the one command using it
+
+    a, b = (
+        tuple(float(cover.exact_standard_value(c)) for c in parse_point(p, precision=args.precision))
+        for p in (args.p1, args.p2)
+    )
     cfg = gridoracle.window_for([a, b], n_r=args.grid, n_zeta=args.grid)
     approx = gridoracle.oracle_distance(cfg, a, b)
     pa = cover.point(Fraction(a[0]).limit_denominator(10**9), Fraction(a[1]).limit_denominator(10**9))

@@ -296,8 +296,8 @@ def covering_map(
     Requires exact standard coordinates; the reduced angle is an enclosure
     in [0, 2*pi) since the reduction subtracts an enclosure of 2*pi*k.
     """
-    r = _exact_standard_value(a.r)
-    z = _exact_standard_value(a.zeta)
+    r = exact_standard_value(a.r)
+    z = exact_standard_value(a.zeta)
     working = precision
     while True:
         two_pi = two_pi_interval(working)
@@ -310,7 +310,8 @@ def covering_map(
             raise NotStandard("angle reduction did not converge")
 
 
-def _exact_standard_value(x: LeviCivitaNumber) -> Fraction:
+def exact_standard_value(x: LeviCivitaNumber) -> Fraction:
+    """The rational value of an exact standard number, else NotStandard."""
     if not x.is_exact or any(q != 0 for q, _ in x.terms):
         raise NotStandard("exact standard coordinates required")
     return x.coefficient(0).lo

@@ -1,12 +1,14 @@
 """Halos, galaxies, and hull distances over registered metric spaces.
 
 A registered space supplies its distance on extended points (coordinates in
-the truncated-series field), a basepoint, and two oracles: approachability
-(are there standard points arbitrarily close, at standard scales?) and
-nearstandardness (a standard point infinitely close, if any).  On top of
-those this module builds the hull: points at finite distance from the
-basepoint, identified when their distance is infinitesimal, with the
-distance between classes the standard part of the extended distance.
+the truncated-series field), a basepoint, and one `locate` oracle that places
+a point with three verdicts: finite (at finite distance from the basepoint,
+i.e. in the galaxy), approachable (are there standard points arbitrarily
+close, at standard scales?) and nearstandard (a standard point infinitely
+close, if any).  On top of those this module builds the hull: points at
+finite distance from the basepoint, identified when their distance is
+infinitesimal, with the distance between classes the standard part of the
+extended distance.
 
 The two theorem harnesses check, on finite probe sets:
 
@@ -57,21 +59,36 @@ class HaloRef:
 
 
 @dataclass(frozen=True)
+class Location:
+    """Where a point of the extension sits, as decided by its space's oracle.
+
+    `finite`: at finite distance from the basepoint (in the galaxy).
+    `approachable`: standard points arbitrarily close at standard scales.
+    `nearstandard`: a standard point infinitely close, or None if the oracle
+    finds none.
+    """
+
+    finite: Ternary
+    approachable: Ternary
+    nearstandard: ExtendedPoint | None
+
+
+@dataclass(frozen=True)
 class SpaceDescriptor:
-    """A registered metric space with its extension and decision oracles.
+    """A registered metric space with its extension and its `locate` oracle.
 
     `distance` must be symmetric, nonnegative, and satisfy the triangle
     inequality; the test suite probes these on random triples rather than
-    trusting registrations.  The oracles are space-specific: approachability
-    has no generic decision procedure.
+    trusting registrations.  `locate` is space-specific: approachability has
+    no generic decision procedure, and finiteness is decided from the
+    coordinates, never by expanding a distance to the basepoint.
     """
 
     space_id: str
     dimension: int
     basepoint: ExtendedPoint
     distance: Callable[[ExtendedPoint, ExtendedPoint], LeviCivitaNumber]
-    approachable: Callable[[ExtendedPoint], Ternary]
-    nearstandard: Callable[[ExtendedPoint], ExtendedPoint | None]
+    locate: Callable[[ExtendedPoint], Location]
     is_complete: bool
     completion_is_HB: bool
 
@@ -105,14 +122,15 @@ def extended_distance(
     return s.distance(a, b)
 
 
+def locate(s: SpaceDescriptor, a: ExtendedPoint) -> Location:
+    """The finite, approachable and nearstandard verdicts for `a`."""
+    _check_membership(s, a)
+    return s.locate(a)
+
+
 def in_galaxy(s: SpaceDescriptor, a: ExtendedPoint) -> Ternary:
     """Is `a` at finite distance from the basepoint?"""
-    d = extended_distance(s, a, s.basepoint)
-    if lcf.is_surely_finite(d):
-        return Ternary.TRUE
-    if lcf.classify_magnitude(d) is Magnitude.INFINITE:
-        return Ternary.FALSE
-    return Ternary.UNKNOWN
+    return locate(s, a).finite
 
 
 def halo(s: SpaceDescriptor, a: ExtendedPoint) -> HaloRef:
@@ -145,13 +163,11 @@ def hull_distance(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Interval:
 
 
 def is_approachable(s: SpaceDescriptor, a: ExtendedPoint) -> Ternary:
-    _check_membership(s, a)
-    return s.approachable(a)
+    return locate(s, a).approachable
 
 
 def is_nearstandard(s: SpaceDescriptor, a: ExtendedPoint) -> ExtendedPoint | None:
-    _check_membership(s, a)
-    return s.nearstandard(a)
+    return locate(s, a).nearstandard
 
 
 def in_closed_ball(s: SpaceDescriptor, a: ExtendedPoint, n) -> Ternary:
@@ -221,20 +237,17 @@ class HarnessReport:
 
 def _probe_rows(
     s: SpaceDescriptor, probes: list[ExtendedPoint]
-) -> tuple[list[ProbeRow], list[tuple[Ternary, Ternary, ExtendedPoint | None]], int]:
+) -> tuple[list[ProbeRow], list[Location], int]:
     rows = []
     verdicts = []
     unknown = 0
     for p in probes:
-        fin = in_galaxy(s, p)
-        app = is_approachable(s, p)
-        near = is_nearstandard(s, p)
-        if Ternary.UNKNOWN in (fin, app):
+        v = locate(s, p)
+        if Ternary.UNKNOWN in (v.finite, v.approachable):
             unknown += 1
-        rows.append(
-            ProbeRow(str(p), fin.value, app.value, str(near) if near else None)
-        )
-        verdicts.append((fin, app, near))
+        near = str(v.nearstandard) if v.nearstandard else None
+        rows.append(ProbeRow(str(p), v.finite.value, v.approachable.value, near))
+        verdicts.append(v)
     return rows, verdicts, unknown
 
 
@@ -249,8 +262,8 @@ def check_proposition_a(
     rows, verdicts, unknown = _probe_rows(s, probes)
     gaps = [
         i
-        for i, (_, app, near) in enumerate(verdicts)
-        if app is Ternary.TRUE and near is None
+        for i, v in enumerate(verdicts)
+        if v.approachable is Ternary.TRUE and v.nearstandard is None
     ]
     if s.is_complete:
         passed = not gaps
@@ -294,8 +307,8 @@ def check_theorem_b(s: SpaceDescriptor, probes: list[ExtendedPoint]) -> HarnessR
     rows, verdicts, unknown = _probe_rows(s, probes)
     witnesses = [
         i
-        for i, (fin, app, _) in enumerate(verdicts)
-        if fin is Ternary.TRUE and app is Ternary.FALSE
+        for i, v in enumerate(verdicts)
+        if v.finite is Ternary.TRUE and v.approachable is Ternary.FALSE
     ]
     all_approachable = not witnesses
     if s.completion_is_HB:

@@ -132,20 +132,10 @@ class Interval:
             raise ZeroDivisionError("reciprocal of an interval containing 0")
         return Interval(1 / self.hi, 1 / self.lo)
 
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(_ZERO, self.mag())
-
     def intersect(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         return Interval(lo, hi) if lo <= hi else None
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # -- display ------------------------------------------------------------
 

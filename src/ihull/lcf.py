@@ -70,10 +70,6 @@ class Ternary(Enum):
     FALSE = "false"
     UNKNOWN = "unknown"
 
-    @staticmethod
-    def of(flag: bool) -> "Ternary":
-        return Ternary.TRUE if flag else Ternary.FALSE
-
 
 def _as_exponent(value) -> Fraction:
     if isinstance(value, Fraction):

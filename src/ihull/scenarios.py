@@ -195,7 +195,6 @@ def _theorem_b(seed: int, order, precision: int) -> list[dict]:
         ("cover", 50),
         ("cover-completion", 50),
     )
-    contradictory = False
     for name, count in plan:
         space = spaces.get_space(name, order, precision)
         probe_list = probes.finite_probes(space, rng, count)
@@ -203,22 +202,11 @@ def _theorem_b(seed: int, order, precision: int) -> list[dict]:
         if witness is not None:
             probe_list.append(witness)
         report = hull.check_theorem_b(space, probe_list)
-        all_approachable = report.clauses[0].holds
-        witness_found = not all_approachable
-        if all_approachable and witness_found:  # pragma: no cover - impossible
-            contradictory = True
         details = "; ".join(f"{c.name}: {c.note}" for c in report.clauses)
         if report.passed and report.unknown_count:
             checks.append(_unknown(f"theorem-b[{name}]", details))
         else:
             checks.append(_check(f"theorem-b[{name}]", report.passed, details))
-    checks.append(
-        _check(
-            "no-contradictory-clauses",
-            not contradictory,
-            "no space certified both 'all finite approachable' and a witness",
-        )
-    )
     return checks
 
 

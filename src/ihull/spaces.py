@@ -1,4 +1,4 @@
-"""The registered metric spaces and their decision oracles.
+"""The registered metric spaces and their `locate` oracles.
 
 Four spaces exercise every branch of the harnesses:
 
@@ -12,17 +12,29 @@ cover           no        no           hull strictly larger than completion
 cover-completion yes      no           complete but not Heine-Borel
 ============== ========= ============ ==================================
 
-Soundness of the oracles:
+Soundness of the oracles.  Each space's `locate` decides finiteness from
+the coordinates, never by expanding the distance to the basepoint, so the
+verdict is as sound as the magnitude tests on the coordinates themselves:
 
-* rationals-line: every finite hyperrational is approachable (rationals are
-  dense at standard scales); a point is nearstandard iff its standard part
-  is an exact rational, since an interval-valued standard part arises only
-  from enclosures of irrationals (sqrt, cos), which no rational matches.
-* euclidean-plane: every finite point is approachable and nearstandard (its
-  standard part, coordinatewise, is the standard point).
-* cover / cover-completion: delegated to the cover classification; the
-  inapproachable verdict is backed by the separation-rectangle certificate,
-  the origin-halo verdict by the explicit short path to (eps, 0).
+* rationals-line: d(x, 0) = |x|, so a point is finite iff its coordinate is.
+  Every finite hyperrational is approachable (rationals are dense at
+  standard scales); a point is nearstandard iff its standard part is an
+  exact rational, since an interval-valued standard part arises only from
+  enclosures of irrationals (sqrt, cos), which no rational matches.
+* euclidean-plane: max(|x|, |y|) <= d((x, y), 0) <= |x| + |y|, so a point
+  is finite iff both coordinates are.  Every finite point is approachable
+  and nearstandard (its standard part, coordinatewise, is the standard
+  point).
+* cover / cover-completion: the path through the puncture bounds the
+  distance above, and r changes by at most the length of any path (|dr| <=
+  ds), so |r - 1| <= d((r, zeta), (1, 0)) <= r + 1 and a point is
+  finite iff r is, whatever zeta.  A surely finite r of unknown magnitude
+  is therefore finite even when its cover classification is unknown; the
+  restored origin r = 0 of the completion is finite.  Approachability and
+  nearstandardness are delegated to one cover classification per point;
+  the inapproachable verdict is backed by the separation-rectangle
+  certificate, the origin-halo verdict by the explicit short path to
+  (eps, 0).
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from . import cover as cover_mod
 from . import lcf
 from .cover import CoverPoint, Verdict, classify_point
 from .errors import NotFinite
-from .hull import ExtendedPoint, SpaceDescriptor
+from .hull import ExtendedPoint, Location, SpaceDescriptor
 from .lcf import (
     DEFAULT_ORDER,
     DEFAULT_PRECISION,
@@ -55,43 +67,45 @@ def get_space(
     return builder(order, precision)
 
 
-# ---------------------------------------------------------------------------
-# rationals-line
-# ---------------------------------------------------------------------------
-
-def _finite_ternary(x: LeviCivitaNumber) -> Ternary:
-    if lcf.is_surely_finite(x):
+def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
+    """TRUE when every coordinate is surely finite, FALSE when one is surely
+    infinite."""
+    if all(lcf.is_surely_finite(x) for x in coords):
         return Ternary.TRUE
-    if lcf.classify_magnitude(x) is Magnitude.INFINITE:
+    if any(lcf.classify_magnitude(x) is Magnitude.INFINITE for x in coords):
         return Ternary.FALSE
     return Ternary.UNKNOWN
 
+
+# ---------------------------------------------------------------------------
+# rationals-line
+# ---------------------------------------------------------------------------
 
 def _rationals_line(order, precision) -> SpaceDescriptor:
     def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return lcf.abs_value(lcf.sub(a.coords[0], b.coords[0]))
 
-    def approachable(a: ExtendedPoint) -> Ternary:
-        # finite => approachable: the completion of the rationals is the
-        # whole real line, so standard rationals sit arbitrarily close.
-        return _finite_ternary(a.coords[0])
-
-    def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
+    def nearstandard(x: LeviCivitaNumber) -> ExtendedPoint | None:
         try:
-            st = lcf.standard_part(a.coords[0])
+            st = lcf.standard_part(x)
         except NotFinite:
             return None
         if not st.is_exact:
             return None  # irrational-valued enclosure: no rational matches
         return ExtendedPoint("rationals-line", (lcf.from_rational(st.lo),))
 
+    def locate(a: ExtendedPoint) -> Location:
+        # finite => approachable: the completion of the rationals is the
+        # whole real line, so standard rationals sit arbitrarily close.
+        finite = _finite_ternary(a.coords[0])
+        return Location(finite, finite, nearstandard(a.coords[0]))
+
     return SpaceDescriptor(
         space_id="rationals-line",
         dimension=1,
         basepoint=ExtendedPoint("rationals-line", (lcf.zero(),)),
         distance=distance,
-        approachable=approachable,
-        nearstandard=nearstandard,
+        locate=locate,
         is_complete=False,
         completion_is_HB=True,
     )
@@ -110,14 +124,6 @@ def _euclidean_plane(order, precision) -> SpaceDescriptor:
             return lcf.zero()
         return lcf.sqrt(squared, order, precision)
 
-    def approachable(a: ExtendedPoint) -> Ternary:
-        verdicts = [_finite_ternary(c) for c in a.coords]
-        if Ternary.FALSE in verdicts:
-            return Ternary.FALSE
-        if Ternary.UNKNOWN in verdicts:
-            return Ternary.UNKNOWN
-        return Ternary.TRUE
-
     def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
         # The plane is complete: the coordinatewise standard part is the
         # standard point, exact or not.
@@ -129,13 +135,17 @@ def _euclidean_plane(order, precision) -> SpaceDescriptor:
             "euclidean-plane", tuple(lcf.from_interval(p) for p in parts)
         )
 
+    def locate(a: ExtendedPoint) -> Location:
+        # every finite point is approachable: standard points are dense
+        finite = _finite_ternary(*a.coords)
+        return Location(finite, finite, nearstandard(a))
+
     return SpaceDescriptor(
         space_id="euclidean-plane",
         dimension=2,
         basepoint=ExtendedPoint("euclidean-plane", (lcf.zero(), lcf.zero())),
         distance=distance,
-        approachable=approachable,
-        nearstandard=nearstandard,
+        locate=locate,
         is_complete=True,
         completion_is_HB=True,
     )
@@ -144,6 +154,15 @@ def _euclidean_plane(order, precision) -> SpaceDescriptor:
 # ---------------------------------------------------------------------------
 # cover and its completion
 # ---------------------------------------------------------------------------
+
+_APPROACHABLE = {
+    Verdict.NEARSTANDARD: Ternary.TRUE,
+    Verdict.ORIGIN_HALO: Ternary.TRUE,
+    Verdict.FINITE_INAPPROACHABLE: Ternary.FALSE,
+    Verdict.OUTSIDE_GALAXY: Ternary.FALSE,
+    Verdict.UNKNOWN: Ternary.UNKNOWN,
+}
+
 
 def _as_cover_point(a: ExtendedPoint) -> CoverPoint:
     return CoverPoint(a.coords[0], a.coords[1])
@@ -156,27 +175,33 @@ def _as_completion_point(a: ExtendedPoint) -> CoverPoint | None:
     return CoverPoint(r, a.coords[1])
 
 
+def _cover_locate(space_id: str, origin: ExtendedPoint | None):
+    """`locate` for the cover (origin None) or its completion, which restores
+    the origin as the standard point of the origin halo."""
+
+    def locate(a: ExtendedPoint) -> Location:
+        r = a.coords[0]
+        if origin is not None and r.is_zero:
+            return Location(Ternary.TRUE, Ternary.TRUE, origin)
+        classified = classify_point(_as_cover_point(a))
+        if classified.verdict is Verdict.NEARSTANDARD:
+            st_r, st_z = classified.standard_point
+            near = ExtendedPoint(
+                space_id, (lcf.from_interval(st_r), lcf.from_interval(st_z))
+            )
+        elif classified.verdict is Verdict.ORIGIN_HALO:
+            near = origin  # None: the origin is missing from the cover itself
+        else:
+            near = None
+        return Location(_finite_ternary(r), _APPROACHABLE[classified.verdict], near)
+
+    return locate
+
+
 def _cover(order, precision) -> SpaceDescriptor:
     def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return cover_mod.cover_distance(
             _as_cover_point(a), _as_cover_point(b), order, precision
-        )
-
-    def approachable(a: ExtendedPoint) -> Ternary:
-        verdict = classify_point(_as_cover_point(a)).verdict
-        if verdict in (Verdict.NEARSTANDARD, Verdict.ORIGIN_HALO):
-            return Ternary.TRUE
-        if verdict in (Verdict.FINITE_INAPPROACHABLE, Verdict.OUTSIDE_GALAXY):
-            return Ternary.FALSE
-        return Ternary.UNKNOWN
-
-    def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
-        classified = classify_point(_as_cover_point(a))
-        if classified.verdict is not Verdict.NEARSTANDARD:
-            return None  # the origin halo has no standard point *in* the cover
-        st_r, st_z = classified.standard_point
-        return ExtendedPoint(
-            "cover", (lcf.from_interval(st_r), lcf.from_interval(st_z))
         )
 
     return SpaceDescriptor(
@@ -184,8 +209,7 @@ def _cover(order, precision) -> SpaceDescriptor:
         dimension=2,
         basepoint=ExtendedPoint("cover", (lcf.one(), lcf.zero())),
         distance=distance,
-        approachable=approachable,
-        nearstandard=nearstandard,
+        locate=_cover_locate("cover", None),
         is_complete=False,
         completion_is_HB=False,
     )
@@ -197,44 +221,13 @@ def _cover_completion(order, precision) -> SpaceDescriptor:
             _as_completion_point(a), _as_completion_point(b), order, precision
         )
 
-    def _classify(a: ExtendedPoint):
-        p = _as_completion_point(a)
-        if p is None:
-            return None
-        return classify_point(p)
-
-    def approachable(a: ExtendedPoint) -> Ternary:
-        classified = _classify(a)
-        if classified is None:  # the origin itself
-            return Ternary.TRUE
-        if classified.verdict in (Verdict.NEARSTANDARD, Verdict.ORIGIN_HALO):
-            return Ternary.TRUE
-        if classified.verdict in (Verdict.FINITE_INAPPROACHABLE, Verdict.OUTSIDE_GALAXY):
-            return Ternary.FALSE
-        return Ternary.UNKNOWN
-
-    def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
-        classified = _classify(a)
-        origin = ExtendedPoint("cover-completion", (lcf.zero(), lcf.zero()))
-        if classified is None:
-            return origin
-        if classified.verdict is Verdict.ORIGIN_HALO:
-            return origin  # the restored origin is a standard completion point
-        if classified.verdict is Verdict.NEARSTANDARD:
-            st_r, st_z = classified.standard_point
-            return ExtendedPoint(
-                "cover-completion",
-                (lcf.from_interval(st_r), lcf.from_interval(st_z)),
-            )
-        return None
-
+    origin = ExtendedPoint("cover-completion", (lcf.zero(), lcf.zero()))
     return SpaceDescriptor(
         space_id="cover-completion",
         dimension=2,
         basepoint=ExtendedPoint("cover-completion", (lcf.one(), lcf.zero())),
         distance=distance,
-        approachable=approachable,
-        nearstandard=nearstandard,
+        locate=_cover_locate("cover-completion", origin),
         is_complete=True,
         completion_is_HB=False,
     )

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: commands, output formats, exit codes."""
 
 import json
+import subprocess
+import sys
 
 from ihull.cli import main
 from ihull.parsing import parse_number
@@ -158,3 +160,10 @@ def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
     fake_scenario.verdict = "unknown"
     assert main(["verify", "hb-failure"]) == 3
     capsys.readouterr()
+
+
+def test_import_leaves_scipy_unloaded():
+    # only `oracle` uses the grid oracle; no other command pays for scipy
+    check = "import sys, ihull.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

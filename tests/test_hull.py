@@ -1,5 +1,6 @@
 """Hull construction, space registrations, and the theorem harnesses."""
 
+import dataclasses
 from fractions import Fraction as F
 from random import Random
 
@@ -20,7 +21,7 @@ from ihull.hull import (
     same_halo,
 )
 from ihull.intervals import Interval
-from ihull.lcf import IndeterminateComparison, Ternary
+from ihull.lcf import IndeterminateComparison, Magnitude, Ternary
 
 T = lcf.T
 TI = lcf.T_INVERSE
@@ -65,6 +66,48 @@ def test_in_galaxy():
     assert in_galaxy(COVER, COVER.point(TI, lcf.zero())) is Ternary.FALSE
 
 
+def test_in_galaxy_surely_finite_radius_of_unknown_magnitude():
+    # r = [0, 1] + t is finite whether its standard part is 0 or not, so
+    # the point is in the galaxy although its classification is unknown
+    r = lcf.LeviCivitaNumber(((0, Interval(F(0), F(1))), (1, 1)))
+    for space in (COVER, COMPLETION):
+        assert in_galaxy(space, space.point(r, ONE)) is Ternary.TRUE
+
+
+def _finite_by_distance(s, p):
+    """The galaxy rule `locate` replaced: the magnitude of the distance to
+    the basepoint."""
+    d = extended_distance(s, p, s.basepoint)
+    if lcf.is_surely_finite(d):
+        return Ternary.TRUE
+    if lcf.classify_magnitude(d) is Magnitude.INFINITE:
+        return Ternary.FALSE
+    return Ternary.UNKNOWN
+
+
+def test_locate_finite_agrees_with_distance_rule():
+    rng = Random(107)
+    # points with an infinite coordinate; (1 + t, -t^-1) stays finite on the
+    # cover and its completion
+    infinite_coord = {
+        1: [(TI,), (lcf.neg(TI) + ONE,)],
+        2: [(TI, lcf.zero()), (TI, TI), (ONE + T, lcf.neg(TI))],
+    }
+    for space in ALL_SPACES:
+        points = probes.finite_probes(space, rng, 10)
+        points += [
+            w
+            for w in (
+                spaces.incompleteness_witness(space),
+                spaces.inapproachability_witness(space),
+            )
+            if w is not None
+        ]
+        points += [space.point(*coords) for coords in infinite_coord[space.dimension]]
+        for p in points:
+            assert hull.locate(space, p).finite is _finite_by_distance(space, p), p
+
+
 # ---------------------------------------------------------------------------
 # hull distance
 # ---------------------------------------------------------------------------
@@ -84,6 +127,30 @@ def test_hull_distance_cover_flagship():
     x = halo(COVER, COVER.point(ONE, TI))
     y = halo(COVER, COVER.point(T, lcf.zero()))
     assert hull_distance(COVER, x, y) == Interval.point(1)
+
+
+def test_hull_distance_cover_pair_at_angle_pi():
+    # seen from the basepoint (1, 0) the angle pi~ sits on the branch
+    # boundary, but the pair itself is on the chord branch
+    pi = lcf.pi_number()
+    x = halo(COVER, COVER.point(ONE, pi))
+    y = halo(COVER, COVER.point(2, pi))
+    assert F(1) in hull_distance(COVER, x, y)
+
+
+def test_hull_distance_computes_one_distance():
+    pairs = {1: ((ONE + T,), (3,)), 2: ((ONE + T, ONE), (2, T))}
+    for space in ALL_SPACES:
+        calls = []
+
+        def counted(a, b, space=space):
+            calls.append((a, b))
+            return space.distance(a, b)
+
+        counting = dataclasses.replace(space, distance=counted)
+        p, q = (counting.point(*c) for c in pairs[space.dimension])
+        hull_distance(counting, halo(counting, p), halo(counting, q))
+        assert len(calls) == 1, space.space_id
 
 
 def test_hull_distance_rejects_outside_galaxy():
@@ -305,15 +372,17 @@ def test_unknown_verdicts_reported_not_failed():
     marked = LINE.point(lcf.from_rational(77))
 
     def undecided(p):
-        return Ternary.UNKNOWN if p == marked else LINE.approachable(p)
+        where = LINE.locate(p)
+        if p == marked:
+            return dataclasses.replace(where, approachable=Ternary.UNKNOWN)
+        return where
 
     foggy = hull.SpaceDescriptor(
         space_id="rationals-line",
         dimension=1,
         basepoint=LINE.basepoint,
         distance=LINE.distance,
-        approachable=undecided,
-        nearstandard=LINE.nearstandard,
+        locate=undecided,
         is_complete=True,
         completion_is_HB=True,
     )
