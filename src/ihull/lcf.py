@@ -20,6 +20,7 @@ the blocking exponent, so callers can retry at higher order or precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -323,29 +324,9 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
         raise ZeroOrUnknownLeading(
             "cannot invert: leading coefficient is zero or of unknown sign"
         )
-    q, c = lead
-    u = shift(scale(LeviCivitaNumber(a.terms[1:], a.order), c.reciprocal()), -q)
-    series = _geometric_series(neg(u), order)
+    q, c, u = _split_leading(a)
+    (series,) = _power_series(neg(u), order, itertools.repeat(1))
     return shift(scale(series, c.reciprocal()), -q)
-
-
-def _geometric_series(x: LeviCivitaNumber, order) -> LeviCivitaNumber:
-    """sum x^k for infinitesimal x, truncated at `order`."""
-    if x.is_zero:
-        return one()
-    if not x.terms:
-        # an unknown tail in x caps what we know even though no term is stored
-        return truncate(one(), min(order, x.order))
-    if order is INFINITE_ORDER:
-        raise ValueError("series does not terminate at infinite truncation order")
-    total = one()
-    power = one()
-    while True:
-        power = mul(power, x, order)
-        if not power.terms:
-            total = add(total, power)  # carries the truncation order
-            return total
-        total = add(total, power)
 
 
 # -- order ------------------------------------------------------------------------
@@ -488,6 +469,49 @@ def _split_leading(a: LeviCivitaNumber) -> tuple[Fraction, Interval, LeviCivitaN
     return q, c, u
 
 
+def _binomial_half():
+    """binomial(1/2, k) for k = 0, 1, 2, ...: the coefficients of (1 + u)^(1/2)."""
+    coeff = Fraction(1)
+    for k in itertools.count():
+        yield coeff
+        coeff *= (Fraction(1, 2) - k) / (k + 1)
+
+
+def _power_series(
+    u: LeviCivitaNumber, order, *coefficients
+) -> tuple[LeviCivitaNumber, ...]:
+    """sum_k c_k u^k for infinitesimal u, truncated at `order`, once for each
+    coefficient sequence (c_0, c_1, ...).
+
+    One pass over the powers u, u^2, ... feeds every sum; each power is the
+    previous one times u, truncated at `order`.  A zero coefficient adds
+    nothing (an odd power must not cap cos's truncation order) and a unit
+    coefficient adds the power unscaled.  The first power that truncates to
+    nothing carries its truncation order into every sum.
+    """
+    order = _as_order(order)
+    sequences = [iter(c) for c in coefficients]
+    totals = [from_rational(next(c)) for c in sequences]
+    if u.is_zero:
+        return tuple(totals)
+    if not u.terms:
+        # an unknown tail in u caps what we know even though no term is stored
+        capped = min(order, u.order)
+        return tuple(truncate(total, capped) for total in totals)
+    if order is INFINITE_ORDER:
+        raise ValueError("series does not terminate at infinite truncation order")
+    power = truncate(u, order)
+    while power.terms:
+        for i, sequence in enumerate(sequences):
+            c = next(sequence)
+            if c == 1:
+                totals[i] = add(totals[i], power)
+            elif c != 0:
+                totals[i] = add(totals[i], scale(power, c))
+        power = mul(power, u, order)
+    return tuple(add(total, power) for total in totals)
+
+
 def sqrt(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
@@ -504,30 +528,10 @@ def sqrt(
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     q, c, u = _split_leading(a)
     root = from_interval(sqrt_interval(c, precision))
-    series = _binomial_sqrt_series(u, order if order is INFINITE_ORDER else order - q / 2)
+    (series,) = _power_series(
+        u, order if order is INFINITE_ORDER else order - q / 2, _binomial_half()
+    )
     return shift(mul(root, series), q / 2)
-
-
-def _binomial_sqrt_series(u: LeviCivitaNumber, order) -> LeviCivitaNumber:
-    """(1 + u)^(1/2) for infinitesimal u, truncated at `order`."""
-    if u.is_zero:
-        return one()
-    if not u.terms:
-        return truncate(one(), min(order, u.order))
-    if order is INFINITE_ORDER:
-        raise ValueError("series does not terminate at infinite truncation order")
-    total = one()
-    power = one()
-    coeff = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        coeff *= (Fraction(1, 2) - (k - 1)) / k  # binomial(1/2, k) incrementally
-        power = mul(power, u, order)
-        term = scale(power, coeff)
-        total = add(total, term)
-        if not power.terms:
-            return total
 
 
 def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:
@@ -552,9 +556,7 @@ def cos_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """cos of a finite value: cos(s)cos(u) - sin(s)sin(u) with s = st-part."""
-    s, u = _split_standard(a)
-    cos_s, sin_s = cos_interval(s, precision), sin_interval(s, precision)
-    cos_u, sin_u = _cos_sin_series(u, order)
+    cos_s, sin_s, cos_u, sin_u = _angle_addition_parts(a, order, precision)
     return sub(scale(cos_u, cos_s), scale(sin_u, sin_s))
 
 
@@ -562,42 +564,27 @@ def sin_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """sin of a finite value, by the same angle-addition split as cos."""
-    s, u = _split_standard(a)
-    cos_s, sin_s = cos_interval(s, precision), sin_interval(s, precision)
-    cos_u, sin_u = _cos_sin_series(u, order)
+    cos_s, sin_s, cos_u, sin_u = _angle_addition_parts(a, order, precision)
     return add(scale(sin_u, cos_s), scale(cos_u, sin_s))
 
 
-def _cos_sin_series(
-    u: LeviCivitaNumber, order
-) -> tuple[LeviCivitaNumber, LeviCivitaNumber]:
-    """Taylor series of (cos u, sin u) for infinitesimal u, truncated at `order`."""
-    order = _as_order(order)
-    if u.is_zero:
-        return one(), zero()
-    if not u.terms:
-        capped = min(order, u.order)
-        return truncate(one(), capped), truncate(zero(), capped)
-    if order is INFINITE_ORDER:
-        raise ValueError("series does not terminate at infinite truncation order")
-    cos_total = one()
-    sin_total = truncate(u, order)
-    power = sin_total
-    factorial = Fraction(1)
-    k = 1
-    while power.terms:
-        k += 1
-        factorial *= k
-        power = mul(power, u, order)
-        term = scale(power, Fraction((-1) ** (k // 2), factorial))
-        if k % 2 == 0:
-            cos_total = add(cos_total, term)
-        else:
-            sin_total = add(sin_total, term)
-    # breaking with an empty (but possibly truncated) power records the order
-    cos_total = add(cos_total, power)
-    sin_total = add(sin_total, power)
-    return cos_total, sin_total
+def _angle_addition_parts(a: LeviCivitaNumber, order, precision: int):
+    """(cos s, sin s, cos u, sin u) for a = s + u split by `_split_standard`."""
+    s, u = _split_standard(a)
+    return (
+        cos_interval(s, precision),
+        sin_interval(s, precision),
+        *_power_series(u, order, _cos_sin_coefficients(0), _cos_sin_coefficients(1)),
+    )
+
+
+def _cos_sin_coefficients(parity: int):
+    """Taylor coefficients (-1)^(k//2) / k! at each k of the given parity and
+    0 at the others: cos for parity 0, sin for parity 1."""
+    coeff = Fraction(1)
+    for k in itertools.count(1):
+        yield coeff if (k - 1) % 2 == parity else 0
+        coeff /= k if k % 2 else -k
 
 
 # -- rational approximation -----------------------------------------------------------
