@@ -229,7 +229,7 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     """Multiply by a scalar rational or interval (exponents unchanged)."""
     f = _as_interval(factor)
     if f.is_zero:
-        return LeviCivitaNumber._from_canonical((), a.order)
+        return zero()  # an exact zero factor leaves no unknown tail
     return LeviCivitaNumber._from_canonical(
         tuple((q, c * f) for q, c in a.terms), a.order
     )
@@ -283,8 +283,11 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber, cap=INFINITE_ORDER) -> LeviCiv
     The unknown tail of one factor meets the leading term of the other at
     exponent T_a + lead(b) (resp. T_b + lead(a)), which caps the result's
     truncation order; two exact factors stay exact.  Term pairs landing at
-    or above the resulting order are never multiplied out.
+    or above the resulting order are never multiplied out.  A product with
+    an exactly zero factor is exactly zero, whatever the other's tail.
     """
+    if a.is_zero or b.is_zero:
+        return zero()
     if a.order is INFINITE_ORDER and b.order is INFINITE_ORDER:
         order = cap
     else:

@@ -15,8 +15,9 @@ def run(capsys, *argv):
 
 
 def test_eval(capsys):
-    code, out, _ = run(capsys, "eval", "(1+t)*(1-t)")
-    assert code == 0 and out.strip() == "1 - t^2"
+    for expr, expected in (("(1+t)*(1-t)", "1 - t^2"), ("0*(1+O(t^3))", "0")):
+        code, out, _ = run(capsys, "eval", expr)
+        assert code == 0 and out.strip() == expected
 
 
 def test_eval_json_round_trips(capsys):

@@ -81,6 +81,10 @@ def test_mul_fractional_exponents():
 
 def test_mul_annihilation():
     assert (lcf.zero() * TI).is_zero
+    # an exact zero factor annihilates the other's unknown tail too
+    truncated = lcf.truncate(ONE + T, 3)
+    assert (lcf.zero() * truncated).is_zero and (truncated * lcf.zero()).is_zero
+    assert lcf.scale(truncated, 0).is_zero
 
 
 def test_mul_truncation_rule():
