@@ -13,8 +13,9 @@ extended distance.
 The two theorem harnesses check, on finite probe sets:
 
 * every approachable point is nearstandard  <=>  the space is complete;
-* every finite point is approachable  <=>  the completion is Heine-Borel
-  <=>  the completion already fills the hull.
+* every finite point is approachable  <=>  the completion is Heine-Borel.
+  (The paper's third equivalent, "the completion already fills the hull",
+  is not tested: probes give it no evidence of its own.)
 
 Probe sets make these property tests, not proofs; unknown oracle verdicts
 are reported, never silently counted as pass or fail.
@@ -23,13 +24,12 @@ are reported, never silently counted as pass or fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import lcf
 from .errors import NotFinite, SpaceMismatch
 from .intervals import Interval
-from .lcf import IndeterminateComparison, LeviCivitaNumber, Magnitude, Ordering, Ternary
+from .lcf import LeviCivitaNumber, Magnitude, Ternary
 
 
 @dataclass(frozen=True)
@@ -170,16 +170,6 @@ def is_nearstandard(s: SpaceDescriptor, a: ExtendedPoint) -> ExtendedPoint | Non
     return locate(s, a).nearstandard
 
 
-def in_closed_ball(s: SpaceDescriptor, a: ExtendedPoint, n) -> Ternary:
-    """Is d(a, basepoint) <= n?  (The transferred closed ball of radius n.)"""
-    d = extended_distance(s, a, s.basepoint)
-    try:
-        verdict = lcf.compare(d, lcf.from_rational(Fraction(n)))
-    except IndeterminateComparison:
-        return Ternary.UNKNOWN
-    return Ternary.FALSE if verdict is Ordering.GT else Ternary.TRUE
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -298,11 +288,13 @@ def check_proposition_a(
 
 
 def check_theorem_b(s: SpaceDescriptor, probes: list[ExtendedPoint]) -> HarnessReport:
-    """Heine-Borel completion <=> every finite probe approachable <=> the
-    completion fills the hull.
+    """Heine-Borel completion <=> every finite probe approachable.
 
-    The three clauses are reported together and can never be certified in
-    contradictory combinations: the probe evidence fixes one boolean.
+    Reports the probe evidence next to the registered `completion_is_HB` and
+    passes when they agree: every finite probe approachable for a
+    Heine-Borel completion, a finite inapproachable witness otherwise.  The
+    paper's third equivalent, "the completion fills the hull", has no
+    evidence of its own on probes and is not reported.
     """
     rows, verdicts, unknown = _probe_rows(s, probes)
     witnesses = [
@@ -335,11 +327,6 @@ def check_theorem_b(s: SpaceDescriptor, probes: list[ExtendedPoint]) -> HarnessR
             "completion is Heine-Borel",
             s.completion_is_HB,
             "registered metadata",
-        ),
-        Clause(
-            "completion fills the hull (no extra points)",
-            all_approachable,
-            "equivalent to the first clause on probe evidence",
         ),
     ]
     return HarnessReport(

@@ -65,9 +65,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def straddles_zero(self) -> bool:
-        return self.lo < 0 < self.hi
-
     def __contains__(self, value) -> bool:
         q = Fraction(value)
         return self.lo <= q <= self.hi

@@ -1,0 +1,25 @@
+"""The benchmark's tracer finds every function it wraps in the package."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tracer_installs_on_every_hook_point():
+    # `tracer.install` looks each traced function up by name, so a rename or
+    # deletion in `src/` raises here instead of breaking the benchmark; the
+    # grid oracle is imported first because its hooks are only installed
+    # where it is loaded
+    check = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; "
+        "import ihull.gridoracle, tracer; tracer.install(tracer.Tracer())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,6 @@ from ihull.hull import (
     extended_distance,
     halo,
     hull_distance,
-    in_closed_ball,
     in_galaxy,
     is_approachable,
     is_nearstandard,
@@ -273,18 +272,6 @@ def test_nearstandard_implies_approachable():
 
 
 # ---------------------------------------------------------------------------
-# closed balls
-# ---------------------------------------------------------------------------
-
-def test_in_closed_ball():
-    assert in_closed_ball(LINE, LINE.point(ONE + T), 2) is Ternary.TRUE
-    assert in_closed_ball(LINE, LINE.point(3), 2) is Ternary.FALSE
-    # d((1, t^-1), basepoint) = 2 exactly: inside the closed 2-ball
-    assert in_closed_ball(COVER, COVER.point(ONE, TI), 2) is Ternary.TRUE
-    assert in_closed_ball(COVER, COVER.point(ONE, TI), 1) is Ternary.FALSE
-
-
-# ---------------------------------------------------------------------------
 # harnesses
 # ---------------------------------------------------------------------------
 
@@ -361,7 +348,6 @@ def test_report_serialization():
     assert {c["name"] for c in payload["clauses"]} == {
         "every finite probe is approachable",
         "completion is Heine-Borel",
-        "completion fills the hull (no extra points)",
     }
     assert "pass" in report.summary()
 

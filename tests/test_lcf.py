@@ -217,6 +217,42 @@ def test_sqrt_fractional_lead_exponent():
     assert result == lcf.monomial(3, F(3, 2))
 
 
+def test_series_on_truncated_arguments():
+    # an unknown tail in the argument caps the result's truncation order
+    assert lcf.sqrt(num("4 + t + O(t^2)"), 8, 64) == num("2 + 1/4t + O(t^2)")
+    assert lcf.inverse(num("2 + t^1/2 + O(t^2)"), 3) == num(
+        "1/2 - 1/4t^1/2 + 1/8t - 1/16t^3/2 + O(t^2)"
+    )
+    assert lcf.sin_enclosure(num("t + O(t^3)"), 8, 64) == num("t + O(t^3)")
+    # sin(0) = 0 is exact, so sin(u) carries no O(t^3) into cos
+    cos = lcf.cos_enclosure(num("t + O(t^3)"), 8, 64)
+    assert cos == num("1 - 1/2t^2 + O(t^4)") and cos.order == 4
+    # no stored term after the leading one: only the truncation order remains
+    root = lcf.sqrt(num("4 + O(t^2)"), 8, 64)
+    assert root.terms == ((F(0), Interval.point(2)),) and root.order == 2
+
+
+def test_series_on_interval_coefficients():
+    x = lcf.from_interval(Interval(F(1), F(2))) + T
+    assert lcf.inverse(x, 3) == LeviCivitaNumber(
+        (
+            (F(0), Interval(F(1, 2), F(1))),
+            (F(1), Interval(F(-1), F(-1, 4))),
+            (F(2), Interval(F(1, 8), F(1))),
+        ),
+        3,
+    )
+    y = LeviCivitaNumber(((F(0), 4), (F(1), Interval(F(-1, 8), F(1, 8)))))
+    assert lcf.sqrt(y, 3, 64) == LeviCivitaNumber(
+        (
+            (F(0), Interval.point(2)),
+            (F(1), Interval(F(-1, 32), F(1, 32))),
+            (F(2), Interval(F(-1, 4096), F(1, 4096))),
+        ),
+        3,
+    )
+
+
 def test_cos_examples():
     assert lcf.cos_enclosure(lcf.zero(), 4, 64) == ONE
     expansion = lcf.cos_enclosure(T, 4, 64)
