@@ -481,10 +481,10 @@ def _binomial_half():
 
 
 def _power_series(
-    u: LeviCivitaNumber, order, *coefficients
+    u: LeviCivitaNumber, order, *sequences
 ) -> tuple[LeviCivitaNumber, ...]:
     """sum_k c_k u^k for infinitesimal u, truncated at `order`, once for each
-    coefficient sequence (c_0, c_1, ...).
+    coefficient iterator (c_0, c_1, ...) in `sequences`.
 
     One pass over the powers u, u^2, ... feeds every sum; each power is the
     previous one times u, truncated at `order`.  A zero coefficient adds
@@ -493,7 +493,6 @@ def _power_series(
     nothing carries its truncation order into every sum.
     """
     order = _as_order(order)
-    sequences = [iter(c) for c in coefficients]
     totals = [from_rational(next(c)) for c in sequences]
     if u.is_zero:
         return tuple(totals)
@@ -571,7 +570,9 @@ def sin_enclosure(
     return add(scale(sin_u, cos_s), scale(cos_u, sin_s))
 
 
-def _angle_addition_parts(a: LeviCivitaNumber, order, precision: int):
+def _angle_addition_parts(
+    a: LeviCivitaNumber, order, precision: int
+) -> tuple[Interval, Interval, LeviCivitaNumber, LeviCivitaNumber]:
     """(cos s, sin s, cos u, sin u) for a = s + u split by `_split_standard`."""
     s, u = _split_standard(a)
     return (

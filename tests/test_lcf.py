@@ -243,6 +243,8 @@ def test_series_on_interval_coefficients():
         3,
     )
     y = LeviCivitaNumber(((F(0), 4), (F(1), Interval(F(-1, 8), F(1, 8)))))
+    # u^2 multiplies u's coefficient by itself as if the two were independent,
+    # so the t^2 enclosure is twice the true range [-1/4096, 0]
     assert lcf.sqrt(y, 3, 64) == LeviCivitaNumber(
         (
             (F(0), Interval.point(2)),
