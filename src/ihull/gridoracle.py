@@ -8,7 +8,7 @@ above and converge to it as the grid refines.
 
 Floating point throughout: this module exists to cross-check the exact
 closed form by an independent method, not to be exact itself.  Radial levels
-are log-spaced by default so cells keep the same shape at every radius
+are log-spaced so cells keep the same shape at every radius
 (the geometry is scale-invariant); query coordinates are inserted as extra
 grid levels so queries never pay a snapping error.
 """
@@ -38,9 +38,6 @@ _OFFSETS = {
     ),
 }
 
-_SPACINGS = ("log", "linear")
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Annular window and resolution for the oracle grid."""
@@ -52,7 +49,6 @@ class GridConfig:
     n_r: int = 256
     n_zeta: int = 256
     connectivity: str = "8-neighbor+knight"
-    spacing: str = "log"
 
     def __post_init__(self):
         if self.r_min <= 0:
@@ -63,8 +59,6 @@ class GridConfig:
             raise ValueError("need at least 16 levels per axis")
         if self.connectivity not in _OFFSETS:
             raise ValueError(f"connectivity must be one of {sorted(_OFFSETS)}")
-        if self.spacing not in _SPACINGS:
-            raise ValueError(f"spacing must be one of {_SPACINGS}")
 
 
 def window_for(
@@ -72,7 +66,6 @@ def window_for(
     n_r: int = 256,
     n_zeta: int = 256,
     connectivity: str = "8-neighbor+knight",
-    spacing: str = "log",
 ) -> GridConfig:
     """A window containing `points` with margin, deep enough toward the
     puncture that through-origin dips are representable."""
@@ -90,7 +83,6 @@ def window_for(
         n_r=n_r,
         n_zeta=n_zeta,
         connectivity=connectivity,
-        spacing=spacing,
     )
 
 
@@ -104,14 +96,9 @@ def _check_margin(cfg: GridConfig, point: tuple[float, float]) -> None:
         raise OutOfWindow(f"angle {z} within 10% of the window boundary")
 
 
-def _levels(lo: float, hi: float, n: int, spacing: str, extra) -> np.ndarray:
-    if spacing == "log":
-        base = np.geomspace(lo, hi, n)
-    else:
-        base = np.linspace(lo, hi, n)
-    if extra:
-        base = np.concatenate([base, np.asarray(sorted(extra), dtype=float)])
-    return np.unique(base)
+def _with_levels(base: np.ndarray, extra) -> np.ndarray:
+    """The sorted union of the grid levels `base` and the query coordinates."""
+    return np.unique(np.concatenate([base, np.asarray(sorted(extra), dtype=float)]))
 
 
 def _radial_levels(cfg: GridConfig, query_radii) -> np.ndarray:
@@ -122,15 +109,13 @@ def _radial_levels(cfg: GridConfig, query_radii) -> np.ndarray:
     (used only by through-origin dips) can be coarse; the band is where
     geodesics run obliquely and needs cells of balanced shape.
     """
-    if cfg.spacing == "linear":
-        return _levels(cfg.r_min, cfg.r_max, cfg.n_r, "linear", query_radii)
     band_lo = 0.4 * min(query_radii)
     if band_lo <= cfg.r_min * 1.5:
-        return _levels(cfg.r_min, cfg.r_max, cfg.n_r, "log", query_radii)
+        return _with_levels(np.geomspace(cfg.r_min, cfg.r_max, cfg.n_r), query_radii)
     n_deep = max(8, cfg.n_r // 5)
     deep = np.geomspace(cfg.r_min, band_lo, n_deep)
     band = np.geomspace(band_lo, cfg.r_max, cfg.n_r - n_deep)
-    return np.unique(np.concatenate([deep, band, np.asarray(sorted(query_radii))]))
+    return _with_levels(np.concatenate([deep, band]), query_radii)
 
 
 def _build_graph(r: np.ndarray, z: np.ndarray, connectivity: str) -> csr_matrix:
@@ -183,8 +168,7 @@ def oracle_distances(
     extra_r = {source[0], *(p[0] for p in targets)}
     extra_z = {source[1], *(p[1] for p in targets)}
     levels_r = _radial_levels(cfg, extra_r)
-    # angle levels stay linear regardless of radial spacing
-    levels_z = _levels(cfg.zeta_min, cfg.zeta_max, cfg.n_zeta, "linear", extra_z)
+    levels_z = _with_levels(np.linspace(cfg.zeta_min, cfg.zeta_max, cfg.n_zeta), extra_z)
     graph = _build_graph(levels_r, levels_z, cfg.connectivity)
     source_idx = _node_index(levels_r, levels_z, source)
     dist = dijkstra(graph, directed=False, indices=source_idx)

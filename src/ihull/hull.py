@@ -181,23 +181,12 @@ class ProbeRow:
     approachable: str
     nearstandard: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "finite": self.finite,
-            "approachable": self.approachable,
-            "nearstandard": self.nearstandard,
-        }
-
 
 @dataclass
 class Clause:
     name: str
     holds: bool | None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "holds": self.holds, "note": self.note}
 
 
 @dataclass
@@ -209,27 +198,27 @@ class HarnessReport:
     passed: bool = False
     unknown_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space_id,
-            "claim": self.claim,
-            "clauses": [c.to_dict() for c in self.clauses],
-            "probes": [p.to_dict() for p in self.probes],
-            "passed": self.passed,
-            "unknown_count": self.unknown_count,
-        }
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        extra = f", {self.unknown_count} unknown" if self.unknown_count else ""
-        return f"[{status}] {self.space_id}: {self.claim}{extra}"
+def _characterise(
+    s: SpaceDescriptor,
+    probes: list[ExtendedPoint],
+    registered: str,
+    rule: str,
+    counterexample: str,
+    flag: bool,
+    is_counterexample: Callable[[Location], bool],
+) -> HarnessReport:
+    """Check "`registered` iff `rule`" on `probes`, where `rule` says that no
+    point is a counterexample.
 
-
-def _probe_rows(
-    s: SpaceDescriptor, probes: list[ExtendedPoint]
-) -> tuple[list[ProbeRow], list[Location], int]:
+    The rule clause holds when no probe is a counterexample; the metadata
+    clause is the registered `flag`.  The report passes when they agree:
+    no counterexample for a flagged space, at least one otherwise.  Probes
+    with an unknown finite or approachable verdict are counted in
+    `unknown_count`; the predicates match definite verdicts only.
+    """
     rows = []
-    verdicts = []
+    found = None
     unknown = 0
     for p in probes:
         v = locate(s, p)
@@ -237,8 +226,20 @@ def _probe_rows(
             unknown += 1
         near = str(v.nearstandard) if v.nearstandard else None
         rows.append(ProbeRow(str(p), v.finite.value, v.approachable.value, near))
-        verdicts.append(v)
-    return rows, verdicts, unknown
+        if found is None and is_counterexample(v):
+            found = rows[-1].probe
+    note = f"{counterexample}: {found}" if found else f"no {counterexample}"
+    return HarnessReport(
+        space_id=s.space_id,
+        claim=f"{registered} iff {rule}",
+        clauses=[
+            Clause(rule, found is None, note),
+            Clause(registered, flag, "registered metadata"),
+        ],
+        probes=rows,
+        passed=flag != (found is not None),
+        unknown_count=unknown,
+    )
 
 
 def check_proposition_a(
@@ -249,91 +250,31 @@ def check_proposition_a(
     Complete spaces must show no approachable-but-not-nearstandard probe;
     incomplete spaces must exhibit at least one (the supplied witness).
     """
-    rows, verdicts, unknown = _probe_rows(s, probes)
-    gaps = [
-        i
-        for i, v in enumerate(verdicts)
-        if v.approachable is Ternary.TRUE and v.nearstandard is None
-    ]
-    if s.is_complete:
-        passed = not gaps
-        note = (
-            "no approachable probe lacks a standard point"
-            if passed
-            else f"approachable but not nearstandard: {rows[gaps[0]].probe}"
-        )
-        clauses = [
-            Clause("space is complete", True, "registered metadata"),
-            Clause("every approachable probe is nearstandard", passed, note),
-        ]
-    else:
-        passed = bool(gaps)
-        note = (
-            f"witness: {rows[gaps[0]].probe}"
-            if gaps
-            else "expected an approachable, non-nearstandard witness probe"
-        )
-        clauses = [
-            Clause("space is incomplete", True, "registered metadata"),
-            Clause("some approachable probe is not nearstandard", passed, note),
-        ]
-    return HarnessReport(
-        space_id=s.space_id,
-        claim="approachable => nearstandard iff complete",
-        clauses=clauses,
-        probes=rows,
-        passed=passed,
-        unknown_count=unknown,
+    return _characterise(
+        s,
+        probes,
+        "space is complete",
+        "every approachable probe is nearstandard",
+        "approachable non-nearstandard witness",
+        s.is_complete,
+        lambda v: v.approachable is Ternary.TRUE and v.nearstandard is None,
     )
 
 
 def check_theorem_b(s: SpaceDescriptor, probes: list[ExtendedPoint]) -> HarnessReport:
     """Heine-Borel completion <=> every finite probe approachable.
 
-    Reports the probe evidence next to the registered `completion_is_HB` and
-    passes when they agree: every finite probe approachable for a
-    Heine-Borel completion, a finite inapproachable witness otherwise.  The
-    paper's third equivalent, "the completion fills the hull", has no
-    evidence of its own on probes and is not reported.
+    Heine-Borel completions must show no finite inapproachable probe; the
+    others must exhibit at least one (the supplied witness).  The paper's
+    third equivalent, "the completion fills the hull", has no evidence of
+    its own on probes and is not reported.
     """
-    rows, verdicts, unknown = _probe_rows(s, probes)
-    witnesses = [
-        i
-        for i, v in enumerate(verdicts)
-        if v.finite is Ternary.TRUE and v.approachable is Ternary.FALSE
-    ]
-    all_approachable = not witnesses
-    if s.completion_is_HB:
-        passed = all_approachable
-        note = (
-            "all finite probes approachable"
-            if passed
-            else f"finite inapproachable probe: {rows[witnesses[0]].probe}"
-        )
-    else:
-        passed = bool(witnesses)
-        note = (
-            f"finite inapproachable witness: {rows[witnesses[0]].probe}"
-            if witnesses
-            else "expected a finite inapproachable witness probe"
-        )
-    clauses = [
-        Clause(
-            "every finite probe is approachable",
-            all_approachable,
-            note,
-        ),
-        Clause(
-            "completion is Heine-Borel",
-            s.completion_is_HB,
-            "registered metadata",
-        ),
-    ]
-    return HarnessReport(
-        space_id=s.space_id,
-        claim="finite => approachable iff completion Heine-Borel",
-        clauses=clauses,
-        probes=rows,
-        passed=passed,
-        unknown_count=unknown,
+    return _characterise(
+        s,
+        probes,
+        "completion is Heine-Borel",
+        "every finite probe is approachable",
+        "finite inapproachable witness",
+        s.completion_is_HB,
+        lambda v: v.finite is Ternary.TRUE and v.approachable is Ternary.FALSE,
     )

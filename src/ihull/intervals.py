@@ -268,20 +268,14 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
     return cos_enc.intersect(unit) or cos_enc, sin_enc.intersect(unit) or sin_enc
 
 
-def cos_interval(x: Interval, precision: int) -> Interval:
-    """Enclosure of cos over a rational interval.
+def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:
+    """Enclosures of (cos, sin) over a rational interval.
 
-    Evaluates at the midpoint and pads by the halfwidth (|cos'| <= 1), then
-    clamps to [-1, 1].
+    Evaluates both at the midpoint and pads each by the halfwidth
+    (|cos'|, |sin'| <= 1), then clamps to [-1, 1].
     """
-    c, _ = _cos_sin_rational(x.midpoint, precision)
-    return _pad_and_clamp(c, x.width / 2)
-
-
-def sin_interval(x: Interval, precision: int) -> Interval:
-    """Enclosure of sin over a rational interval (midpoint + Lipschitz pad)."""
-    _, s = _cos_sin_rational(x.midpoint, precision)
-    return _pad_and_clamp(s, x.width / 2)
+    c, s = _cos_sin_rational(x.midpoint, precision)
+    return _pad_and_clamp(c, x.width / 2), _pad_and_clamp(s, x.width / 2)
 
 
 def _pad_and_clamp(enc: Interval, pad: Fraction) -> Interval:

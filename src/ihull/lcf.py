@@ -37,9 +37,8 @@ from .intervals import (
     Interval,
     ONE_INTERVAL,
     ZERO_INTERVAL,
-    cos_interval,
+    cos_sin_interval,
     pi_interval,
-    sin_interval,
     sqrt_interval,
 )
 
@@ -547,9 +546,7 @@ def _split_standard(a: LeviCivitaNumber) -> tuple[Interval, LeviCivitaNumber]:
     Raises NotFinite unless `a` is certainly finite with the exponent-0
     coefficient determined.
     """
-    if not is_surely_finite(a) or (a.order is not INFINITE_ORDER and a.order <= 0):
-        raise NotFinite("argument must be certainly finite and determined at t^0")
-    s = a.coefficient(0)
+    s = standard_part(a)
     u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)
     return s, u
 
@@ -576,8 +573,7 @@ def _angle_addition_parts(
     """(cos s, sin s, cos u, sin u) for a = s + u split by `_split_standard`."""
     s, u = _split_standard(a)
     return (
-        cos_interval(s, precision),
-        sin_interval(s, precision),
+        *cos_sin_interval(s, precision),
         *_power_series(u, order, _cos_sin_coefficients(0), _cos_sin_coefficients(1)),
     )
 

@@ -72,7 +72,24 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", pos)
 
     def parse(self) -> LeviCivitaNumber:
-        value = self.expression()
+        return self._at_end(self.expression())
+
+    # point := "(" expression ("," expression)+ ")" | expression
+    def point(self) -> tuple[LeviCivitaNumber, ...]:
+        if self.peek()[1] == "(":
+            self.next()
+            coords = [self.expression()]
+            while self.peek()[1] == ",":
+                self.next()
+                coords.append(self.expression())
+            if len(coords) > 1:
+                self.expect(")")
+                return self._at_end(tuple(coords))
+            # no comma: the parenthesis opens an expression such as "(1)*5"
+            self.index = 0
+        return (self.parse(),)
+
+    def _at_end(self, value):
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
@@ -178,34 +195,11 @@ def parse_expression(
 def parse_point(
     text: str, order=INFINITE_ORDER, precision: int = lcf.DEFAULT_PRECISION
 ) -> tuple[LeviCivitaNumber, ...]:
-    """Parse ``(EXPR, EXPR)`` (or a bare EXPR for one-dimensional spaces)."""
-    stripped = text.strip()
-    if not stripped.startswith("("):
-        return (parse_number(stripped, order, precision),)
-    tokens = _tokenize(stripped)
-    depth = 0
-    splits = []
-    for kind, tok, pos in tokens:
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-            if depth == 0:
-                end = pos
-        elif tok == "," and depth == 1:
-            splits.append(pos)
-    if depth != 0:
-        raise ParseError("unbalanced parentheses in point", len(stripped) - 1)
-    inner_start = stripped.index("(") + 1
-    pieces = []
-    start = inner_start
-    for split in splits:
-        pieces.append(stripped[start:split])
-        start = split + 1
-    pieces.append(stripped[start:end])
-    if any(not piece.strip() for piece in pieces):
-        raise ParseError("empty coordinate in point", start)
-    return tuple(parse_number(piece, order, precision) for piece in pieces)
+    """Parse ``(EXPR, EXPR, ...)``, or one EXPR for one-dimensional spaces.
+
+    Positions in a ParseError count from the start of `text`.
+    """
+    return _Parser(text, order, precision).point()
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,16 @@ def _cover_inapproachable(seed: int, order, precision: int) -> list[dict]:
 # harness scenarios
 # ---------------------------------------------------------------------------
 
+def _harness_check(name: str, report: hull.HarnessReport) -> dict:
+    """A harness report as a check; each clause says whether it holds."""
+    details = "; ".join(
+        f"{c.name}: {'yes' if c.holds else 'no'} ({c.note})" for c in report.clauses
+    )
+    if report.passed and report.unknown_count:
+        return _unknown(name, details)
+    return _check(name, report.passed, details)
+
+
 def _proposition_a(seed: int, order, precision: int) -> list[dict]:
     rng = Random(seed)
     checks = []
@@ -178,11 +188,7 @@ def _proposition_a(seed: int, order, precision: int) -> list[dict]:
         if witness is not None:
             probe_list.append(witness)
         report = hull.check_proposition_a(space, probe_list)
-        details = "; ".join(f"{c.name}: {c.note}" for c in report.clauses)
-        if report.passed and report.unknown_count:
-            checks.append(_unknown(f"proposition-a[{name}]", details))
-        else:
-            checks.append(_check(f"proposition-a[{name}]", report.passed, details))
+        checks.append(_harness_check(f"proposition-a[{name}]", report))
     return checks
 
 
@@ -202,11 +208,7 @@ def _theorem_b(seed: int, order, precision: int) -> list[dict]:
         if witness is not None:
             probe_list.append(witness)
         report = hull.check_theorem_b(space, probe_list)
-        details = "; ".join(f"{c.name}: {c.note}" for c in report.clauses)
-        if report.passed and report.unknown_count:
-            checks.append(_unknown(f"theorem-b[{name}]", details))
-        else:
-            checks.append(_check(f"theorem-b[{name}]", report.passed, details))
+        checks.append(_harness_check(f"theorem-b[{name}]", report))
     return checks
 
 

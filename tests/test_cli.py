@@ -3,6 +3,9 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from ihull.cli import main
 from ihull.parsing import parse_number
@@ -98,6 +101,20 @@ def test_verify_deterministic_given_seed(capsys):
     _, first, _ = run(capsys, "verify", "proposition-a", "--json", "--seed", "5")
     _, second, _ = run(capsys, "verify", "proposition-a", "--json", "--seed", "5")
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    ("theorem-1.1", "cover-inapproachable", "proposition-a", "theorem-b", "hb-failure"),
+)
+def test_verify_json_matches_golden(capsys, scenario):
+    # regenerate, after a deliberate change of output, with
+    #   ihull verify SCENARIO --seed 0 --json > tests/golden/verify-SCENARIO.json
+    _, out, _ = run(capsys, "verify", scenario, "--seed", "0", "--json")
+    assert out == (GOLDEN / f"verify-{scenario}.json").read_text()
 
 
 def test_net(capsys):

@@ -17,8 +17,6 @@ def test_config_invariants():
         GridConfig(0.1, 1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         GridConfig(0.1, 1.0, 0.0, 1.0, connectivity="16-neighbor")
-    with pytest.raises(ValueError):
-        GridConfig(0.1, 1.0, 0.0, 1.0, spacing="cubic")
 
 
 def test_window_builder_margins():
@@ -99,12 +97,6 @@ def test_multi_target_single_source():
     singles = [oracle_distance(cfg, (1.0, 0.0), t) for t in targets]
     for lhs, rhs in zip(bundled, singles):
         assert lhs == pytest.approx(rhs, rel=0.02)
-
-
-def test_linear_spacing_supported():
-    cfg = window_for([(1, 0), (2, 0)], spacing="linear")
-    d = oracle_distance(cfg, (1, 0), (2, 0))
-    assert abs(d - 1.0) <= 0.02
 
 
 def test_large_angle_standin_exceeds_half():

@@ -339,17 +339,46 @@ def test_theorem_b_no_contradictory_clauses():
         assert not (claims_all and claims_witness)
 
 
-def test_report_serialization():
-    rng = Random(103)
-    report = check_theorem_b(LINE, probes.finite_probes(LINE, rng, 5))
-    payload = report.to_dict()
-    assert payload["space"] == "rationals-line"
-    assert len(payload["probes"]) == 5
-    assert {c["name"] for c in payload["clauses"]} == {
+# (harness, registered flag, space, counterexample, rule clause, flag clause)
+HARNESSES = {
+    "proposition-a": (
+        check_proposition_a,
+        "is_complete",
+        LINE,
+        spaces.incompleteness_witness(LINE),
+        "every approachable probe is nearstandard",
+        "space is complete",
+    ),
+    "theorem-b": (
+        check_theorem_b,
+        "completion_is_HB",
+        COVER,
+        spaces.inapproachability_witness(COVER),
         "every finite probe is approachable",
         "completion is Heine-Borel",
+    ),
+}
+
+
+@pytest.mark.parametrize("found", (False, True), ids=("clean", "counterexample"))
+@pytest.mark.parametrize("flag", (True, False), ids=("flag", "no-flag"))
+@pytest.mark.parametrize("theorem", sorted(HARNESSES))
+def test_harness_truth_table(theorem, flag, found):
+    # the registered property holds iff no point is a counterexample, so the
+    # harness passes exactly when a flagged space shows no counterexample or
+    # an unflagged one shows at least one
+    check, field, space, witness, rule, registered = HARNESSES[theorem]
+    probe_list = probes.finite_probes(space, Random(103), 5)
+    if found:
+        probe_list.append(witness)
+    report = check(dataclasses.replace(space, **{field: flag}), probe_list)
+    assert report.passed is (flag != found)
+    assert report.unknown_count == 0
+    assert len(report.probes) == len(probe_list)
+    assert {c.name: c.holds for c in report.clauses} == {
+        rule: not found,
+        registered: flag,
     }
-    assert "pass" in report.summary()
 
 
 def test_unknown_verdicts_reported_not_failed():

@@ -7,9 +7,8 @@ import pytest
 from ihull.errors import NotPositive
 from ihull.intervals import (
     Interval,
-    cos_interval,
+    cos_sin_interval,
     pi_interval,
-    sin_interval,
     sqrt_bounds,
     sqrt_interval,
     two_pi_interval,
@@ -89,38 +88,35 @@ def test_pi_refinement_nested():
 
 
 def test_cos_sin_rational_points():
-    c = cos_interval(Interval.point(1), 64)
-    s = sin_interval(Interval.point(1), 64)
+    c, s = cos_sin_interval(Interval.point(1), 64)
     assert c.lo < COS1 < c.hi and c.width <= F(1, 2**62)
     assert s.lo < SIN1 < s.hi
-    assert cos_interval(Interval.point(0), 64) == Interval.point(1)
-    assert sin_interval(Interval.point(0), 64) == Interval.point(0)
+    assert cos_sin_interval(Interval.point(0), 64) == (Interval.point(1), Interval.point(0))
 
 
 def test_cos_sin_negative_and_large_arguments():
-    c = cos_interval(Interval.point(-1), 64)
+    c, s = cos_sin_interval(Interval.point(-1), 64)
     assert c.lo < COS1 < c.hi  # cos is even
-    s = sin_interval(Interval.point(-1), 64)
     assert -SIN1 in s
     # cos(50) = 0.9649660284921132740...; the series must still converge tightly
-    c50 = cos_interval(Interval.point(50), 64)
+    c50, _ = cos_sin_interval(Interval.point(50), 64)
     assert F(9649660284921132740689571, 10**25) in c50
     assert c50.width <= F(1, 2**62)
 
 
 def test_cos_clamped_to_unit_range():
-    c = cos_interval(Interval(F(-1), F(1)), 8)
+    c, _ = cos_sin_interval(Interval(F(-1), F(1)), 8)
     assert c.hi <= 1
 
 
 def test_cos_interval_input_padding():
     wide = Interval(F(9, 10), F(11, 10))
-    c = cos_interval(wide, 64)
+    c, _ = cos_sin_interval(wide, 64)
     assert COS1 in c  # cos(1) for 1 inside the input interval
     assert c.width <= wide.width + F(1, 2**60)
 
 
 def test_cos_refinement_nested():
-    outer = cos_interval(Interval.point(1), 16)
-    inner = cos_interval(Interval.point(1), 96)
+    outer, _ = cos_sin_interval(Interval.point(1), 16)
+    inner, _ = cos_sin_interval(Interval.point(1), 96)
     assert outer.contains_interval(inner)

@@ -100,6 +100,15 @@ def test_parse_point():
         parse_point("(1, )")
     with pytest.raises(ParseError):
         parse_point("(1, 2")
+    # a parenthesis without a comma opens an expression, not a point
+    assert parse_point("(1)*5") == (lcf.from_rational(5),)
+    with pytest.raises(ParseError) as info:
+        parse_point("(1, 2) + 3")
+    assert info.value.position == 7
+    # positions count from the start of the text, not of the coordinate
+    with pytest.raises(ParseError) as info:
+        parse_point("(1, 2 3)")
+    assert info.value.position == 6
 
 
 def test_number_to_json():
