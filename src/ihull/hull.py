@@ -24,10 +24,11 @@ are reported, never silently counted as pass or fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 from . import lcf
-from .errors import NotFinite, SpaceMismatch
+from .errors import BranchIndeterminate, IhullError, NotFinite, SpaceMismatch
 from .intervals import Interval
 from .lcf import LeviCivitaNumber, Magnitude, Ternary
 
@@ -77,17 +78,19 @@ class Location:
 class SpaceDescriptor:
     """A registered metric space with its extension and its `locate` oracle.
 
-    `distance` must be symmetric, nonnegative, and satisfy the triangle
-    inequality; the test suite probes these on random triples rather than
-    trusting registrations.  `locate` is space-specific: approachability has
-    no generic decision procedure, and finiteness is decided from the
-    coordinates, never by expanding a distance to the basepoint.
+    `distance(a, b, order=None)` must be symmetric, nonnegative, and satisfy
+    the triangle inequality; the test suite probes these on random triples
+    rather than trusting registrations.  It works at the space's configured
+    truncation order, or at `order` when that is lower.  `locate` is
+    space-specific: approachability has no generic decision procedure, and
+    finiteness is decided from the coordinates, never by expanding a
+    distance to the basepoint.
     """
 
     space_id: str
     dimension: int
     basepoint: ExtendedPoint
-    distance: Callable[[ExtendedPoint, ExtendedPoint], LeviCivitaNumber]
+    distance: Callable[..., LeviCivitaNumber]
     locate: Callable[[ExtendedPoint], Location]
     is_complete: bool
     completion_is_HB: bool
@@ -115,11 +118,12 @@ def _check_membership(s: SpaceDescriptor, *points: ExtendedPoint) -> None:
 # ---------------------------------------------------------------------------
 
 def extended_distance(
-    s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint
+    s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint, order=None
 ) -> LeviCivitaNumber:
-    """The space's distance on extended points (>= 0 by registration)."""
+    """The space's distance on extended points (>= 0 by registration), at
+    `order` capped at the space's own (None: the space's own)."""
     _check_membership(s, a, b)
-    return s.distance(a, b)
+    return s.distance(a, b, order=order)
 
 
 def locate(s: SpaceDescriptor, a: ExtendedPoint) -> Location:
@@ -154,12 +158,45 @@ def hull_distance(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Interval:
 
     Well-defined on halos: replacing a representative by an infinitely close
     point moves the extended distance by an infinitesimal, which st ignores.
+
+    The first attempt works at the smallest positive exponent e among the
+    representatives' coordinates (1 if there is none), capped at the space's
+    order, and its answer is the one the space's order gives.  A distance
+    takes an order only in its series (`cos_enclosure` of the angle gap,
+    `sqrt`); branch tests, |dx| and the far branch take none.  Every term of
+    a series argument then sits at or above e, so each series stops at its
+    constant term and only standard parts are multiplied.  At the space's
+    order the same products reach t^0, added in the same order, and every
+    further term lands at or above e > 0: the t^0 coefficient, and so the
+    interval returned, is identical.  Where the attempt at e raises (on the
+    cover the t^0 coefficient of the squared distance of infinitely close
+    representatives cancels, so `sqrt` finds no positive leading term; a
+    coordinate of unknown finiteness leaves no positive leading term
+    either), the distance is recomputed at the space's order, and its
+    result or exception is returned unchanged.  `BranchIndeterminate`
+    depends on the precision only and is raised at once.
     """
     for ref in (x, y):
         if in_galaxy(s, ref.representative) is Ternary.FALSE:
             raise NotFinite(f"representative {ref.representative} outside the galaxy")
-    d = extended_distance(s, x.representative, y.representative)
-    return lcf.standard_part(d)
+    a, b = x.representative, y.representative
+    try:
+        return lcf.standard_part(
+            extended_distance(s, a, b, order=_standard_part_order(a, b))
+        )
+    except BranchIndeterminate:
+        raise
+    except IhullError:
+        pass  # recomputed outside the handler, so no exception is chained
+    return lcf.standard_part(extended_distance(s, a, b))
+
+
+def _standard_part_order(*points: ExtendedPoint) -> Fraction:
+    """The smallest positive exponent among the points' coordinates, or 1."""
+    return min(
+        (q for p in points for c in p.coords for q, _ in c.terms if q > 0),
+        default=Fraction(1),
+    )
 
 
 def is_approachable(s: SpaceDescriptor, a: ExtendedPoint) -> Ternary:

@@ -12,6 +12,12 @@ cover           no        no           hull strictly larger than completion
 cover-completion yes      no           complete but not Heine-Borel
 ============== ========= ============ ==================================
 
+Each space is built at one truncation order, its configured order.  Its
+`distance(a, b, order=None)` works at that order when `order` is None and
+at min(order, configured) otherwise: a caller may ask for less than the
+configured order, never for more.  `hull.hull_distance` asks for the order
+its standard part needs; the line's |a - b| has no series and ignores it.
+
 Soundness of the oracles.  Each space's `locate` decides finiteness from
 the coordinates, never by expanding the distance to the basepoint, so the
 verdict is as sound as the magnitude tests on the coordinates themselves:
@@ -67,6 +73,11 @@ def get_space(
     return builder(order, precision)
 
 
+def _capped(order, configured):
+    """The order a distance works at: `configured`, or a lower requested one."""
+    return configured if order is None else min(order, configured)
+
+
 def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
     """TRUE when every coordinate is surely finite, FALSE when one is surely
     infinite."""
@@ -81,8 +92,8 @@ def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
 # rationals-line
 # ---------------------------------------------------------------------------
 
-def _rationals_line(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
+def _rationals_line(configured, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
         return lcf.abs_value(lcf.sub(a.coords[0], b.coords[0]))
 
     def nearstandard(x: LeviCivitaNumber) -> ExtendedPoint | None:
@@ -115,14 +126,14 @@ def _rationals_line(order, precision) -> SpaceDescriptor:
 # euclidean-plane
 # ---------------------------------------------------------------------------
 
-def _euclidean_plane(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
+def _euclidean_plane(configured, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
         dx = lcf.sub(a.coords[0], b.coords[0])
         dy = lcf.sub(a.coords[1], b.coords[1])
         squared = lcf.add(lcf.mul(dx, dx), lcf.mul(dy, dy))
         if squared.is_zero:
             return lcf.zero()
-        return lcf.sqrt(squared, order, precision)
+        return lcf.sqrt(squared, _capped(order, configured), precision)
 
     def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
         # The plane is complete: the coordinatewise standard part is the
@@ -198,10 +209,13 @@ def _cover_locate(space_id: str, origin: ExtendedPoint | None):
     return locate
 
 
-def _cover(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
+def _cover(configured, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
         return cover_mod.cover_distance(
-            _as_cover_point(a), _as_cover_point(b), order, precision
+            _as_cover_point(a),
+            _as_cover_point(b),
+            _capped(order, configured),
+            precision,
         )
 
     return SpaceDescriptor(
@@ -215,10 +229,13 @@ def _cover(order, precision) -> SpaceDescriptor:
     )
 
 
-def _cover_completion(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
+def _cover_completion(configured, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
         return cover_mod.completion_distance(
-            _as_completion_point(a), _as_completion_point(b), order, precision
+            _as_completion_point(a),
+            _as_completion_point(b),
+            _capped(order, configured),
+            precision,
         )
 
     origin = ExtendedPoint("cover-completion", (lcf.zero(), lcf.zero()))

@@ -11,10 +11,16 @@ def test_tracer_installs_on_every_hook_point():
     # `tracer.install` looks each traced function up by name, so a rename or
     # deletion in `src/` raises here instead of breaking the benchmark; the
     # grid oracle is imported first because its hooks are only installed
-    # where it is loaded
+    # where it is loaded; one hull distance of an appreciable cover pair must
+    # reach the `extended_distance` wrapper once, keyword call included
     check = (
         "import sys; sys.path[:0] = sys.argv[1:3]; "
-        "import ihull.gridoracle, tracer; tracer.install(tracer.Tracer())"
+        "import ihull.gridoracle, tracer; t = tracer.Tracer(); tracer.install(t); "
+        "from ihull import hull, spaces; s = spaces.get_space('cover'); "
+        "t.enabled = True; "
+        "x, y = hull.halo(s, s.point(1, 0)), hull.halo(s, s.point(2, 1)); "
+        "hull.hull_distance(s, x, y); "
+        "print(t.counts['hull.distances_in_hull_distance'])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
@@ -23,3 +29,4 @@ def test_tracer_installs_on_every_hook_point():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

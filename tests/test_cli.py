@@ -71,6 +71,15 @@ def test_hull_dist(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_hull_dist_order_caps_the_first_attempt(capsys):
+    # at --order 0 no distance has a standard part, whatever order the
+    # coordinates alone would allow
+    code, _, err = run(
+        capsys, "hull-dist", "cover", "(1+t, 0)", "(2, 1)", "--order", "0"
+    )
+    assert code == 2 and "standard part undetermined" in err
+
+
 def test_verify_scenarios_pass(capsys):
     for scenario in ("theorem-1.1", "cover-inapproachable", "hb-failure"):
         code, out, _ = run(capsys, "verify", scenario)

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from ihull import hull, lcf, probes, spaces
-from ihull.errors import NotFinite, SpaceMismatch
+from ihull.errors import IhullError, NotFinite, SpaceMismatch
 from ihull.hull import (
     check_proposition_a,
     check_theorem_b,
@@ -137,19 +137,83 @@ def test_hull_distance_cover_pair_at_angle_pi():
     assert F(1) in hull_distance(COVER, x, y)
 
 
+def _counting(space):
+    """`space` with a distance that records the order of every call."""
+    orders = []
+
+    def counted(a, b, order=None, space=space):
+        orders.append(order)
+        return space.distance(a, b, order=order)
+
+    return dataclasses.replace(space, distance=counted), orders
+
+
 def test_hull_distance_computes_one_distance():
     pairs = {1: ((ONE + T,), (3,)), 2: ((ONE + T, ONE), (2, T))}
     for space in ALL_SPACES:
-        calls = []
-
-        def counted(a, b, space=space):
-            calls.append((a, b))
-            return space.distance(a, b)
-
-        counting = dataclasses.replace(space, distance=counted)
+        counting, orders = _counting(space)
         p, q = (counting.point(*c) for c in pairs[space.dimension])
         hull_distance(counting, halo(counting, p), halo(counting, q))
-        assert len(calls) == 1, space.space_id
+        assert len(orders) == 1, space.space_id
+    # infinitely close pair, st d = 0: the attempt at the standard part's
+    # order cannot decide sqrt's leading term, the configured order can
+    counting, orders = _counting(COVER)
+    p, q = counting.point(ONE + T, T), counting.point(1, 0)
+    st = hull_distance(counting, halo(counting, p), halo(counting, q))
+    assert st == Interval.point(0)
+    assert len(orders) == 2
+    assert orders[0] is not None and orders[0] <= lcf.DEFAULT_ORDER
+    assert orders[1] is None
+
+
+def _moved(point, rng):
+    return hull.ExtendedPoint(
+        point.space_id,
+        tuple(
+            lcf.add(c, lcf.scale(probes.random_infinitesimal(rng),
+                                 probes.random_nonzero_fraction(rng)))
+            for c in point.coords
+        ),
+    )
+
+
+def _distance_calls(space, a, b):
+    """Check that hull_distance answers as st of the distance at the
+    configured order (the same interval, or the same exception type) and
+    return the orders of the distance calls it made."""
+    counting, orders = _counting(space)
+    try:
+        expected = lcf.standard_part(space.distance(a, b))
+    except IhullError as exc:
+        with pytest.raises(type(exc)):
+            hull_distance(counting, halo(counting, a), halo(counting, b))
+    else:
+        assert hull_distance(counting, halo(counting, a), halo(counting, b)) == expected
+    return orders
+
+
+@pytest.mark.parametrize("order", [F(0), F(1, 2), F(8)], ids=str)
+def test_hull_distance_same_as_configured_order(order):
+    """Seeded pairs, a point with itself, the angle-pi pair, an r of unknown
+    finiteness and infinitesimally moved copies, on every space."""
+    rng = Random(113)
+    unknown_r = lcf.LeviCivitaNumber(((-1, Interval(F(0), F(1))), (0, 1)))
+    for name in spaces.SPACE_NAMES:
+        space = spaces.get_space(name, order)
+        points = probes.finite_probes(space, rng, 12)
+        pairs = list(zip(points[::2], points[1::2])) + [(p, p) for p in points[:2]]
+        if space.dimension == 2:
+            pairs += [
+                (space.point(ONE, lcf.pi_number()), space.point(2, lcf.pi_number())),
+                (space.point(unknown_r, ONE), space.point(1, 0)),
+            ]
+        for a, b in pairs:
+            _distance_calls(space, a, b)
+        for a, _ in pairs:
+            orders = _distance_calls(space, _moved(a, rng), a)
+            if name.startswith("cover"):
+                # st d = 0 from a cancelled t^0 coefficient: the second attempt
+                assert len(orders) == 2, (name, a)
 
 
 def test_hull_distance_rejects_outside_galaxy():
