@@ -1,7 +1,16 @@
 """Command-line front end.
 
-Subcommands: eval, dist, classify, hull-dist, verify, oracle, net.  Shared
-flags (per subcommand): --order, --precision, --json, --seed.
+Subcommands: eval, dist, classify, hull-dist, verify, oracle, net.  Each
+declares only the shared flags it acts on:
+
+    eval, classify      --order --json
+    dist, hull-dist     --order --precision --json
+    verify              --order --precision --seed --json
+    oracle              --precision --grid --json
+    net                 --json
+
+Literals are parsed at --order where a subcommand takes it, so ``/``
+truncates its series there.
 
 Exit codes: 0 all checks pass / value printed; 1 a verification check
 failed; 2 usage, parse, or domain error; 3 a query was indeterminate at the
@@ -32,25 +41,25 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--order",
+_SHARED_FLAGS = {
+    "order": dict(
         default="8",
         metavar="Q",
         help="truncation order for series operations (rational, default 8)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=int,
-        default=64,
-        metavar="N",
-        help="enclosure precision in bits (default 64)",
-    )
+    ),
+    "precision": dict(
+        type=int, default=64, metavar="N", help="enclosure precision in bits (default 64)"
+    ),
+    "seed": dict(type=int, default=0, metavar="S", help="seed for generated probes"),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named shared flags, those the subcommand acts on, and --json."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output on stdout"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, metavar="S", help="seed for generated probes"
     )
 
 
@@ -64,29 +73,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an arithmetic expression")
     p_eval.add_argument("expr")
-    _common_flags(p_eval)
+    _flags(p_eval, "order")
 
     p_dist = sub.add_parser("dist", help="extended distance between two points")
     p_dist.add_argument("space", choices=spaces.SPACE_NAMES)
     p_dist.add_argument("p1")
     p_dist.add_argument("p2")
-    _common_flags(p_dist)
+    _flags(p_dist, "order", "precision")
 
     p_cls = sub.add_parser(
         "classify", help="classify a number (magnitude) or cover point"
     )
     p_cls.add_argument("point")
-    _common_flags(p_cls)
+    _flags(p_cls, "order")
 
     p_hd = sub.add_parser("hull-dist", help="hull distance (standard part) of halos")
     p_hd.add_argument("space", choices=spaces.SPACE_NAMES)
     p_hd.add_argument("p1")
     p_hd.add_argument("p2")
-    _common_flags(p_hd)
+    _flags(p_hd, "order", "precision")
 
     p_ver = sub.add_parser("verify", help="run a named verification scenario")
     p_ver.add_argument("scenario", choices=scenarios.SCENARIO_NAMES)
-    _common_flags(p_ver)
+    _flags(p_ver, "order", "precision", "seed")
 
     p_or = sub.add_parser("oracle", help="grid-oracle vs closed-form distance")
     p_or.add_argument("p1")
@@ -94,11 +103,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--grid", type=int, default=256, metavar="N", help="levels per axis"
     )
-    _common_flags(p_or)
+    _flags(p_or, "precision")
 
     p_net = sub.add_parser("net", help="print the 2-separated unit-sphere net")
     p_net.add_argument("n", type=int)
-    _common_flags(p_net)
+    _flags(p_net)
 
     return parser
 
@@ -120,20 +129,19 @@ def _standard_part_payload(d: LeviCivitaNumber):
 
 
 def _cmd_eval(args) -> int:
-    value = parse_expression(args.expr, Fraction(args.order), args.precision)
+    value = parse_expression(args.expr, Fraction(args.order))
     _emit(args, {"value": number_to_json(value)}, [format_number(value)])
     return EXIT_OK
 
 
-def _parse_space_point(space, text: str, args):
-    coords = parse_point(text, precision=args.precision)
-    return space.point(*coords)
+def _parse_space_point(space, text: str):
+    return space.point(*parse_point(text, space.order))
 
 
 def _cmd_dist(args) -> int:
     space = spaces.get_space(args.space, Fraction(args.order), args.precision)
-    a = _parse_space_point(space, args.p1, args)
-    b = _parse_space_point(space, args.p2, args)
+    a = _parse_space_point(space, args.p1)
+    b = _parse_space_point(space, args.p2)
     d = hull.extended_distance(space, a, b)
     st = _standard_part_payload(d)
     lines = [f"d = {format_number(d)}"]
@@ -152,7 +160,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    coords = parse_point(args.point, precision=args.precision)
+    coords = parse_point(args.point, Fraction(args.order))
     if len(coords) == 1:
         verdict = lcf.classify_magnitude(coords[0])
         payload = {"kind": "magnitude", "verdict": verdict.value}
@@ -171,9 +179,9 @@ def _cmd_classify(args) -> int:
 
 def _cmd_hull_dist(args) -> int:
     space = spaces.get_space(args.space, Fraction(args.order), args.precision)
-    x = hull.halo(space, _parse_space_point(space, args.p1, args))
-    y = hull.halo(space, _parse_space_point(space, args.p2, args))
-    value = hull.hull_distance(space, x, y)
+    a = _parse_space_point(space, args.p1)
+    b = _parse_space_point(space, args.p2)
+    value = hull.hull_distance(space, a, b)
     payload = {
         "space": args.space,
         "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
@@ -205,18 +213,14 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import gridoracle  # scipy: loaded only by the one command using it
 
-    a, b = (
-        tuple(float(cover.exact_standard_value(c)) for c in parse_point(p, precision=args.precision))
-        for p in (args.p1, args.p2)
-    )
+    coords = [parse_point(p) for p in (args.p1, args.p2)]
+    a, b = (tuple(float(cover.exact_standard_value(c)) for c in p) for p in coords)
     cfg = gridoracle.window_for([a, b], n_r=args.grid, n_zeta=args.grid)
     approx = gridoracle.oracle_distance(cfg, a, b)
-    pa = cover.point(Fraction(a[0]).limit_denominator(10**9), Fraction(a[1]).limit_denominator(10**9))
-    pb = cover.point(Fraction(b[0]).limit_denominator(10**9), Fraction(b[1]).limit_denominator(10**9))
+    # at exact standard points no series runs, so no order is needed
+    pa, pb = (cover.CoverPoint(*p) for p in coords)
     closed = float(
-        lcf.standard_part(
-            cover.cover_distance(pa, pb, Fraction(args.order), args.precision)
-        ).midpoint
+        lcf.standard_part(cover.cover_distance(pa, pb, precision=args.precision)).midpoint
     )
     gap = abs(approx - closed) / closed if closed else 0.0
     payload = {

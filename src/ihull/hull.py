@@ -49,17 +49,6 @@ class ExtendedPoint:
 
 
 @dataclass(frozen=True)
-class HaloRef:
-    """A hull point, named by one representative of its halo."""
-
-    representative: ExtendedPoint
-
-    @property
-    def space_id(self) -> str:
-        return self.representative.space_id
-
-
-@dataclass(frozen=True)
 class Location:
     """Where a point of the extension sits, as decided by its space's oracle.
 
@@ -78,17 +67,20 @@ class Location:
 class SpaceDescriptor:
     """A registered metric space with its extension and its `locate` oracle.
 
-    `distance(a, b, order=None)` must be symmetric, nonnegative, and satisfy
-    the triangle inequality; the test suite probes these on random triples
-    rather than trusting registrations.  It works at the space's configured
-    truncation order, or at `order` when that is lower.  `locate` is
-    space-specific: approachability has no generic decision procedure, and
-    finiteness is decided from the coordinates, never by expanding a
-    distance to the basepoint.
+    `order` is the truncation order the space was built at, the most any
+    distance on it works at.  `distance(a, b, order)` works at the `order`
+    it is given; `extended_distance` decides that order, never above the
+    space's own.  It must be symmetric, nonnegative, and satisfy the
+    triangle inequality; the test suite probes these on random triples
+    rather than trusting registrations.  `locate` is space-specific:
+    approachability has no generic decision procedure, and finiteness is
+    decided from the coordinates, never by expanding a distance to the
+    basepoint.
     """
 
     space_id: str
     dimension: int
+    order: Fraction
     basepoint: ExtendedPoint
     distance: Callable[..., LeviCivitaNumber]
     locate: Callable[[ExtendedPoint], Location]
@@ -121,9 +113,9 @@ def extended_distance(
     s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint, order=None
 ) -> LeviCivitaNumber:
     """The space's distance on extended points (>= 0 by registration), at
-    `order` capped at the space's own (None: the space's own)."""
+    the space's order, or at `order` when that is lower."""
     _check_membership(s, a, b)
-    return s.distance(a, b, order=order)
+    return s.distance(a, b, s.order if order is None else min(order, s.order))
 
 
 def locate(s: SpaceDescriptor, a: ExtendedPoint) -> Location:
@@ -137,14 +129,16 @@ def in_galaxy(s: SpaceDescriptor, a: ExtendedPoint) -> Ternary:
     return locate(s, a).finite
 
 
-def halo(s: SpaceDescriptor, a: ExtendedPoint) -> HaloRef:
+def halo(s: SpaceDescriptor, a: ExtendedPoint) -> ExtendedPoint:
+    """`a` as a representative of its halo, once it is checked to be a point
+    of `s`."""
     _check_membership(s, a)
-    return HaloRef(a)
+    return a
 
 
-def same_halo(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Ternary:
+def same_halo(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Ternary:
     """Whether the representatives are infinitely close."""
-    d = extended_distance(s, x.representative, y.representative)
+    d = extended_distance(s, a, b)
     m = lcf.classify_magnitude(d)
     if m is Magnitude.INFINITESIMAL:
         return Ternary.TRUE
@@ -153,8 +147,9 @@ def same_halo(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Ternary:
     return Ternary.FALSE
 
 
-def hull_distance(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Interval:
-    """Distance between hull points: st of the extended distance.
+def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Interval:
+    """Distance between the hull points of representatives `a` and `b`: st
+    of the extended distance.
 
     Well-defined on halos: replacing a representative by an infinitely close
     point moves the extended distance by an infinitesimal, which st ignores.
@@ -173,21 +168,23 @@ def hull_distance(s: SpaceDescriptor, x: HaloRef, y: HaloRef) -> Interval:
     representatives cancels, so `sqrt` finds no positive leading term; a
     coordinate of unknown finiteness leaves no positive leading term
     either), the distance is recomputed at the space's order, and its
-    result or exception is returned unchanged.  `BranchIndeterminate`
-    depends on the precision only and is raised at once.
+    result or exception is returned unchanged; a first attempt that the
+    cap already put at the space's order is not repeated, and its exception
+    is the one the repeat would raise.  `BranchIndeterminate` depends on
+    the precision only and is raised at once.
     """
-    for ref in (x, y):
-        if in_galaxy(s, ref.representative) is Ternary.FALSE:
-            raise NotFinite(f"representative {ref.representative} outside the galaxy")
-    a, b = x.representative, y.representative
+    for p in (a, b):
+        if in_galaxy(s, p) is Ternary.FALSE:
+            raise NotFinite(f"representative {p} outside the galaxy")
+    first = min(_standard_part_order(a, b), s.order)
     try:
-        return lcf.standard_part(
-            extended_distance(s, a, b, order=_standard_part_order(a, b))
-        )
+        return lcf.standard_part(extended_distance(s, a, b, order=first))
     except BranchIndeterminate:
         raise
     except IhullError:
-        pass  # recomputed outside the handler, so no exception is chained
+        if first == s.order:
+            raise
+    # recomputed outside the handler, so no exception is chained
     return lcf.standard_part(extended_distance(s, a, b))
 
 

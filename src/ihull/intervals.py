@@ -262,10 +262,7 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
             sign = -sign
             m += 2
 
-    cos_enc = series(_ONE, 0)
-    sin_enc = series(s, 1) if s >= 0 else -series(-s, 1)
-    unit = Interval(Fraction(-1), Fraction(1))
-    return cos_enc.intersect(unit) or cos_enc, sin_enc.intersect(unit) or sin_enc
+    return series(_ONE, 0), series(s, 1) if s >= 0 else -series(-s, 1)
 
 
 def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:

@@ -51,12 +51,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, order, precision: int):
+    def __init__(self, text: str, order):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.order = order
-        self.precision = precision
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -178,28 +177,29 @@ class _Parser:
             raise ParseError("zero denominator in rational literal", pos) from None
 
 
-def parse_number(
-    text: str, order=INFINITE_ORDER, precision: int = lcf.DEFAULT_PRECISION
-) -> LeviCivitaNumber:
+def parse_number(text: str, order=INFINITE_ORDER) -> LeviCivitaNumber:
     """Parse a number literal (the full expression grammar is accepted)."""
-    return _Parser(text, order, precision).parse()
+    return _Parser(text, order).parse()
 
 
 def parse_expression(
-    text: str, order=DEFAULT_ORDER, precision: int = lcf.DEFAULT_PRECISION
+    text: str, order=DEFAULT_ORDER, precision=None
 ) -> LeviCivitaNumber:
-    """Parse and evaluate an arithmetic expression; ``/`` inverts at `order`."""
-    return _Parser(text, order, precision).parse()
+    """Parse and evaluate an arithmetic expression; ``/`` inverts at `order`.
+
+    `precision` is ignored: literals are exact and ``/`` inverts in rational
+    arithmetic, so parsing rounds nothing.  The parameter stays because the
+    series-expand benchmark (`perfbench/series_expand.py`) passes it.
+    """
+    return _Parser(text, order).parse()
 
 
-def parse_point(
-    text: str, order=INFINITE_ORDER, precision: int = lcf.DEFAULT_PRECISION
-) -> tuple[LeviCivitaNumber, ...]:
+def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]:
     """Parse ``(EXPR, EXPR, ...)``, or one EXPR for one-dimensional spaces.
 
     Positions in a ParseError count from the start of `text`.
     """
-    return _Parser(text, order, precision).point()
+    return _Parser(text, order).point()
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ cover           no        no           hull strictly larger than completion
 cover-completion yes      no           complete but not Heine-Borel
 ============== ========= ============ ==================================
 
-Each space is built at one truncation order, its configured order.  Its
-`distance(a, b, order=None)` works at that order when `order` is None and
-at min(order, configured) otherwise: a caller may ask for less than the
-configured order, never for more.  `hull.hull_distance` asks for the order
-its standard part needs; the line's |a - b| has no series and ignores it.
+Each space is built at one truncation order, recorded as its `order`.  Its
+`distance(a, b, order)` works at the order it is given; `hull` decides that
+order and never passes more than the space's own.  The line's |a - b| has
+no series and ignores it.
 
 Soundness of the oracles.  Each space's `locate` decides finiteness from
 the coordinates, never by expanding the distance to the basepoint, so the
@@ -73,11 +72,6 @@ def get_space(
     return builder(order, precision)
 
 
-def _capped(order, configured):
-    """The order a distance works at: `configured`, or a lower requested one."""
-    return configured if order is None else min(order, configured)
-
-
 def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
     """TRUE when every coordinate is surely finite, FALSE when one is surely
     infinite."""
@@ -92,8 +86,8 @@ def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
 # rationals-line
 # ---------------------------------------------------------------------------
 
-def _rationals_line(configured, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
+def _rationals_line(order, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
         return lcf.abs_value(lcf.sub(a.coords[0], b.coords[0]))
 
     def nearstandard(x: LeviCivitaNumber) -> ExtendedPoint | None:
@@ -114,6 +108,7 @@ def _rationals_line(configured, precision) -> SpaceDescriptor:
     return SpaceDescriptor(
         space_id="rationals-line",
         dimension=1,
+        order=order,
         basepoint=ExtendedPoint("rationals-line", (lcf.zero(),)),
         distance=distance,
         locate=locate,
@@ -126,14 +121,14 @@ def _rationals_line(configured, precision) -> SpaceDescriptor:
 # euclidean-plane
 # ---------------------------------------------------------------------------
 
-def _euclidean_plane(configured, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
+def _euclidean_plane(order, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
         dx = lcf.sub(a.coords[0], b.coords[0])
         dy = lcf.sub(a.coords[1], b.coords[1])
         squared = lcf.add(lcf.mul(dx, dx), lcf.mul(dy, dy))
         if squared.is_zero:
             return lcf.zero()
-        return lcf.sqrt(squared, _capped(order, configured), precision)
+        return lcf.sqrt(squared, order, precision)
 
     def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
         # The plane is complete: the coordinatewise standard part is the
@@ -154,6 +149,7 @@ def _euclidean_plane(configured, precision) -> SpaceDescriptor:
     return SpaceDescriptor(
         space_id="euclidean-plane",
         dimension=2,
+        order=order,
         basepoint=ExtendedPoint("euclidean-plane", (lcf.zero(), lcf.zero())),
         distance=distance,
         locate=locate,
@@ -209,18 +205,16 @@ def _cover_locate(space_id: str, origin: ExtendedPoint | None):
     return locate
 
 
-def _cover(configured, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
+def _cover(order, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
         return cover_mod.cover_distance(
-            _as_cover_point(a),
-            _as_cover_point(b),
-            _capped(order, configured),
-            precision,
+            _as_cover_point(a), _as_cover_point(b), order, precision
         )
 
     return SpaceDescriptor(
         space_id="cover",
         dimension=2,
+        order=order,
         basepoint=ExtendedPoint("cover", (lcf.one(), lcf.zero())),
         distance=distance,
         locate=_cover_locate("cover", None),
@@ -229,19 +223,17 @@ def _cover(configured, precision) -> SpaceDescriptor:
     )
 
 
-def _cover_completion(configured, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order=None) -> LeviCivitaNumber:
+def _cover_completion(order, precision) -> SpaceDescriptor:
+    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
         return cover_mod.completion_distance(
-            _as_completion_point(a),
-            _as_completion_point(b),
-            _capped(order, configured),
-            precision,
+            _as_completion_point(a), _as_completion_point(b), order, precision
         )
 
     origin = ExtendedPoint("cover-completion", (lcf.zero(), lcf.zero()))
     return SpaceDescriptor(
         space_id="cover-completion",
         dimension=2,
+        order=order,
         basepoint=ExtendedPoint("cover-completion", (lcf.one(), lcf.zero())),
         distance=distance,
         locate=_cover_locate("cover-completion", origin),

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, output formats, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +48,47 @@ def test_dist_json(capsys):
     payload = json.loads(out)
     assert payload["distance"] == "1 + t"
     assert payload["standard_part"]["lo"] == "1"
+
+
+def test_point_literals_parse_at_order(capsys):
+    # "/" truncates at --order, as in eval
+    code, out, _ = run(capsys, "dist", "rationals-line", "1/(1-t)", "0", "--order", "4")
+    assert code == 0 and "d = 1 + t + t^2 + t^3 + O(t^4)" in out
+    code, out, _ = run(capsys, "classify", "1/(1-t)", "--order", "4")
+    assert code == 0 and out.strip() == "appreciable"
+
+
+_BASE_ARGV = {
+    "eval": ["eval", "1"],
+    "dist": ["dist", "rationals-line", "1", "2"],
+    "hull-dist": ["hull-dist", "rationals-line", "1", "2"],
+    "classify": ["classify", "1"],
+    "oracle": ["oracle", "(1, 0)", "(2, 0)", "--grid", "16"],
+    "net": ["net", "2"],
+}
+_FLAG_VALUE = {"--order": "8", "--precision": "64", "--seed": "0"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("eval", "--precision"),
+        ("eval", "--seed"),
+        ("dist", "--seed"),
+        ("hull-dist", "--seed"),
+        ("classify", "--precision"),
+        ("classify", "--seed"),
+        ("oracle", "--order"),
+        ("oracle", "--seed"),
+        ("net", "--order"),
+        ("net", "--precision"),
+        ("net", "--seed"),
+    ],
+)
+def test_flags_a_subcommand_does_not_use_are_rejected(capsys, command, flag):
+    assert run(capsys, *_BASE_ARGV[command])[0] == 0
+    code, _, err = run(capsys, *_BASE_ARGV[command], flag, _FLAG_VALUE[flag])
+    assert code == 2 and f"unrecognized arguments: {flag}" in err
 
 
 def test_dist_infinite_standard_part(capsys):
@@ -144,6 +186,21 @@ def test_oracle(capsys):
     assert payload["relative_gap"] <= 0.08
 
 
+def test_oracle_closed_form_at_the_exact_input(capsys):
+    # 1/3000000000 is not recovered from its float by limit_denominator(10**9)
+    code, out, _ = run(
+        capsys, "oracle", "(1, 0)", "(1, 1/3000000000)", "--grid", "16", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e9, rel=1e-12)
+    # a pair closer than --precision resolves is a domain error, as in dist
+    close = ("(1, 0)", "(1, 1/3000000000000000000000000)", "--grid", "16")
+    assert run(capsys, "oracle", *close)[0] == 2
+    code, out, _ = run(capsys, "oracle", *close, "--precision", "256", "--json")
+    assert code == 0
+    assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e24, rel=1e-12)
+
+
 def test_parse_error_exit_code_and_position(capsys):
     code, _, err = run(capsys, "eval", "1 + &")
     assert code == 2
@@ -191,6 +248,29 @@ def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
 
 def test_import_leaves_scipy_unloaded():
     # only `oracle` uses the grid oracle; no other command pays for scipy
-    check = "import sys, ihull.cli; sys.exit('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    check = "import sys; sys.path.insert(0, sys.argv[1]); import ihull.cli; sys.exit('scipy' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", check, str(src)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _readme_examples():
+    """(argv, comment) for each line of README's "Command line" examples."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    examples = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "ihull", line
+        examples.append(pytest.param(argv[1:], comment.strip(), id=" ".join(argv[1:])))
+    return examples
+
+
+@pytest.mark.parametrize("argv, comment", _readme_examples())
+def test_readme_example(capsys, argv, comment):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[0] in ("eval", "classify", "hull-dist"):
+        # the comment is the first line of output
+        assert out.splitlines()[0] == comment

@@ -141,9 +141,9 @@ def _counting(space):
     """`space` with a distance that records the order of every call."""
     orders = []
 
-    def counted(a, b, order=None, space=space):
+    def counted(a, b, order, space=space):
         orders.append(order)
-        return space.distance(a, b, order=order)
+        return space.distance(a, b, order)
 
     return dataclasses.replace(space, distance=counted), orders
 
@@ -162,8 +162,19 @@ def test_hull_distance_computes_one_distance():
     st = hull_distance(counting, halo(counting, p), halo(counting, q))
     assert st == Interval.point(0)
     assert len(orders) == 2
-    assert orders[0] is not None and orders[0] <= lcf.DEFAULT_ORDER
-    assert orders[1] is None
+    assert orders[0] < COVER.order
+    assert orders[1] == COVER.order
+    # configured order 0, below the coordinates' smallest exponent: the first
+    # attempt already runs at the configured order and is not repeated
+    plane = spaces.get_space("euclidean-plane", F(0))
+    counting, orders = _counting(plane)
+    p, q = counting.point(ONE + T, 0), counting.point(2, 0)
+    with pytest.raises(NotFinite) as direct:
+        lcf.standard_part(extended_distance(plane, p, q))
+    with pytest.raises(NotFinite) as hulled:
+        hull_distance(counting, halo(counting, p), halo(counting, q))
+    assert str(hulled.value) == str(direct.value)
+    assert orders == [F(0)]
 
 
 def _moved(point, rng):
@@ -179,16 +190,18 @@ def _moved(point, rng):
 
 def _distance_calls(space, a, b):
     """Check that hull_distance answers as st of the distance at the
-    configured order (the same interval, or the same exception type) and
-    return the orders of the distance calls it made."""
+    configured order (the same interval, or the same exception type and
+    message) and return the orders of the distance calls it made."""
     counting, orders = _counting(space)
     try:
-        expected = lcf.standard_part(space.distance(a, b))
+        expected = lcf.standard_part(space.distance(a, b, space.order))
     except IhullError as exc:
-        with pytest.raises(type(exc)):
+        with pytest.raises(type(exc)) as raised:
             hull_distance(counting, halo(counting, a), halo(counting, b))
+        assert str(raised.value) == str(exc)
     else:
         assert hull_distance(counting, halo(counting, a), halo(counting, b)) == expected
+    assert len(set(orders)) == len(orders), orders  # no attempt is repeated
     return orders
 
 
@@ -212,8 +225,10 @@ def test_hull_distance_same_as_configured_order(order):
         for a, _ in pairs:
             orders = _distance_calls(space, _moved(a, rng), a)
             if name.startswith("cover"):
-                # st d = 0 from a cancelled t^0 coefficient: the second attempt
-                assert len(orders) == 2, (name, a)
+                # st d = 0 from a cancelled t^0 coefficient: the configured
+                # order decides, after an attempt below it if there was one
+                assert orders[-1] == order, (name, a)
+                assert len(orders) == (2 if orders[0] < order else 1), (name, a)
 
 
 def test_hull_distance_rejects_outside_galaxy():
@@ -459,6 +474,7 @@ def test_unknown_verdicts_reported_not_failed():
     foggy = hull.SpaceDescriptor(
         space_id="rationals-line",
         dimension=1,
+        order=LINE.order,
         basepoint=LINE.basepoint,
         distance=LINE.distance,
         locate=undecided,
