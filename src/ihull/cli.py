@@ -213,7 +213,8 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     from . import gridoracle  # scipy: loaded only by the one command using it
 
-    coords = [parse_point(p) for p in (args.p1, args.p2)]
+    space = spaces.get_space("cover", precision=args.precision)
+    coords = [space.point(*parse_point(p)).coords for p in (args.p1, args.p2)]
     a, b = (tuple(float(cover.exact_standard_value(c)) for c in p) for p in coords)
     cfg = gridoracle.window_for([a, b], n_r=args.grid, n_zeta=args.grid)
     approx = gridoracle.oracle_distance(cfg, a, b)

@@ -16,11 +16,27 @@ is a point; arithmetic on exact values is exact.
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
 the blocking exponent, so callers can retry at higher order or precision.
+
+Series.  inverse, sqrt, cos and sin reduce to series in an infinitesimal
+u = sum_k u_k t^k, computed without powers of u, one product per term of u
+per coefficient, by recurrences for the Euler operator theta = t d/dt
+(theta t^q = q t^q on rational q; J. C. P. Miller, Knuth TAOCP 4.7):
+
+    (1 + u)^alpha, alpha = -1, 1/2:  e w_e = sum_k ((alpha+1) k - e) u_k w_(e-k)
+    (cos u, sin u):  e c_e = -sum_k k u_k s_(e-k),  e s_e = sum_k k u_k c_(e-k)
+
+with w_0 = c_0 = 1 and s_0 = 0.  An unknown tail O(t^T) in u first reaches
+a series through its first power k1 >= 1 with a nonzero Taylor coefficient
+(k1 = 2 for cos, else 1), so it is truncated at min(order, T + (k1 - 1) L),
+L = lead(u), or T when u stores no term.  On interval coefficients the
+result is sound, each coefficient being an interval evaluation of a
+polynomial in u's coefficients, and nested under refinement: the sequence
+of interval operations depends only on u's exponents, and a coefficient
+refined to exactly 0 acts as a [0, 0] operand and can only raise L.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -316,7 +332,7 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     """Multiplicative inverse via the geometric series.
 
     Writes a = c t^q (1 + u) with u infinitesimal and returns
-    c^-1 t^-q sum (-u)^k, the series truncated at `order`, so that
+    c^-1 t^-q (1 + u)^-1, the series truncated at `order`, so that
     mul(a, inverse(a, order)) = 1 + O(t^order).  Exact monomials invert
     exactly.
     """
@@ -327,7 +343,7 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
             "cannot invert: leading coefficient is zero or of unknown sign"
         )
     q, c, u = _split_leading(a)
-    (series,) = _power_series(neg(u), order, itertools.repeat(1))
+    (series,) = _series(u, order, _INVERSE)
     return shift(scale(series, c.reciprocal()), -q)
 
 
@@ -471,46 +487,54 @@ def _split_leading(a: LeviCivitaNumber) -> tuple[Fraction, Interval, LeviCivitaN
     return q, c, u
 
 
-def _binomial_half():
-    """binomial(1/2, k) for k = 0, 1, 2, ...: the coefficients of (1 + u)^(1/2)."""
-    coeff = Fraction(1)
-    for k in itertools.count():
-        yield coeff
-        coeff *= (Fraction(1, 2) - k) / (k + 1)
+#: Series rules (y_0, a, b, source, k1):  e y_e = sum_k (a k + b e) u_k y'_(e-k)
+#: with y' = rules[source]; (1 + u)^alpha has a = alpha + 1 and b = -1.
+_INVERSE = ((1, 0, -1, 0, 1),)
+_SQRT = ((1, Fraction(3, 2), -1, 0, 1),)
+_COS_SIN = ((1, -1, 0, 1, 2), (0, 1, 0, 0, 1))
 
 
-def _power_series(
-    u: LeviCivitaNumber, order, *sequences
-) -> tuple[LeviCivitaNumber, ...]:
-    """sum_k c_k u^k for infinitesimal u, truncated at `order`, once for each
-    coefficient iterator (c_0, c_1, ...) in `sequences`.
-
-    One pass over the powers u, u^2, ... feeds every sum; each power is the
-    previous one times u, truncated at `order`.  A zero coefficient adds
-    nothing (an odd power must not cap cos's truncation order) and a unit
-    coefficient adds the power unscaled.  The first power that truncates to
-    nothing carries its truncation order into every sum.
-    """
+def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
+    """One series per rule at infinitesimal u (module docstring), at n = q*D
+    for q below the cap a sum of u's exponents, D the lcm of their denominators."""
     order = _as_order(order)
-    totals = [from_rational(next(c)) for c in sequences]
+    starts = [from_rational(rule[0]) for rule in rules]
     if u.is_zero:
-        return tuple(totals)
-    if not u.terms:
-        # an unknown tail in u caps what we know even though no term is stored
-        capped = min(order, u.order)
-        return tuple(truncate(total, capped) for total in totals)
-    if order is INFINITE_ORDER:
+        return tuple(starts)
+    if order is INFINITE_ORDER and u.terms:
         raise ValueError("series does not terminate at infinite truncation order")
-    power = truncate(u, order)
-    while power.terms:
-        for i, sequence in enumerate(sequences):
-            c = next(sequence)
-            if c == 1:
-                totals[i] = add(totals[i], power)
-            elif c != 0:
-                totals[i] = add(totals[i], scale(power, c))
-        power = mul(power, u, order)
-    return tuple(add(total, power) for total in totals)
+    lead = u.terms[0][0] if u.terms else u.order
+    caps = [min(order, u.order + (rule[4] - 1) * lead) for rule in rules]
+    steps = [(q, c) for q, c in u.terms if q < max(caps)]
+    if not steps:
+        return tuple(truncate(start, cap) for start, cap in zip(starts, caps))
+    denominator = math.lcm(*(q.denominator for q, _ in steps))
+    steps = [(int(q * denominator), c) for q, c in steps]
+    tops = [cap * denominator for cap in caps]
+    top, reached, frontier = max(tops), {0}, {0}
+    while frontier:
+        frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached
+        reached |= frontier
+    exponents = sorted(reached)
+    series = [{0: start.terms[0][1]} if start.terms else {} for start in starts]
+    for e in exponents[1:]:
+        for y, top_y, (_, a, b, source, _) in zip(series, tops, rules):
+            total = None
+            for k, c in steps:
+                if k > e or e >= top_y:
+                    break
+                w = series[source].get(e - k)
+                if w is not None:
+                    term = (c * w).scale(Fraction(a * k + b * e, e))
+                    total = term if total is None else total + term
+            if total is not None and not total.is_zero:
+                y[e] = total
+    return tuple(
+        LeviCivitaNumber._from_canonical(
+            tuple((Fraction(e, denominator), c) for e, c in y.items()), cap
+        )
+        for y, cap in zip(series, caps)
+    )
 
 
 def sqrt(
@@ -529,26 +553,13 @@ def sqrt(
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     q, c, u = _split_leading(a)
     root = from_interval(sqrt_interval(c, precision))
-    (series,) = _power_series(
-        u, order if order is INFINITE_ORDER else order - q / 2, _binomial_half()
-    )
+    (series,) = _series(u, order if order is INFINITE_ORDER else order - q / 2, _SQRT)
     return shift(mul(root, series), q / 2)
 
 
 def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:
     """pi as an exponent-0 enclosure."""
     return from_interval(pi_interval(precision))
-
-
-def _split_standard(a: LeviCivitaNumber) -> tuple[Interval, LeviCivitaNumber]:
-    """a = s + u with s the exponent-0 coefficient and u the positive part.
-
-    Raises NotFinite unless `a` is certainly finite with the exponent-0
-    coefficient determined.
-    """
-    s = standard_part(a)
-    u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)
-    return s, u
 
 
 def cos_enclosure(
@@ -570,21 +581,10 @@ def sin_enclosure(
 def _angle_addition_parts(
     a: LeviCivitaNumber, order, precision: int
 ) -> tuple[Interval, Interval, LeviCivitaNumber, LeviCivitaNumber]:
-    """(cos s, sin s, cos u, sin u) for a = s + u split by `_split_standard`."""
-    s, u = _split_standard(a)
-    return (
-        *cos_sin_interval(s, precision),
-        *_power_series(u, order, _cos_sin_coefficients(0), _cos_sin_coefficients(1)),
-    )
-
-
-def _cos_sin_coefficients(parity: int):
-    """Taylor coefficients (-1)^(k//2) / k! at each k of the given parity and
-    0 at the others: cos for parity 0, sin for parity 1."""
-    coeff = Fraction(1)
-    for k in itertools.count(1):
-        yield coeff if (k - 1) % 2 == parity else 0
-        coeff /= k if k % 2 else -k
+    """(cos s, sin s, cos u, sin u) for a = s + u, s the standard part of a
+    (NotFinite unless it is determined) and u the positive part."""
+    u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)
+    return (*cos_sin_interval(standard_part(a), precision), *_series(u, order, _COS_SIN))
 
 
 # -- rational approximation -----------------------------------------------------------

@@ -201,6 +201,12 @@ def test_oracle_closed_form_at_the_exact_input(capsys):
     assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e24, rel=1e-12)
 
 
+def test_oracle_rejects_a_wrong_coordinate_count(capsys):
+    for command in (["oracle", "1", "2"], ["dist", "cover", "1", "2"]):
+        code, _, err = run(capsys, *command)
+        assert code == 2 and "cover needs 2 coordinates, got 1" in err
+
+
 def test_parse_error_exit_code_and_position(capsys):
     code, _, err = run(capsys, "eval", "1 + &")
     assert code == 2

@@ -1,5 +1,6 @@
 """The truncated-series field: arithmetic, order, classification, enclosures."""
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -243,8 +244,8 @@ def test_series_on_interval_coefficients():
         3,
     )
     y = LeviCivitaNumber(((F(0), 4), (F(1), Interval(F(-1, 8), F(1, 8)))))
-    # u^2 multiplies u's coefficient by itself as if the two were independent,
-    # so the t^2 enclosure is twice the true range [-1/4096, 0]
+    # the t^2 term of the recurrence multiplies u_1 by w_1 as if the two were
+    # independent, so the t^2 enclosure is twice the true range [-1/4096, 0]
     assert lcf.sqrt(y, 3, 64) == LeviCivitaNumber(
         (
             (F(0), Interval.point(2)),
@@ -253,6 +254,137 @@ def test_series_on_interval_coefficients():
         ),
         3,
     )
+
+
+# Taylor coefficients c_k of each series function, and how the public
+# function is applied to an infinitesimal u so that it returns sum c_k u^k.
+SERIES = {
+    "inverse": (lambda k: (-1) ** k, lambda u, order: lcf.inverse(ONE + u, order)),
+    "sqrt": (
+        lambda k: math.prod(F(1, 2) - j for j in range(k)) / math.factorial(k),
+        lambda u, order: lcf.sqrt(ONE + u, order, 64),
+    ),
+    "cos": (
+        lambda k: 0 if k % 2 else F((-1) ** (k // 2), math.factorial(k)),
+        lambda u, order: lcf.cos_enclosure(u, order, 64),
+    ),
+    "sin": (
+        lambda k: F((-1) ** (k // 2), math.factorial(k)) if k % 2 else 0,
+        lambda u, order: lcf.sin_enclosure(u, order, 64),
+    ),
+}
+SERIES_ORDERS = (F(2), F(4), F(17, 3), F(8), F(16))
+
+
+def reference_series(u, order, coefficient):
+    """sum_k c_k u^k from the powers u^k, each one lcf.mul from the last."""
+    total, power, k = lcf.from_rational(coefficient(0)), lcf.truncate(u, order), 1
+    while power.terms:
+        if coefficient(k):
+            total = total + lcf.scale(power, coefficient(k))
+        power, k = lcf.mul(power, u, order), k + 1
+    return lcf.truncate(total, order)
+
+
+def random_lattice_u(rng, interval=False):
+    """An infinitesimal on the 1/6 lattice, sometimes with an unknown tail;
+    with `interval`, most coefficients are intervals around a rational or
+    around 0."""
+    exponents = sorted(rng.sample([F(n, 6) for n in range(1, 13)], rng.randint(1, 4)))
+    terms = []
+    for q in exponents:
+        c = F(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5))
+        if interval and rng.random() < 0.6:
+            if rng.random() < 0.25:
+                c = 0
+            c = Interval(c - F(rng.randint(0, 4), 64), c + F(rng.randint(1, 4), 64))
+        terms.append((q, c))
+    tail = F(rng.randint(int(6 * exponents[-1]) + 1, 24), 6)
+    return LeviCivitaNumber(tuple(terms), tail if rng.random() < 0.5 else INFINITE_ORDER)
+
+
+def as_triples(x):
+    return [(q, c.lo, c.hi) for q, c in x.terms], x.order
+
+
+def encloses(big, small):
+    """Every coefficient of `small` below big's order lies in big's."""
+    if small.order < big.order:
+        return False
+    inner = dict(small.terms)
+    return all(
+        big.coefficient(q).contains_interval(inner.get(q, Interval.point(0)))
+        for q in {q for q, _ in big.terms + small.terms if q < big.order}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_equal_sum_of_powers(name):
+    coefficient, series = SERIES[name]
+    rng = Random(41)
+    for order in SERIES_ORDERS:
+        for _ in range(10):
+            u = random_lattice_u(rng)
+            assert as_triples(series(u, order)) == as_triples(
+                reference_series(u, order, coefficient)
+            )
+
+
+def _member(rng, u):
+    """An exact member of u's coefficient intervals, endpoints included."""
+    pick = lambda c: rng.choice([c.lo, c.hi, c.lo + c.width * F(rng.randint(0, 8), 8)])
+    return LeviCivitaNumber(tuple((q, pick(c)) for q, c in u.terms), u.order)
+
+
+def _refinement(rng, u):
+    """u with each coefficient interval narrowed to a sub-interval, and
+    sometimes to exactly 0, which drops the term."""
+    def narrow(c):
+        if c.contains_zero() and rng.random() < 0.3:
+            return Interval.point(0)
+        cut = lambda: c.width * F(rng.randint(0, 3), 8)
+        return Interval(c.lo + cut(), c.hi - cut())
+
+    return LeviCivitaNumber(tuple((q, narrow(c)) for q, c in u.terms), u.order)
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_series_on_intervals_sound_and_nested(name):
+    _, series = SERIES[name]
+    rng = Random(43)
+    for order in SERIES_ORDERS[:4]:
+        for _ in range(6):
+            u = random_lattice_u(rng, interval=True)
+            enclosure = series(u, order)
+            for _ in range(3):
+                assert encloses(enclosure, series(_member(rng, u), order))
+            assert encloses(enclosure, series(_refinement(rng, u), order))
+
+
+def test_series_nested_when_a_coefficient_refines_to_zero():
+    # refining [-1, 1]t^2 to 0 leaves u = O(t^3), whose cos is 1 + O(t^6)
+    coarse = lcf.cos_enclosure(
+        LeviCivitaNumber(((F(2), Interval(F(-1), F(1))),), F(3)), 8, 64
+    )
+    fine = lcf.cos_enclosure(lcf.zero(F(3)), 8, 64)
+    assert as_triples(coarse) == ([(0, 1, 1), (4, F(-1, 2), F(1, 2))], 5)
+    assert as_triples(fine) == ([(0, 1, 1)], 6)
+    assert encloses(coarse, fine)
+
+
+def test_series_cost_is_linear_in_terms(monkeypatch):
+    # two interval products per term from a two-term u, one from the scale by 1/c
+    calls = 0
+    product = Interval.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Interval, "__mul__", counted)
+    result = lcf.inverse(num("1 - t - t^2"), 200)
+    assert len(result.terms) == 200 and calls <= 3 * 200
 
 
 def test_cos_examples():
