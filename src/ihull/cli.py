@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("p1")
     p_or.add_argument("p2")
     p_or.add_argument(
-        "--grid", type=int, default=256, metavar="N", help="levels per axis"
+        "--grid", type=int, default=256, metavar="N", help="levels per axis (at most 1024)"
     )
     _flags(p_or, "precision")
 
@@ -210,12 +210,19 @@ def _cmd_verify(args) -> int:
     return code
 
 
+def _grid_coordinate(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a coordinate is too large for the float grid oracle") from None
+
+
 def _cmd_oracle(args) -> int:
     from . import gridoracle  # scipy: loaded only by the one command using it
 
     space = spaces.get_space("cover", precision=args.precision)
     coords = [space.point(*parse_point(p)).coords for p in (args.p1, args.p2)]
-    a, b = (tuple(float(cover.exact_standard_value(c)) for c in p) for p in coords)
+    a, b = (tuple(_grid_coordinate(cover.exact_standard_value(c)) for c in p) for p in coords)
     cfg = gridoracle.window_for([a, b], n_r=args.grid, n_zeta=args.grid)
     approx = gridoracle.oracle_distance(cfg, a, b)
     # at exact standard points no series runs, so no order is needed

@@ -11,6 +11,16 @@ closed form by an independent method, not to be exact itself.  Radial levels
 are log-spaced so cells keep the same shape at every radius
 (the geometry is scale-invariant); query coordinates are inserted as extra
 grid levels so queries never pay a snapping error.
+
+The graph is assembled directly in CSR form.  Node (i, j) is row i*nz + j;
+each edge is stored once, in the row of its endpoint with the smaller index,
+and Dijkstra reads the matrix as undirected.  Offsets (di, dj) are taken in
+order of their column step di*nz + dj.  The steps are distinct and, as
+nz >= 16 > 2*max|dj|, a row's columns ascend in that order, so the arrays
+are written in their final, sorted order: there are no duplicate edges to
+sum and no indices to sort.  A config asks for at most `MAX_GRID_NODES`
+nodes (query levels add a few), which bounds the memory a graph takes and
+keeps its indices far inside int32.
 """
 
 from __future__ import annotations
@@ -38,6 +48,11 @@ _OFFSETS = {
     ),
 }
 
+#: The most nodes n_r * n_zeta a config may ask for: 1024 x 1024 at most.
+#: Each query coordinate adds at most one level to its axis.
+MAX_GRID_NODES = 2**20
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Annular window and resolution for the oracle grid."""
@@ -51,12 +66,19 @@ class GridConfig:
     connectivity: str = "8-neighbor+knight"
 
     def __post_init__(self):
+        bounds = (self.r_min, self.r_max, self.zeta_min, self.zeta_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError("window bounds must be finite")
         if self.r_min <= 0:
             raise ValueError("r_min must be positive (the puncture is not a point)")
         if self.r_min >= self.r_max or self.zeta_min >= self.zeta_max:
             raise ValueError("empty window")
         if self.n_r < 16 or self.n_zeta < 16:
             raise ValueError("need at least 16 levels per axis")
+        if self.n_r * self.n_zeta > MAX_GRID_NODES:
+            raise ValueError(
+                f"a {self.n_r} x {self.n_zeta} grid exceeds {MAX_GRID_NODES} nodes"
+            )
         if self.connectivity not in _OFFSETS:
             raise ValueError(f"connectivity must be one of {sorted(_OFFSETS)}")
 
@@ -119,24 +141,31 @@ def _radial_levels(cfg: GridConfig, query_radii) -> np.ndarray:
 
 
 def _build_graph(r: np.ndarray, z: np.ndarray, connectivity: str) -> csr_matrix:
-    nz = len(z)
-    rows, cols, weights = [], [], []
-    for di, dj in _OFFSETS[connectivity]:
-        i0 = np.arange(0, len(r) - di)
-        j0 = np.arange(max(0, -dj), nz - max(0, dj))
-        ii, jj = np.meshgrid(i0, j0, indexing="ij")
-        dr = r[ii + di] - r[ii]
-        rbar = (r[ii + di] + r[ii]) / 2.0
-        dzeta = z[jj + dj] - z[jj]
-        weight = np.sqrt(dr * dr + (rbar * dzeta) ** 2)
-        rows.append((ii * nz + jj).ravel())
-        cols.append(((ii + di) * nz + (jj + dj)).ravel())
-        weights.append(weight.ravel())
-    n = len(r) * nz
-    return csr_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    """The grid graph on radial levels `r` and angular levels `z`.
+
+    Slot k of node (i, j) holds the edge along the k-th offset in order of
+    column step; `valid` marks the slots whose far end lies on the grid, and
+    reading the slot table in C order gives the CSR data and indices.
+    """
+    nr, nz = len(r), len(z)
+    offsets = sorted(_OFFSETS[connectivity], key=lambda o: o[0] * nz + o[1])
+    weights = np.empty((nr, nz, len(offsets)))
+    valid = np.zeros((nr, nz, len(offsets)), dtype=bool)
+    counts = np.zeros((nr, nz), dtype=np.int32)
+    for k, (di, dj) in enumerate(offsets):
+        j0, j1 = max(0, -dj), nz - max(0, dj)
+        dr = (r[di:] - r[: nr - di])[:, None]
+        rbar = ((r[di:] + r[: nr - di]) / 2.0)[:, None]
+        dzeta = z[j0 + dj : j1 + dj] - z[j0:j1]
+        weights[: nr - di, j0:j1, k] = np.sqrt(dr * dr + (rbar * dzeta) ** 2)
+        valid[: nr - di, j0:j1, k] = True
+        counts[: nr - di, j0:j1] += 1
+    n = nr * nz
+    steps = np.array([di * nz + dj for di, dj in offsets], dtype=np.int32)
+    columns = np.arange(n, dtype=np.int32).reshape(nr, nz, 1) + steps
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return csr_matrix((weights[valid], columns[valid], indptr), shape=(n, n))
 
 
 def _node_index(levels_r: np.ndarray, levels_z: np.ndarray, point) -> int:

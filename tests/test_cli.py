@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, output formats, exit codes."""
 
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -205,6 +206,31 @@ def test_oracle_rejects_a_wrong_coordinate_count(capsys):
     for command in (["oracle", "1", "2"], ["dist", "cover", "1", "2"]):
         code, _, err = run(capsys, *command)
         assert code == 2 and "cover needs 2 coordinates, got 1" in err
+
+
+def test_oracle_rejects_a_grid_above_the_bound(capsys, monkeypatch):
+    from ihull import gridoracle
+
+    def unreachable(*args):
+        raise AssertionError("a rejected grid must not be built")
+
+    monkeypatch.setattr(gridoracle, "oracle_distances", unreachable)
+    # --grid N asks for N x N levels: 1025 is the smallest N above the bound
+    side = math.isqrt(gridoracle.MAX_GRID_NODES)
+    assert side * side == gridoracle.MAX_GRID_NODES
+    for grid in (side + 1, 100000000):
+        code, out, err = run(capsys, "oracle", "(1, 0)", "(1, 1)", "--grid", str(grid))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds" in err
+
+
+def test_oracle_coordinates_a_float_cannot_hold(capsys):
+    too_large = "1" + "0" * 400
+    code, _, err = run(capsys, "oracle", f"({too_large}, 0)", "(1, 1)", "--grid", "16")
+    assert code == 2 and err.startswith("error:") and "too large" in err
+    # 1.6e308 is a float, but the window around it reaches past the largest one
+    code, _, err = run(capsys, "oracle", "(16" + "0" * 307 + ", 0)", "(1, 1)", "--grid", "16")
+    assert code == 2 and err.startswith("error:") and "finite" in err
 
 
 def test_parse_error_exit_code_and_position(capsys):
