@@ -46,7 +46,6 @@ def test_config_invariants():
 
 def test_grid_size_bound():
     # a config allocates nothing, so the bound is checked on both sides of it
-    assert 16 * (MAX_GRID_NODES // 16) == MAX_GRID_NODES
     GridConfig(0.1, 1.0, 0.0, 1.0, n_r=16, n_zeta=MAX_GRID_NODES // 16)
     GridConfig(0.1, 1.0, 0.0, 1.0, n_r=1024, n_zeta=1024)
     assert 17 * 61681 == MAX_GRID_NODES + 1
@@ -201,12 +200,9 @@ def _check_edge(r1, r2, dzeta, weight, pi):
     assert max(Fraction(weight) - ulps, 0) ** 2 <= exact <= (Fraction(weight) + ulps) ** 2
 
 
-def _edges(r, z, connectivity, positions=None):
-    """(r1, r2, dzeta, weight) of the built graph's edges at `positions`
-    (all by default), the levels read exactly."""
-    graph = _build_graph(r, z, connectivity)
-    if positions is None:
-        positions = range(graph.nnz)
+def _edges(graph, r, z, positions):
+    """(r1, r2, dzeta, weight) of the graph's edges at `positions`, the
+    levels read exactly."""
     rows = np.searchsorted(graph.indptr, positions, side="right") - 1
     for k, row in zip(positions, rows):
         (i1, j1), (i2, j2) = divmod(int(row), len(z)), divmod(int(graph.indices[k]), len(z))
@@ -233,10 +229,11 @@ def test_edge_weights_bound_the_geodesic_exactly():
     for i in rng.integers(0, len(r) - 2, 40):
         start = graph.indptr[i * len(z) + jq - 2]
         positions.extend(range(start, graph.indptr[i * len(z) + jq]))
-    edges = list(_edges(r, z, cfg.connectivity, positions))
+    edges = list(_edges(graph, r, z, positions))
     # a coarse window whose angular steps exceed pi
     wide_r, wide_z = np.geomspace(0.5, 2.0, 16), np.linspace(-50.0, 50.0, 16)
-    edges += _edges(wide_r, wide_z, "8-neighbor+knight")
+    wide = _build_graph(wide_r, wide_z, "8-neighbor+knight")
+    edges += _edges(wide, wide_r, wide_z, range(wide.nnz))
     for edge in edges:
         _check_edge(*edge, pi)
     steps = [abs(dzeta) for _, _, dzeta, _ in edges]
