@@ -48,7 +48,7 @@ _OFFSETS = {
     ),
 }
 
-#: The most nodes n_r * n_zeta a config may ask for: 1024 x 1024 at most.
+#: The most nodes n_r * n_zeta a config may ask for (1024 x 1024 when square).
 #: Each query coordinate adds at most one level to its axis.
 MAX_GRID_NODES = 2**20
 
