@@ -5,12 +5,13 @@ declares only the shared flags it acts on:
 
     eval, classify      --order --json
     dist, hull-dist     --order --precision --json
-    verify              --order --precision --seed --json
+    verify              --seed --json
     oracle              --precision --grid --json
     net                 --json
 
 Literals are parsed at --order where a subcommand takes it, so ``/``
-truncates its series there.
+truncates its series there.  `verify` runs its fixed scenarios at the
+library's default order and precision; --seed picks their probes.
 
 Exit codes: 0 all checks pass / value printed; 1 a verification check
 failed; 2 usage, parse, or domain error; 3 a query was indeterminate at the
@@ -43,12 +44,12 @@ EXIT_INDETERMINATE = 3
 
 _SHARED_FLAGS = {
     "order": dict(
-        default="8",
-        metavar="Q",
-        help="truncation order for series operations (rational, default 8)",
+        type=Fraction, default=lcf.DEFAULT_ORDER, metavar="Q",
+        help="truncation order for series operations (rational, default %(default)s)",
     ),
     "precision": dict(
-        type=int, default=64, metavar="N", help="enclosure precision in bits (default 64)"
+        type=int, default=lcf.DEFAULT_PRECISION, metavar="N",
+        help="enclosure precision in bits (default %(default)s)",
     ),
     "seed": dict(type=int, default=0, metavar="S", help="seed for generated probes"),
 }
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a named verification scenario")
     p_ver.add_argument("scenario", choices=scenarios.SCENARIO_NAMES)
-    _flags(p_ver, "order", "precision", "seed")
+    _flags(p_ver, "seed")
 
     p_or = sub.add_parser("oracle", help="grid-oracle vs closed-form distance")
     p_or.add_argument("p1")
@@ -129,7 +130,7 @@ def _standard_part_payload(d: LeviCivitaNumber):
 
 
 def _cmd_eval(args) -> int:
-    value = parse_expression(args.expr, Fraction(args.order))
+    value = parse_expression(args.expr, args.order)
     _emit(args, {"value": number_to_json(value)}, [format_number(value)])
     return EXIT_OK
 
@@ -139,7 +140,7 @@ def _parse_space_point(space, text: str):
 
 
 def _cmd_dist(args) -> int:
-    space = spaces.get_space(args.space, Fraction(args.order), args.precision)
+    space = spaces.get_space(args.space, args.order, args.precision)
     a = _parse_space_point(space, args.p1)
     b = _parse_space_point(space, args.p2)
     d = hull.extended_distance(space, a, b)
@@ -160,7 +161,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    coords = parse_point(args.point, Fraction(args.order))
+    coords = parse_point(args.point, args.order)
     if len(coords) == 1:
         verdict = lcf.classify_magnitude(coords[0])
         payload = {"kind": "magnitude", "verdict": verdict.value}
@@ -178,7 +179,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hull_dist(args) -> int:
-    space = spaces.get_space(args.space, Fraction(args.order), args.precision)
+    space = spaces.get_space(args.space, args.order, args.precision)
     a = _parse_space_point(space, args.p1)
     b = _parse_space_point(space, args.p2)
     value = hull.hull_distance(space, a, b)
@@ -192,9 +193,7 @@ def _cmd_hull_dist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = scenarios.run_scenario(
-        args.scenario, args.seed, Fraction(args.order), args.precision
-    )
+    report = scenarios.run_scenario(args.scenario, args.seed)
     lines = [f"scenario: {report['scenario']}"]
     for check in report["checks"]:
         lines.append(f"  {check['verdict']:7s} {check['name']}: {check['details']}")

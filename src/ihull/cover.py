@@ -293,21 +293,22 @@ def covering_map(
 ) -> tuple[Fraction, Interval]:
     """Project to the punctured plane: (r, zeta) -> (r, zeta mod 2*pi).
 
-    Requires exact standard coordinates; the reduced angle is an enclosure
-    in [0, 2*pi) since the reduction subtracts an enclosure of 2*pi*k.
+    Requires exact standard coordinates.  The quotient k is certified on
+    the rungs 64, 128, 256, ... bits; the angle then subtracts an enclosure
+    of 2*pi*k with 2*pi taken at `precision` plus k's bit length (or at the
+    finer certifying rung).  So it lies in [0, 2*pi), is at most
+    2^-precision wide, and is nested under refinement: the enclosures of
+    2*pi are nested, so k stays certified.
     """
     r = exact_standard_value(a.r)
     z = exact_standard_value(a.zeta)
-    working = precision
-    while True:
-        two_pi = two_pi_interval(working)
-        k = _floor_quotient(z, two_pi)
-        if k is not None:
-            theta = Interval.point(z) - two_pi.scale(k)
-            return r, theta
+    working = 64
+    while (k := _floor_quotient(z, two_pi_interval(working))) is None:
         working *= 2
         if working > 1 << 20:  # pragma: no cover - z rational, always decidable
             raise NotStandard("angle reduction did not converge")
+    two_pi = two_pi_interval(max(working, precision + abs(k).bit_length()))
+    return r, Interval.point(z) - two_pi.scale(k)
 
 
 def exact_standard_value(x: LeviCivitaNumber) -> Fraction:

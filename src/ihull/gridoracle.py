@@ -73,6 +73,13 @@ class GridConfig:
             raise ValueError("r_min must be positive (the puncture is not a point)")
         if self.r_min >= self.r_max or self.zeta_min >= self.zeta_max:
             raise ValueError("empty window")
+        # every edge has dr <= r_max - r_min, rbar <= r_max (formed as the
+        # build forms it) and dzeta <= the angular span, and float rounding is
+        # monotone, so this bounds the sum squared in every edge weight
+        dr = self.r_max - self.r_min
+        arc = (self.r_max + self.r_max) / 2.0 * (self.zeta_max - self.zeta_min)
+        if not math.isfinite(dr * dr + arc * arc):
+            raise ValueError("the window's edge weights exceed the float range")
         if self.n_r < 16 or self.n_zeta < 16:
             raise ValueError("need at least 16 levels per axis")
         if self.n_r * self.n_zeta > MAX_GRID_NODES:

@@ -552,9 +552,8 @@ def sqrt(
     if lead is None or lead[1].lo <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     q, c, u = _split_leading(a)
-    root = from_interval(sqrt_interval(c, precision))
     (series,) = _series(u, order if order is INFINITE_ORDER else order - q / 2, _SQRT)
-    return shift(mul(root, series), q / 2)
+    return shift(scale(series, sqrt_interval(c, precision)), q / 2)
 
 
 def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:

@@ -13,6 +13,9 @@ surface: a trailing ``O(t^q)`` marks a truncation order, and
 `parse_expression` additionally understands ``*``, ``/`` and parentheses.
 
 ``3/2`` lexes as one rational, so ``1/2t`` is (1/2)*t, not 1/(2t).
+Parentheses nest at most `MAX_NESTING` deep, which keeps the recursive
+descent far inside the interpreter's recursion limit; leading signs fold
+in a loop, so any number of them parses.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+#: The deepest parenthesis nesting a literal may use.  Each level costs four
+#: stack frames, so 100 levels stay far below Python's default limit of 1000.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -56,6 +63,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.order = order
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -118,20 +126,22 @@ class _Parser:
                     raise ParseError(f"cannot divide: {exc}", pos) from None
         return value
 
-    # factor := ("-")* atom
+    # factor := ("+"|"-")* atom
     def factor(self) -> LeviCivitaNumber:
-        if self.peek()[1] == "-":
-            self.next()
-            return -self.factor()
-        if self.peek()[1] == "+":
-            self.next()
-            return self.factor()
-        return self.atom()
+        negate = False
+        while self.peek()[1] in ("+", "-"):
+            negate ^= self.next()[1] == "-"
+        value = self.atom()
+        return -value if negate else value
 
     def atom(self) -> LeviCivitaNumber:
         kind, text, pos = self.next()
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             value = self.expression()
+            self.depth -= 1
             self.expect(")")
             return value
         if kind == "rational":

@@ -3,7 +3,8 @@
 Each scenario returns ``{"scenario": name, "checks": [{"name", "verdict",
 "details"}]}`` with verdict one of pass / fail / unknown.  Checks are exact
 where the arithmetic is exact; probe-based checks are deterministic given
-the seed.
+the seed.  Every scenario works at the library's default order and
+precision.
 """
 
 from __future__ import annotations
@@ -13,37 +14,17 @@ from random import Random
 
 from . import cover, hull, lcf, probes, spaces
 from .errors import IndeterminateComparison
-from .lcf import (
-    DEFAULT_ORDER,
-    DEFAULT_PRECISION,
-    LeviCivitaNumber,
-    Magnitude,
-    Ordering,
-    Ternary,
-)
-
-SCENARIO_NAMES = (
-    "theorem-1.1",
-    "cover-inapproachable",
-    "proposition-a",
-    "theorem-b",
-    "hb-failure",
-)
+from .lcf import LeviCivitaNumber, Magnitude, Ordering, Ternary
 
 
-def run_scenario(
-    name: str,
-    seed: int = 0,
-    order=DEFAULT_ORDER,
-    precision: int = DEFAULT_PRECISION,
-) -> dict:
+def run_scenario(name: str, seed: int = 0) -> dict:
     try:
         runner = _RUNNERS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return {"scenario": name, "checks": runner(seed, order, precision)}
+    return {"scenario": name, "checks": runner(seed)}
 
 
 def _check(name: str, passed: bool, details: str) -> dict:
@@ -58,7 +39,7 @@ def _unknown(name: str, details: str) -> dict:
 # the standard-part morphism and its kernel
 # ---------------------------------------------------------------------------
 
-def _standard_part_morphism(seed: int, order, precision: int) -> list[dict]:
+def _standard_part_morphism(seed: int) -> list[dict]:
     rng = Random(seed)
     pairs = [(probes.random_finite(rng), probes.random_finite(rng)) for _ in range(500)]
     add_bad = mul_bad = 0
@@ -112,16 +93,16 @@ def _standard_part_morphism(seed: int, order, precision: int) -> list[dict]:
 # the inapproachable hull point of the cover
 # ---------------------------------------------------------------------------
 
-def _cover_inapproachable(seed: int, order, precision: int) -> list[dict]:
+def _cover_inapproachable(seed: int) -> list[dict]:
     del seed
     center = cover.point(lcf.one(), lcf.T_INVERSE)
     origin_rep = cover.point(lcf.T, lcf.zero())
-    distance = cover.cover_distance(center, origin_rep, order, precision)
+    distance = cover.cover_distance(center, origin_rep)
     st = lcf.standard_part(distance)
     expected_bound = LeviCivitaNumber(
         ((Fraction(0), 1), (Fraction(1), 2), (Fraction(2), -2))
     )
-    bound = cover.three_leg_upper_bound(center, lcf.T, order)
+    bound = cover.three_leg_upper_bound(center, lcf.T)
     checks = [
         _check(
             "distance-standard-part-one",
@@ -152,7 +133,7 @@ def _cover_inapproachable(seed: int, order, precision: int) -> list[dict]:
             f"(1, t^-1) classifies as {cover.classify_point(center)}",
         ),
     ]
-    space = spaces.get_space("cover", order, precision)
+    space = spaces.get_space("cover")
     galaxy = hull.in_galaxy(space, space.point(center.r, center.zeta))
     checks.append(
         _check(
@@ -178,46 +159,28 @@ def _harness_check(name: str, report: hull.HarnessReport) -> dict:
     return _check(name, report.passed, details)
 
 
-def _proposition_a(seed: int, order, precision: int) -> list[dict]:
+def _harness(name: str, check, witness, plan, seed: int) -> list[dict]:
+    """Run `check` on each space of `plan` with its count of seeded probes
+    and, where `witness` names one, the space's witness probe."""
     rng = Random(seed)
     checks = []
-    for name, count in (("euclidean-plane", 50), ("rationals-line", 50), ("cover", 50)):
-        space = spaces.get_space(name, order, precision)
+    for space_name, count in plan:
+        space = spaces.get_space(space_name)
         probe_list = probes.finite_probes(space, rng, count)
-        witness = spaces.incompleteness_witness(space, precision)
-        if witness is not None:
-            probe_list.append(witness)
-        report = hull.check_proposition_a(space, probe_list)
-        checks.append(_harness_check(f"proposition-a[{name}]", report))
+        witness_probe = witness(space)
+        if witness_probe is not None:
+            probe_list.append(witness_probe)
+        report = check(space, probe_list)
+        checks.append(_harness_check(f"{name}[{space_name}]", report))
     return checks
 
 
-def _theorem_b(seed: int, order, precision: int) -> list[dict]:
-    rng = Random(seed)
-    checks = []
-    plan = (
-        ("rationals-line", 100),
-        ("euclidean-plane", 100),
-        ("cover", 50),
-        ("cover-completion", 50),
-    )
-    for name, count in plan:
-        space = spaces.get_space(name, order, precision)
-        probe_list = probes.finite_probes(space, rng, count)
-        witness = spaces.inapproachability_witness(space)
-        if witness is not None:
-            probe_list.append(witness)
-        report = hull.check_theorem_b(space, probe_list)
-        checks.append(_harness_check(f"theorem-b[{name}]", report))
-    return checks
-
-
-def _hb_failure(seed: int, order, precision: int) -> list[dict]:
+def _hb_failure(seed: int) -> list[dict]:
     del seed
     net = cover.separated_net(10)
     unit_ok = all(
         (lambda d: d.is_exact and d.coefficient(0).lo == 1 and len(d.terms) == 1)(
-            cover.completion_distance(None, p, order, precision)
+            cover.completion_distance(None, p)
         )
         for p in net
     )
@@ -225,11 +188,11 @@ def _hb_failure(seed: int, order, precision: int) -> list[dict]:
     pairs_ok = True
     for i in range(len(net)):
         for j in range(i + 1, len(net)):
-            d = cover.cover_distance(net[i], net[j], order, precision)
+            d = cover.cover_distance(net[i], net[j])
             pair_count += 1
             if not (d.is_exact and d.coefficient(0).lo == 2 and len(d.terms) == 1):
                 pairs_ok = False
-    close_pair = cover.cover_distance(cover.point(1, 0), cover.point(1, 1), order, precision)
+    close_pair = cover.cover_distance(cover.point(1, 0), cover.point(1, 1))
     control_ok = lcf.compare(close_pair, lcf.from_rational(2)) is Ordering.LT
     return [
         _check(
@@ -253,7 +216,22 @@ def _hb_failure(seed: int, order, precision: int) -> list[dict]:
 _RUNNERS = {
     "theorem-1.1": _standard_part_morphism,
     "cover-inapproachable": _cover_inapproachable,
-    "proposition-a": _proposition_a,
-    "theorem-b": _theorem_b,
+    "proposition-a": lambda seed: _harness(
+        "proposition-a",
+        hull.check_proposition_a,
+        spaces.incompleteness_witness,
+        (("euclidean-plane", 50), ("rationals-line", 50), ("cover", 50)),
+        seed,
+    ),
+    "theorem-b": lambda seed: _harness(
+        "theorem-b",
+        hull.check_theorem_b,
+        spaces.inapproachability_witness,
+        (("rationals-line", 100), ("euclidean-plane", 100), ("cover", 50),
+         ("cover-completion", 50)),
+        seed,
+    ),
     "hb-failure": _hb_failure,
 }
+
+SCENARIO_NAMES = tuple(_RUNNERS)

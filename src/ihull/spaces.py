@@ -57,8 +57,6 @@ from .lcf import (
     Ternary,
 )
 
-SPACE_NAMES = ("rationals-line", "euclidean-plane", "cover", "cover-completion")
-
 
 def get_space(
     name: str, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
@@ -249,19 +247,18 @@ _BUILDERS = {
     "cover-completion": _cover_completion,
 }
 
+SPACE_NAMES = tuple(_BUILDERS)
+
 
 # ---------------------------------------------------------------------------
 # named witness probes
 # ---------------------------------------------------------------------------
 
-def incompleteness_witness(
-    space: SpaceDescriptor, precision: int = DEFAULT_PRECISION
-) -> ExtendedPoint | None:
+def incompleteness_witness(space: SpaceDescriptor) -> ExtendedPoint | None:
     """An approachable probe with no standard point infinitely close,
     for the incomplete spaces."""
     if space.space_id == "rationals-line":
-        root2 = lcf.sqrt(lcf.from_rational(2), DEFAULT_ORDER, precision)
-        return space.point(lcf.add(root2, lcf.T))
+        return space.point(lcf.add(lcf.sqrt(lcf.from_rational(2)), lcf.T))
     if space.space_id == "cover":
         return space.point(lcf.T, lcf.zero())
     return None

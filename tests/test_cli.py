@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,7 @@ _BASE_ARGV = {
     "classify": ["classify", "1"],
     "oracle": ["oracle", "(1, 0)", "(2, 0)", "--grid", "16"],
     "net": ["net", "2"],
+    "verify": ["verify", "hb-failure"],
 }
 _FLAG_VALUE = {"--order": "8", "--precision": "64", "--seed": "0"}
 
@@ -84,6 +86,8 @@ _FLAG_VALUE = {"--order": "8", "--precision": "64", "--seed": "0"}
         ("net", "--order"),
         ("net", "--precision"),
         ("net", "--seed"),
+        ("verify", "--order"),
+        ("verify", "--precision"),
     ],
 )
 def test_flags_a_subcommand_does_not_use_are_rejected(capsys, command, flag):
@@ -233,10 +237,35 @@ def test_oracle_coordinates_a_float_cannot_hold(capsys):
     assert code == 2 and err.startswith("error:") and "finite" in err
 
 
+def test_oracle_window_whose_edge_weights_overflow(capsys):
+    # the window is finite, but r * dzeta squared is not: rejected before any
+    # graph is built, so numpy never warns and no inf is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge_angle = "(1, 17" + "0" * 306 + ")"
+        code, out, err = run(capsys, "oracle", huge_angle, "(1, 1)", "--grid", "16")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "float range" in err and "inf" not in err
+
+
 def test_parse_error_exit_code_and_position(capsys):
     code, _, err = run(capsys, "eval", "1 + &")
     assert code == 2
     assert "position 4" in err
+
+
+def test_deeply_nested_literals_are_parse_errors(capsys):
+    from ihull.parsing import MAX_NESTING
+
+    nested = "(" * 250 + "1" + ")" * 250  # 501 characters
+    code, out, err = run(capsys, "eval", nested)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and f"position {MAX_NESTING}" in err
+    admitted = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert run(capsys, "eval", admitted)[:2] == (0, "1\n")
+    # signs fold in a loop: any number of them parses
+    assert run(capsys, "eval", "--", "-" * 1000 + "1")[:2] == (0, "1\n")
+    assert run(capsys, "eval", "--", "-" * 999 + "1")[:2] == (0, "-1\n")
 
 
 def test_usage_error_exit_code(capsys):
@@ -263,7 +292,7 @@ def test_wrong_dimension_rejected(capsys):
 def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
     from ihull import cli
 
-    def fake_scenario(name, seed=0, order=None, precision=64):
+    def fake_scenario(name, seed=0):
         return {
             "scenario": name,
             "checks": [{"name": "x", "verdict": fake_scenario.verdict, "details": ""}],

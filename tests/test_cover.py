@@ -14,7 +14,13 @@ from ihull.errors import (
     NotStandard,
     PreconditionViolated,
 )
-from ihull.intervals import Interval, pi_interval
+from ihull.intervals import (
+    Interval,
+    cos_sin_interval,
+    pi_interval,
+    sqrt_interval,
+    two_pi_interval,
+)
 from ihull.lcf import IndeterminateComparison, Magnitude, Ordering, Ternary
 from ihull.parsing import parse_number
 
@@ -294,14 +300,18 @@ def test_covering_map_local_isometry():
         d = cover.cover_distance(point(r1, z1), point(r2, z2))
         _, th1 = cover.covering_map(point(r1, z1))
         _, th2 = cover.covering_map(point(r2, z2))
-        # chord in the plane from polar coordinates, via the same enclosures
-        dz = lcf.sub(lcf.from_rational(z1), lcf.from_rational(z2))
-        chord_sq = lcf.add(
-            lcf.add(lcf.from_rational(r1 * r1), lcf.from_rational(r2 * r2)),
-            lcf.scale(lcf.cos_enclosure(dz), -2 * r1 * r2),
-        )
-        if chord_sq.is_zero:
-            assert d.is_zero
-            continue
-        chord = lcf.sqrt(chord_sq)
-        assert d.coefficient(0).intersect(chord.coefficient(0)) is not None
+        # chord in the plane between the images (r1, th1) and (r2, th2)
+        cos_dth, _ = cos_sin_interval(th1 - th2, 64)
+        chord_sq = Interval.point(r1 * r1 + r2 * r2) - cos_dth.scale(2 * r1 * r2)
+        chord = sqrt_interval(chord_sq, 64)
+        assert lcf.standard_part(d).intersect(chord) is not None
+
+
+@pytest.mark.parametrize("zeta", (10**6, 10**30))
+def test_covering_map_width_does_not_grow_with_the_winding(zeta):
+    # 2*pi is enclosed at the precision plus the bit length of k ~ zeta/(2*pi)
+    angles = {p: cover.covering_map(point(1, zeta), p)[1] for p in (64, 128)}
+    for precision, theta in angles.items():
+        assert theta.width <= F(1, 2**precision)
+        assert 0 <= theta.lo and theta.hi < two_pi_interval(256).lo
+    assert angles[64].contains_interval(angles[128])

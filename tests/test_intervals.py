@@ -1,6 +1,7 @@
 """Rational interval arithmetic and the rigorous enclosures."""
 
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -120,3 +121,33 @@ def test_cos_refinement_nested():
     outer, _ = cos_sin_interval(Interval.point(1), 16)
     inner, _ = cos_sin_interval(Interval.point(1), 96)
     assert outer.contains_interval(inner)
+
+
+def test_enclosures_contain_mpmath_intervals():
+    # an independent check: mpmath's own interval arithmetic at 320 bits
+    # encloses each true value in a far narrower interval, which ours must hold
+    mpmath = pytest.importorskip("mpmath")
+    iv = mpmath.iv
+
+    def as_interval(x) -> Interval:
+        lo, hi = (F(*mpmath.libmp.to_rational(end)) for end in x._mpi_)
+        return Interval(lo, hi)
+
+    def reference(f, q: F) -> Interval:
+        return as_interval(f(iv.mpf(q.numerator) / q.denominator))
+
+    rng = Random(2718)
+    denominators = rng.choices((1, 7, 1000, 2**40), k=24)
+    xs = [F(rng.randint(-100 * d, 100 * d), d) for d in denominators]
+    saved, iv.prec = iv.prec, 320
+    try:
+        for precision in (64, 256):
+            assert pi_interval(precision).contains_interval(as_interval(iv.pi))
+            for x in xs:
+                root = sqrt_interval(Interval.point(abs(x)), precision)
+                assert root.contains_interval(reference(iv.sqrt, abs(x))), x
+                c, s = cos_sin_interval(Interval.point(x), precision)
+                assert c.contains_interval(reference(iv.cos, x)), x
+                assert s.contains_interval(reference(iv.sin, x)), x
+    finally:
+        iv.prec = saved
