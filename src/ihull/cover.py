@@ -37,7 +37,7 @@ from .errors import (
     NotStandard,
     PreconditionViolated,
 )
-from .intervals import Interval, two_pi_interval
+from .intervals import Interval, reduce_angle
 from .lcf import (
     DEFAULT_ORDER,
     DEFAULT_PRECISION,
@@ -293,22 +293,12 @@ def covering_map(
 ) -> tuple[Fraction, Interval]:
     """Project to the punctured plane: (r, zeta) -> (r, zeta mod 2*pi).
 
-    Requires exact standard coordinates.  The quotient k is certified on
-    the rungs 64, 128, 256, ... bits; the angle then subtracts an enclosure
-    of 2*pi*k with 2*pi taken at `precision` plus k's bit length (or at the
-    finer certifying rung).  So it lies in [0, 2*pi), is at most
-    2^-precision wide, and is nested under refinement: the enclosures of
-    2*pi are nested, so k stays certified.
+    Requires exact standard coordinates.  The angle is
+    `intervals.reduce_angle`'s: it lies in [0, 2*pi), is at most
+    2^-precision wide and is nested under refinement.
     """
     r = exact_standard_value(a.r)
-    z = exact_standard_value(a.zeta)
-    working = 64
-    while (k := _floor_quotient(z, two_pi_interval(working))) is None:
-        working *= 2
-        if working > 1 << 20:  # pragma: no cover - z rational, always decidable
-            raise NotStandard("angle reduction did not converge")
-    two_pi = two_pi_interval(max(working, precision + abs(k).bit_length()))
-    return r, Interval.point(z) - two_pi.scale(k)
+    return r, reduce_angle(exact_standard_value(a.zeta), precision)[1]
 
 
 def exact_standard_value(x: LeviCivitaNumber) -> Fraction:
@@ -317,14 +307,3 @@ def exact_standard_value(x: LeviCivitaNumber) -> Fraction:
         raise NotStandard("exact standard coordinates required")
     return x.coefficient(0).lo
 
-
-def _floor_quotient(z: Fraction, divisor: Interval) -> int | None:
-    """The integer k with divisor*k <= z < divisor*(k+1), if certifiable."""
-    guess = int(z / divisor.midpoint)
-    for k in (guess - 1, guess, guess + 1):
-        lo_ok = (divisor.hi * k <= z) if k >= 0 else (divisor.lo * k <= z)
-        up = k + 1
-        hi_ok = (z < divisor.lo * up) if up >= 0 else (z < divisor.hi * up)
-        if lo_ok and hi_ok:
-            return k
-    return None

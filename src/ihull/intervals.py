@@ -8,6 +8,22 @@ the degenerate interval with `lo == hi`.
 Enclosures are *nested under refinement*: calling any function here with a
 larger `precision` returns an interval contained in the one returned at a
 smaller precision.  Tests rely on this.
+
+cos and sin at a rational s run on integers.  An |s| of 4 or more is first
+reduced by `reduce_angle` and shifted by pi into [-pi, pi].  For the
+argument's magnitude a, X_lo = floor(a 2^w) and X_hi = ceil(a 2^w) at
+w = precision + C + guard bits; each Taylor term magnitude a^m/m! is carried
+as a lower and an upper integer, the lower one rounded down (floor division)
+and the upper one up (ceil division), so the alternating partial sums plus
+the tail bound next/(1 - ratio) give a raw enclosure [L, H] of the value v.
+A run-time check requires (H - L)/2 <= g = 2^-(precision + C), doubling the
+guard bits until it holds.  The result is [m - 4g, m + 4g], with m the
+midpoint of [L, H] rounded to the nearest multiple of g/2, so |m - v| <= 5g/4
+and the endpoints are dyadic with precision + C + 1 bits.  It contains v, and
+for p < q (so g_q <= g_p/2) it nests: O_q lies within v +- 21g_q/4, so
+within v +- 21g_p/8, which lies within v +- 11g_p/4, which O_p contains.
+
+s = 0 stays exact.
 """
 
 from __future__ import annotations
@@ -230,39 +246,133 @@ def two_pi_interval(precision: int) -> Interval:
 
 
 # ---------------------------------------------------------------------------
+# angle reduction
+# ---------------------------------------------------------------------------
+
+def reduce_angle(x: Fraction, precision: int) -> tuple[int, Interval]:
+    """(k, r): k = floor(x / 2 pi) and an enclosure r of x - 2 pi k.
+
+    r lies in [0, 2 pi) (0 <= r.lo, r.hi < the lower end of the 2 pi
+    enclosure used) and is at most 2^-precision wide.  k is estimated from
+    2 pi at a rung of 64 bits plus the bit length of |x| and certified there;
+    only an x within about 2^-64 of a multiple of 2 pi takes further rungs
+    (128, 256, ... plus that length).  r then takes 2 pi at the larger of the
+    rung and `precision` plus k's bit length: both grow with `precision` or
+    not at all, and the enclosures of 2 pi are nested, so r is nested under
+    refinement (and stays certified).
+    """
+    size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
+    rung = 64
+    while (k := _floor_quotient(x, two_pi_interval(rung + size))) is None:
+        rung *= 2
+    two_pi = two_pi_interval(max(rung + size, precision + abs(k).bit_length()))
+    return k, Interval.point(x) - two_pi.scale(k)
+
+
+def _floor_quotient(z: Fraction, divisor: Interval) -> int | None:
+    """The integer k with divisor*k <= z < divisor*(k+1), if certifiable."""
+    guess = math.floor(z / divisor.midpoint)
+    for k in (guess, guess - 1, guess + 1):
+        lo_ok = (divisor.hi * k <= z) if k >= 0 else (divisor.lo * k <= z)
+        up = k + 1
+        hi_ok = (z < divisor.lo * up) if up >= 0 else (z < divisor.hi * up)
+        if lo_ok and hi_ok:
+            return k
+    return None
+
+
+# ---------------------------------------------------------------------------
 # cos / sin at rational arguments
 # ---------------------------------------------------------------------------
 
+#: C: the raw enclosures are at most g = 2^-(precision + C) in half-width.
+_COS_SIN_EXTRA_BITS = 8
+#: first working bits beyond precision + C; doubled until the width check passes
+_COS_SIN_GUARD_BITS = 12
+#: arguments below this are summed directly, larger ones reduced mod 2 pi
+_REDUCE_ABOVE = 4
+
+
 def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
-    """Taylor enclosures of (cos s, sin s) for exact rational s.
+    """Enclosures [m - 4g, m + 4g] of (cos s, sin s) from raw enclosures of
+    half-width <= g = 2^-(precision + C) (module docstring)."""
+    if s == 0:
+        return ONE_INTERVAL, ZERO_INTERVAL
+    bits = precision + _COS_SIN_EXTRA_BITS
+    a = abs(s)
+    if a < _REDUCE_ABOVE:
+        angle, flip = Interval.point(a), 1
+    else:
+        # cos a = -cos(r - pi) and sin a = -sin(r - pi), r = a mod 2 pi
+        _, r = reduce_angle(a, bits + 8)
+        angle, flip = r - pi_interval(bits + 8), -1
+    guard = _COS_SIN_GUARD_BITS
+    while (raw := _fixed_cos_sin(angle, bits + guard, bits)) is None:
+        guard *= 2
+    (cos_lo, cos_hi), (sin_lo, sin_hi) = raw
+    sign = flip if s > 0 else -flip
+    return (
+        _around(flip * (cos_lo + cos_hi), guard, bits),
+        _around(sign * (sin_lo + sin_hi), guard, bits),
+    )
 
-    The remainder after the partial sum is bounded by the next term's
-    magnitude divided by (1 - q), q the (eventually < 1/2) term ratio; this
-    geometric form makes enclosures at higher precision nested inside those
-    at lower precision.
+
+def _around(twice_mid: int, guard: int, bits: int) -> Interval:
+    """[m - 4g, m + 4g] for m = twice_mid / 2^(bits + guard + 1) rounded to
+    the nearest multiple of g/2, g = 2^-bits."""
+    m = (twice_mid + (1 << (guard - 1))) >> guard
+    unit = 1 << (bits + 1)
+    return Interval._unchecked(Fraction(m - 8, unit), Fraction(m + 8, unit))
+
+
+def _fixed_cos_sin(x: Interval, w: int, bits: int):
+    """Raw integer enclosures ((L, H), (L', H')) of 2^w cos x and 2^w sin x
+    for every x in the interval, by Taylor sums on w-bit fixed point, or None
+    when either is wider than 2 * 2^(w - bits)."""
+    if x.lo >= 0:
+        a_lo, a_hi, sin_sign = x.lo, x.hi, 1
+    elif x.hi <= 0:
+        a_lo, a_hi, sin_sign = -x.hi, -x.lo, -1
+    else:
+        a_lo, a_hi, sin_sign = _ZERO, max(-x.lo, x.hi), 0
+    one = 1 << w
+    x_lo = a_lo.numerator * one // a_lo.denominator
+    x_hi = -(-a_hi.numerator * one // a_hi.denominator)
+    sq_lo = x_lo * x_lo >> w
+    sq_hi = -(-x_hi * x_hi >> w)
+    limit = 1 << (w - bits)  # g in units of 2^-w
+    cos = _alternating_sum(one, one, sq_lo, sq_hi, 0, w, limit)
+    sin = _alternating_sum(x_lo, x_hi, sq_lo, sq_hi, 1, w, limit)
+    if sin_sign == 0:  # x straddles 0: sin x lies within +-sin|x|
+        sin = (-sin[1], sin[1])
+    elif sin_sign < 0:
+        sin = (-sin[1], -sin[0])
+    if max(cos[1] - cos[0], sin[1] - sin[0]) > 2 * limit:
+        return None
+    return cos, sin
+
+
+def _alternating_sum(t_lo, t_hi, sq_lo, sq_hi, m, w, limit):
+    """[L, H] containing 2^w sum_j (-1)^j a^(m+2j)/(m+2j)! for a with
+    t_lo <= 2^w a^m/m! <= t_hi and sq_lo <= 2^w a^2 <= sq_hi.
+
+    Term bounds round down and up; the sum stops once the next term is
+    below limit/8 and its ratio below 1/2, and adds +-next/(1 - ratio).
     """
-    target = Fraction(1, 1 << (precision + 1))
-    s2 = s * s
-
-    def series(start_term: Fraction, first_index: int) -> Interval:
-        # terms a_j = |s|^(m)/m! at m = first_index, first_index+2, ...
-        total = _ZERO
-        term = start_term
-        m = first_index
-        sign = 1
-        while True:
-            ratio = s2 / ((m + 1) * (m + 2))
-            next_term = term * ratio
-            if ratio < Fraction(1, 2) and next_term <= target:
-                tail = next_term / (1 - ratio)
-                total += sign * term
-                return Interval(total - tail, total + tail)
-            total += sign * term
-            term = next_term
-            sign = -sign
-            m += 2
-
-    return series(_ONE, 0), series(s, 1) if s >= 0 else -series(-s, 1)
+    lo = hi = 0
+    sign = 1
+    while True:
+        divisor = (m + 1) * (m + 2) << w
+        next_lo = t_lo * sq_lo // divisor
+        next_hi = -(-t_hi * sq_hi // divisor)
+        if sign > 0:
+            lo, hi = lo + t_lo, hi + t_hi
+        else:
+            lo, hi = lo - t_hi, hi - t_lo
+        if 2 * sq_hi < divisor and 8 * next_hi <= limit:
+            tail = -(-next_hi * divisor // (divisor - sq_hi))
+            return lo - tail, hi + tail
+        t_lo, t_hi, sign, m = next_lo, next_hi, -sign, m + 2
 
 
 def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:

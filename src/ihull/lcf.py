@@ -13,6 +13,14 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
+Lattice.  `mul` and the series work on integer exponents: every exponent q
+of the operands becomes n = q*D, D the lcm of their denominators, so that
+(1/D)Z holds all of them and their sums.  An exponent n/D lies below a
+truncation order T exactly when n < ceil(T*D); products are accumulated by
+integer n, and each result term gets one Fraction(n, D).  INFINITE_ORDER
+(the float inf) is tested by identity before any arithmetic, so an exact
+operand never meets a Fraction-float comparison.
+
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
 the blocking exponent, so callers can retry at higher order or precision.
@@ -94,7 +102,9 @@ def _as_exponent(value) -> Fraction:
 
 
 def _as_order(value):
-    if value is INFINITE_ORDER or value == math.inf:
+    if value is INFINITE_ORDER or isinstance(value, Fraction):
+        return value
+    if value == math.inf:
         return INFINITE_ORDER
     return Fraction(value)
 
@@ -125,7 +135,9 @@ class LeviCivitaNumber:
             c = _as_interval(coeff)
             merged[q] = merged[q] + c if q in merged else c
         canonical = tuple(
-            (q, c) for q, c in sorted(merged.items()) if q < order and not c.is_zero
+            (q, c)
+            for q, c in sorted(merged.items())
+            if (order is INFINITE_ORDER or q < order) and not c.is_zero
         )
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "order", order)
@@ -223,7 +235,7 @@ T_INVERSE = t_power(-1)
 def truncate(a: LeviCivitaNumber, order) -> LeviCivitaNumber:
     """Forget everything at or above `order` (keeps the tighter of the two)."""
     order = _as_order(order)
-    if order >= a.order:
+    if order is INFINITE_ORDER or (a.order is not INFINITE_ORDER and order >= a.order):
         return a
     kept = a.terms
     while kept and kept[-1][0] >= order:
@@ -235,8 +247,7 @@ def shift(a: LeviCivitaNumber, delta) -> LeviCivitaNumber:
     """Multiply by t^delta: shifts every exponent and the truncation order."""
     d = _as_exponent(delta)
     return LeviCivitaNumber._from_canonical(
-        tuple((q + d, c) for q, c in a.terms),
-        a.order if a.order is INFINITE_ORDER else a.order + d,
+        tuple((q + d, c) for q, c in a.terms), _order_plus(a.order, d)
     )
 
 
@@ -250,6 +261,17 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     )
 
 
+def _order_plus(order, delta):
+    """order + delta; INFINITE_ORDER stays itself, with no float arithmetic."""
+    return order if order is INFINITE_ORDER else order + delta
+
+
+def _min_order(*orders):
+    """The least order, compared without ever meeting the float INFINITE_ORDER."""
+    finite = [o for o in orders if o is not INFINITE_ORDER]
+    return min(finite) if finite else INFINITE_ORDER
+
+
 def _lead_or_zero(a: LeviCivitaNumber) -> Fraction:
     return a.terms[0][0] if a.terms else Fraction(0)
 
@@ -257,7 +279,7 @@ def _lead_or_zero(a: LeviCivitaNumber) -> Fraction:
 # -- ring operations ------------------------------------------------------------
 
 def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
-    order = min(a.order, b.order)
+    order = _min_order(a.order, b.order)
     merged = []
     i = j = 0
     ta, tb = a.terms, b.terms
@@ -277,8 +299,9 @@ def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
             j += 1
     merged.extend(ta[i:])
     merged.extend(tb[j:])
-    while merged and merged[-1][0] >= order:
-        merged.pop()
+    if order is not INFINITE_ORDER:
+        while merged and merged[-1][0] >= order:
+            merged.pop()
     return LeviCivitaNumber._from_canonical(tuple(merged), order)
 
 
@@ -300,32 +323,51 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber, cap=INFINITE_ORDER) -> LeviCiv
     truncation order; two exact factors stay exact.  Term pairs landing at
     or above the resulting order are never multiplied out.  A product with
     an exactly zero factor is exactly zero, whatever the other's tail.
+    Exponents are summed as integers on the factors' lattice (module
+    docstring).
     """
     if a.is_zero or b.is_zero:
         return zero()
-    if a.order is INFINITE_ORDER and b.order is INFINITE_ORDER:
-        order = cap
-    else:
-        order = min(
-            a.order + _lead_or_zero(b), b.order + _lead_or_zero(a), cap
-        )
-    accumulated: dict[Fraction, Interval] = {}
-    for qa, ca in a.terms:
-        if qa + _lead_or_zero(b) >= order:
+    order = _min_order(
+        _order_plus(a.order, _lead_or_zero(b)), _order_plus(b.order, _lead_or_zero(a)), cap
+    )
+    denominator, (ta, tb) = _on_lattice(a.terms, b.terms)
+    top = _lattice_top(order, denominator)
+    lead_b = tb[0][0] if tb else 0
+    accumulated: dict[int, Interval] = {}
+    for na, ca in ta:
+        if top is not None and na + lead_b >= top:
             break  # b's exponents only grow from its lead
-        for qb, cb in b.terms:
-            q = qa + qb
-            if q >= order:
+        for nb, cb in tb:
+            n = na + nb
+            if top is not None and n >= top:
                 break
             product = ca * cb
-            if q in accumulated:
-                accumulated[q] = accumulated[q] + product
+            if n in accumulated:
+                accumulated[n] = accumulated[n] + product
             else:
-                accumulated[q] = product
+                accumulated[n] = product
     terms = tuple(
-        (q, c) for q, c in sorted(accumulated.items()) if not c.is_zero
+        (Fraction(n, denominator), c)
+        for n, c in sorted(accumulated.items())
+        if not c.is_zero
     )
     return LeviCivitaNumber._from_canonical(terms, order)
+
+
+def _on_lattice(*supports):
+    """(D, supports with each exponent q as the integer q * D), D the lcm of
+    the exponent denominators."""
+    denominator = math.lcm(*(q.denominator for terms in supports for q, _ in terms))
+    return denominator, [
+        [(q.numerator * (denominator // q.denominator), c) for q, c in terms]
+        for terms in supports
+    ]
+
+
+def _lattice_top(order, denominator: int) -> int | None:
+    """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
+    return None if order is INFINITE_ORDER else math.ceil(order * denominator)
 
 
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
@@ -495,8 +537,8 @@ _COS_SIN = ((1, -1, 0, 1, 2), (0, 1, 0, 0, 1))
 
 
 def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
-    """One series per rule at infinitesimal u (module docstring), at n = q*D
-    for q below the cap a sum of u's exponents, D the lcm of their denominators."""
+    """One series per rule at infinitesimal u (module docstring), at the
+    lattice points n of sums of u's exponents below the cap."""
     order = _as_order(order)
     starts = [from_rational(rule[0]) for rule in rules]
     if u.is_zero:
@@ -504,13 +546,12 @@ def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
     if order is INFINITE_ORDER and u.terms:
         raise ValueError("series does not terminate at infinite truncation order")
     lead = u.terms[0][0] if u.terms else u.order
-    caps = [min(order, u.order + (rule[4] - 1) * lead) for rule in rules]
+    caps = [_min_order(order, _order_plus(u.order, (k1 - 1) * lead)) for *_, k1 in rules]
     steps = [(q, c) for q, c in u.terms if q < max(caps)]
     if not steps:
         return tuple(truncate(start, cap) for start, cap in zip(starts, caps))
-    denominator = math.lcm(*(q.denominator for q, _ in steps))
-    steps = [(int(q * denominator), c) for q, c in steps]
-    tops = [cap * denominator for cap in caps]
+    denominator, (steps,) = _on_lattice(steps)
+    tops = [_lattice_top(cap, denominator) for cap in caps]
     top, reached, frontier = max(tops), {0}, {0}
     while frontier:
         frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached

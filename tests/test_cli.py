@@ -228,6 +228,26 @@ def test_oracle_rejects_a_grid_above_the_bound(capsys, monkeypatch):
         assert err.startswith("error:") and "exceeds" in err
 
 
+def test_precision_above_the_bound_is_rejected_before_any_computation(capsys, monkeypatch):
+    from ihull import cli, gridoracle, spaces
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected precision must not reach the library")
+
+    monkeypatch.setattr(spaces, "get_space", unreachable)
+    monkeypatch.setattr(gridoracle, "oracle_distance", unreachable)
+    for command in (
+        ("dist", "cover", "(1, 0)", "(1, 1)"),
+        ("hull-dist", "cover", "(1, 0)", "(1, 1)"),
+        ("oracle", "(1, 0)", "(1, 1)"),
+    ):
+        for precision in (cli.MAX_PRECISION + 1, 10**9, 0, -1):
+            code, out, err = run(capsys, *command, f"--precision={precision}")
+            assert code == 2 and out == ""
+            assert f"between 1 and {cli.MAX_PRECISION} bits" in err
+    assert cli.precision_bits(str(cli.MAX_PRECISION)) == cli.MAX_PRECISION
+
+
 def test_oracle_coordinates_a_float_cannot_hold(capsys):
     too_large = "1" + "0" * 400
     code, _, err = run(capsys, "oracle", f"({too_large}, 0)", "(1, 1)", "--grid", "16")

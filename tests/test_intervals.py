@@ -5,11 +5,13 @@ from random import Random
 
 import pytest
 
+from ihull import intervals
 from ihull.errors import NotPositive
 from ihull.intervals import (
     Interval,
     cos_sin_interval,
     pi_interval,
+    reduce_angle,
     sqrt_bounds,
     sqrt_interval,
     two_pi_interval,
@@ -151,3 +153,111 @@ def test_enclosures_contain_mpmath_intervals():
                 assert s.contains_interval(reference(iv.sin, x)), x
     finally:
         iv.prec = saved
+
+
+def _near_multiple_of_pi(k: int, bits: int = 100) -> F:
+    """The dyadic with `bits` fraction bits nearest k*pi."""
+    pi = pi_interval(bits + k.bit_length() + 8)
+    return F(round(pi.midpoint * k * 2**bits), 2**bits)
+
+
+#: Arguments for the cos/sin kernel: a few values per magnitude, on lattices
+#: up to 2^-40, and within 2^-100 of multiples of pi, where the reduced
+#: argument's enclosure straddles 0 or pi.
+KERNEL_ARGUMENTS = [
+    F(Random(3000 + i).randint(-m * d, m * d), d)
+    for i, (m, d) in enumerate(
+        (m, d) for m in (1, 10, 10**6, 10**30) for d in (1, 7, 2**40) for _ in range(2)
+    )
+] + [_near_multiple_of_pi(k) for k in (1, 2, 3, -5, 10**6 + 1)]
+
+
+def test_cos_sin_contain_mpmath_intervals_at_large_arguments():
+    mpmath = pytest.importorskip("mpmath")
+    iv = mpmath.iv
+
+    def as_interval(x) -> Interval:
+        lo, hi = (F(*mpmath.libmp.to_rational(end)) for end in x._mpi_)
+        return Interval(lo, hi)
+
+    saved = iv.prec
+    try:
+        for x in KERNEL_ARGUMENTS:
+            # 320 bits after the binary point, whatever the integer part
+            iv.prec = 320 + abs(int(x)).bit_length()
+            arg = iv.mpf(x.numerator) / x.denominator
+            cos_ref, sin_ref = as_interval(iv.cos(arg)), as_interval(iv.sin(arg))
+            for precision in (16, 64, 256):
+                c, s = cos_sin_interval(Interval.point(x), precision)
+                assert c.contains_interval(cos_ref) and s.contains_interval(sin_ref), x
+                assert max(c.width, s.width) <= F(1, 2**precision), x
+    finally:
+        iv.prec = saved
+
+
+def test_cos_sin_nested_for_every_pair_of_precisions():
+    # nesting is claimed for every p < q; the proof is tightest at q = p + 1
+    for x in KERNEL_ARGUMENTS[::3] + KERNEL_ARGUMENTS[-5:]:
+        enclosures = [cos_sin_interval(Interval.point(x), p) for p in range(1, 81)]
+        for i, (c_p, s_p) in enumerate(enclosures):
+            for c_q, s_q in enclosures[i + 1:]:
+                assert c_p.contains_interval(c_q) and s_p.contains_interval(s_q), x
+
+
+def test_cos_sin_nested_at_the_widest_admissible_raw_enclosures(monkeypatch):
+    # The width check admits raw enclosures of half-width g with the value at
+    # either end.  Put it at the lower end at even working precisions and at
+    # the upper end at odd ones: the 4g radius must still nest.
+    exact = intervals._fixed_cos_sin
+
+    def widest(x, w, bits):
+        g = 1 << (w - bits)
+        ends = []
+        for lo, hi in exact(x, w + 64, bits):
+            lo, hi = lo >> 64, -(-hi >> 64)  # still around the value, in units 2^-w
+            ends.append((lo, lo + 2 * g) if bits % 2 == 0 else (hi - 2 * g, hi))
+        return tuple(ends)
+
+    monkeypatch.setattr(intervals, "_fixed_cos_sin", widest)
+    for x in (F(1), F(-2, 3), F(10**6), _near_multiple_of_pi(3)):
+        enclosures = [cos_sin_interval(Interval.point(x), p) for p in range(1, 41)]
+        for (c_p, s_p), (c_q, s_q) in zip(enclosures, enclosures[1:]):
+            assert c_p.contains_interval(c_q) and s_p.contains_interval(s_q), x
+
+
+def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
+    # cost proxy: the working bits of every fixed-point evaluation, retries
+    # included; without a reduction they would grow like 1.44 |x|
+    working = []
+    kernel = intervals._fixed_cos_sin
+
+    def counted(x, w, bits):
+        working.append(w)
+        return kernel(x, w, bits)
+
+    monkeypatch.setattr(intervals, "_fixed_cos_sin", counted)
+
+    def cost(x) -> int:
+        working.clear()
+        cos_sin_interval(Interval.point(F(x)), 64)
+        return sum(working)
+
+    assert cost(10**6) <= 3 * cost(10)
+    assert cost(10**30) <= 3 * cost(10)
+
+
+def test_reduce_angle_certifies_the_floor_quotient():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 400
+    try:
+        for x in KERNEL_ARGUMENTS + [_near_multiple_of_pi(2 * k) for k in (1, -3, 10**6)]:
+            reduced = {p: reduce_angle(x, p) for p in (8, 64, 65, 200)}
+            turns = mpmath.mpf(x.numerator) / x.denominator / (2 * mpmath.pi)
+            assert {k for k, _ in reduced.values()} == {int(mpmath.floor(turns))}, x
+            for p, (_, r) in reduced.items():
+                assert 0 <= r.lo and r.hi < two_pi_interval(400).lo and r.width <= F(1, 2**p)
+            assert reduced[8][1].contains_interval(reduced[64][1])
+            assert reduced[64][1].contains_interval(reduced[65][1])
+            assert reduced[65][1].contains_interval(reduced[200][1])
+    finally:
+        mpmath.mp.prec = 53

@@ -318,6 +318,56 @@ def encloses(big, small):
     )
 
 
+def reference_mul(a, b, cap=INFINITE_ORDER):
+    """The Cauchy product on Fraction exponents, the loop lcf.mul replaced."""
+    if a.is_zero or b.is_zero:
+        return lcf.zero()
+    lead = lambda x: x.terms[0][0] if x.terms else F(0)
+    if a.order is INFINITE_ORDER and b.order is INFINITE_ORDER:
+        order = cap
+    else:
+        order = min(a.order + lead(b), b.order + lead(a), cap)
+    accumulated = {}
+    for qa, ca in a.terms:
+        if qa + lead(b) >= order:
+            break
+        for qb, cb in b.terms:
+            q = qa + qb
+            if q >= order:
+                break
+            product = ca * cb
+            accumulated[q] = accumulated[q] + product if q in accumulated else product
+    terms = tuple((q, c) for q, c in sorted(accumulated.items()) if not c.is_zero)
+    return LeviCivitaNumber._from_canonical(terms, order)
+
+
+def random_lattice_operand(rng):
+    """Up to 5 terms on a lattice (1/D)Z, D in 1..6, exponents of both signs,
+    point or interval coefficients (some straddling 0), finite or no order."""
+    d = rng.randint(1, 6)
+    exponents = rng.sample(range(-8, 16), rng.randint(0, 5))
+    terms = []
+    for n in exponents:
+        c = F(rng.randint(-3, 3), rng.randint(1, 4))
+        if rng.random() < 0.4:
+            c = Interval(c - F(rng.randint(0, 2), 8), c + F(rng.randint(0, 2), 8))
+        terms.append((F(n, d), c))
+    order = F(rng.randint(-4, 20), rng.randint(1, 6))
+    return LeviCivitaNumber(tuple(terms), order if rng.random() < 0.4 else INFINITE_ORDER)
+
+
+def test_mul_equals_the_fraction_exponent_product():
+    rng = Random(97)
+    for _ in range(3000):
+        a, b = random_lattice_operand(rng), random_lattice_operand(rng)
+        cap = rng.choice(
+            [INFINITE_ORDER, F(rng.randint(-8, 24), rng.randint(1, 6)), rng.randint(-2, 6)]
+        )
+        got, want = lcf.mul(a, b, cap), reference_mul(a, b, cap)
+        assert got.terms == want.terms, (a, b, cap)
+        assert got.order == want.order and type(got.order) is type(want.order)
+
+
 @pytest.mark.parametrize("name", sorted(SERIES))
 def test_series_equal_sum_of_powers(name):
     coefficient, series = SERIES[name]
