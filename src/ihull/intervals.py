@@ -238,7 +238,9 @@ def pi_interval(precision: int) -> Interval:
     target = Fraction(1, 1 << (precision + 6))
     a5 = _arctan_inv_bounds(5, target)
     a239 = _arctan_inv_bounds(239, target)
-    return a5.scale(16) - a239.scale(4)
+    # endpoints formed directly: a first call at a new precision then adds
+    # no interval operation to the work it is made from
+    return Interval(16 * a5.lo - 4 * a239.hi, 16 * a5.hi - 4 * a239.lo)
 
 
 def two_pi_interval(precision: int) -> Interval:

@@ -164,11 +164,12 @@ def _near_multiple_of_pi(k: int, bits: int = 100) -> F:
 #: Arguments for the cos/sin kernel: a few values per magnitude, on lattices
 #: up to 2^-40, and within 2^-100 of multiples of pi, where the reduced
 #: argument's enclosure straddles 0 or pi.
+_rng = Random(3000)
 KERNEL_ARGUMENTS = [
-    F(Random(3000 + i).randint(-m * d, m * d), d)
-    for i, (m, d) in enumerate(
-        (m, d) for m in (1, 10, 10**6, 10**30) for d in (1, 7, 2**40) for _ in range(2)
-    )
+    F(_rng.randint(-m * d, m * d), d)
+    for m in (1, 10, 10**6, 10**30)
+    for d in (1, 7, 2**40)
+    for _ in range(2)
 ] + [_near_multiple_of_pi(k) for k in (1, 2, 3, -5, 10**6 + 1)]
 
 
@@ -248,8 +249,7 @@ def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
 
 def test_reduce_angle_certifies_the_floor_quotient():
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.prec = 400
-    try:
+    with mpmath.workprec(400):
         for x in KERNEL_ARGUMENTS + [_near_multiple_of_pi(2 * k) for k in (1, -3, 10**6)]:
             reduced = {p: reduce_angle(x, p) for p in (8, 64, 65, 200)}
             turns = mpmath.mpf(x.numerator) / x.denominator / (2 * mpmath.pi)
@@ -259,5 +259,3 @@ def test_reduce_angle_certifies_the_floor_quotient():
             assert reduced[8][1].contains_interval(reduced[64][1])
             assert reduced[64][1].contains_interval(reduced[65][1])
             assert reduced[65][1].contains_interval(reduced[200][1])
-    finally:
-        mpmath.mp.prec = 53
