@@ -14,73 +14,6 @@ The package has three layers:
   plane: exact geodesic distance, inapproachability certificates, the
   2-separated net witnessing Heine-Borel failure, and an independent
   shortest-path oracle on a discretized annulus.
+
+The submodules are the API (``from ihull import lcf``); nothing is re-exported.
 """
-
-from .intervals import Interval
-from .lcf import (
-    DEFAULT_ORDER,
-    DEFAULT_PRECISION,
-    INFINITE_ORDER,
-    LeviCivitaNumber,
-    Magnitude,
-    Ordering,
-    T,
-    T_INVERSE,
-    Ternary,
-    add,
-    approximate_within,
-    classify_magnitude,
-    compare,
-    cos_enclosure,
-    from_rational,
-    halo_equal,
-    inverse,
-    monomial,
-    mul,
-    one,
-    pi_number,
-    sin_enclosure,
-    sqrt,
-    standard_part,
-    sub,
-    t_power,
-    zero,
-)
-from .parsing import format_number, parse_expression, parse_number, parse_point
-
-__all__ = [
-    "DEFAULT_ORDER",
-    "DEFAULT_PRECISION",
-    "INFINITE_ORDER",
-    "Interval",
-    "LeviCivitaNumber",
-    "Magnitude",
-    "Ordering",
-    "T",
-    "T_INVERSE",
-    "Ternary",
-    "add",
-    "approximate_within",
-    "classify_magnitude",
-    "compare",
-    "cos_enclosure",
-    "format_number",
-    "from_rational",
-    "halo_equal",
-    "inverse",
-    "monomial",
-    "mul",
-    "one",
-    "parse_expression",
-    "parse_number",
-    "parse_point",
-    "pi_number",
-    "sin_enclosure",
-    "sqrt",
-    "standard_part",
-    "sub",
-    "t_power",
-    "zero",
-]
-
-__version__ = "0.1.0"

@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cover, hull, lcf, scenarios, spaces
+from . import cover, hull, lcf, parsing, scenarios, spaces
 from .errors import (
     BranchIndeterminate,
     IhullError,
@@ -33,7 +33,6 @@ from .errors import (
     NotFinite,
     ParseError,
 )
-from .lcf import LeviCivitaNumber
 from .parsing import format_number, number_to_json, parse_expression, parse_point
 
 EXIT_OK = 0
@@ -134,14 +133,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _standard_part_payload(d: LeviCivitaNumber):
-    try:
-        st = lcf.standard_part(d)
-    except NotFinite:
-        return None
-    return {"lo": str(st.lo), "hi": str(st.hi), "approx": float(st.midpoint)}
-
-
 def _cmd_eval(args) -> int:
     value = parse_expression(args.expr, args.order)
     _emit(args, {"value": number_to_json(value)}, [format_number(value)])
@@ -157,17 +148,23 @@ def _cmd_dist(args) -> int:
     a = _parse_space_point(space, args.p1)
     b = _parse_space_point(space, args.p2)
     d = hull.extended_distance(space, a, b)
-    st = _standard_part_payload(d)
+    try:
+        st = lcf.standard_part(d)
+    except NotFinite:
+        st = None
     lines = [f"d = {format_number(d)}"]
     if st is None:
         lines.append("st = (not finite)")
-    elif st["lo"] == st["hi"]:
-        lines.append(f"st = {st['lo']}")
+    elif st.is_exact:
+        lines.append(f"st = {st.lo}")
     else:
-        lines.append(f"st ~ {st['approx']:.12g}")
+        lines.append(f"st ~ {parsing.approx_text(st.midpoint, 12)}")
+    st_json = None if st is None else {
+        "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st.midpoint)
+    }
     _emit(
         args,
-        {"space": args.space, "distance": number_to_json(d), "standard_part": st},
+        {"space": args.space, "distance": number_to_json(d), "standard_part": st_json},
         lines,
     )
     return EXIT_OK
@@ -199,7 +196,7 @@ def _cmd_hull_dist(args) -> int:
     payload = {
         "space": args.space,
         "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
-        "approx": float(value.midpoint),
+        "approx": parsing.approx_float(value.midpoint),
     }
     _emit(args, payload, [str(value)])
     return EXIT_OK
@@ -223,10 +220,10 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_coordinate(value: Fraction) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("a coordinate is too large for the float grid oracle") from None
+    approx = parsing.approx_float(value)
+    if approx is None:
+        raise ValueError("a coordinate is too large for the float grid oracle")
+    return approx
 
 
 def _cmd_oracle(args) -> int:

@@ -33,11 +33,10 @@ from .errors import (
     IndeterminateComparison,
     InvalidPoint,
     NotApplicable,
-    NotFinite,
     NotStandard,
     PreconditionViolated,
 )
-from .intervals import Interval, reduce_angle
+from .intervals import Interval
 from .lcf import (
     DEFAULT_ORDER,
     DEFAULT_PRECISION,
@@ -171,9 +170,7 @@ def completion_distance(
 # bounds and certificates
 # ---------------------------------------------------------------------------
 
-def three_leg_upper_bound(
-    a: CoverPoint, eps: LeviCivitaNumber, order=DEFAULT_ORDER
-) -> LeviCivitaNumber:
+def three_leg_upper_bound(a: CoverPoint, eps: LeviCivitaNumber) -> LeviCivitaNumber:
     """Exact length of the path (1, z) -> (1/z^2, z) -> (1/z^2, 0) -> (eps, 0).
 
     For infinite z this is (1 - 1/z^2) + (1/z^2) z + |1/z^2 - eps|, an upper
@@ -186,7 +183,7 @@ def three_leg_upper_bound(
         raise PreconditionViolated("angle coordinate must be infinite")
     if lcf.classify_magnitude(eps) is not Magnitude.INFINITESIMAL or lcf.sign(eps) <= 0:
         raise PreconditionViolated("eps must be a positive infinitesimal")
-    inv_z2 = lcf.inverse(lcf.mul(a.zeta, a.zeta), order)
+    inv_z2 = lcf.inverse(lcf.mul(a.zeta, a.zeta), DEFAULT_ORDER)
     leg1 = lcf.sub(lcf.one(), inv_z2)          # radial descent to r = 1/z^2
     leg2 = lcf.mul(inv_z2, lcf.abs_value(a.zeta))  # unwind the angle down at tiny r
     leg3 = lcf.abs_value(lcf.sub(inv_z2, eps))     # radial hop to (eps, 0)
@@ -275,7 +272,7 @@ def classify_point(a: CoverPoint) -> CoverClassification:
 
 
 # ---------------------------------------------------------------------------
-# non-compactness witness and covering map
+# non-compactness witness
 # ---------------------------------------------------------------------------
 
 def separated_net(n: int) -> list[CoverPoint]:
@@ -286,19 +283,6 @@ def separated_net(n: int) -> list[CoverPoint]:
     if n < 2:
         raise ValueError("a separated net needs at least 2 points")
     return [point(1, 4 * k) for k in range(n)]
-
-
-def covering_map(
-    a: CoverPoint, precision: int = DEFAULT_PRECISION
-) -> tuple[Fraction, Interval]:
-    """Project to the punctured plane: (r, zeta) -> (r, zeta mod 2*pi).
-
-    Requires exact standard coordinates.  The angle is
-    `intervals.reduce_angle`'s: it lies in [0, 2*pi), is at most
-    2^-precision wide and is nested under refinement.
-    """
-    r = exact_standard_value(a.r)
-    return r, reduce_angle(exact_standard_value(a.zeta), precision)[1]
 
 
 def exact_standard_value(x: LeviCivitaNumber) -> Fraction:

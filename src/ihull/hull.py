@@ -30,7 +30,7 @@ from typing import Callable
 from . import lcf
 from .errors import BranchIndeterminate, IhullError, NotFinite, SpaceMismatch
 from .intervals import Interval
-from .lcf import LeviCivitaNumber, Magnitude, Ternary
+from .lcf import LeviCivitaNumber, Ternary
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,6 @@ def halo(s: SpaceDescriptor, a: ExtendedPoint) -> ExtendedPoint:
     of `s`."""
     _check_membership(s, a)
     return a
-
-
-def same_halo(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Ternary:
-    """Whether the representatives are infinitely close."""
-    d = extended_distance(s, a, b)
-    m = lcf.classify_magnitude(d)
-    if m is Magnitude.INFINITESIMAL:
-        return Ternary.TRUE
-    if m is Magnitude.UNKNOWN:
-        return Ternary.UNKNOWN
-    return Ternary.FALSE
 
 
 def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Interval:

@@ -58,7 +58,7 @@ class Interval:
     def point(value) -> "Interval":
         """Degenerate (exact) interval."""
         q = Fraction(value)
-        return Interval(q, q)
+        return Interval._unchecked(q, q)
 
     @classmethod
     def _unchecked(cls, lo: Fraction, hi: Fraction) -> "Interval":
@@ -151,9 +151,6 @@ class Interval:
         return Interval(lo, hi) if lo <= hi else None
 
     # -- display ------------------------------------------------------------
-
-    def __float__(self) -> float:
-        return float(self.midpoint)
 
     def __str__(self) -> str:
         if self.is_exact:

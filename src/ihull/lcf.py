@@ -112,7 +112,7 @@ def _as_order(value):
 def _as_interval(value) -> Interval:
     if isinstance(value, Interval):
         return value
-    return Interval.point(Fraction(value))
+    return Interval.point(value)
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def zero(order=INFINITE_ORDER) -> LeviCivitaNumber:
 
 
 def one() -> LeviCivitaNumber:
-    return LeviCivitaNumber(((Fraction(0), ONE_INTERVAL),))
+    return monomial(ONE_INTERVAL, 0)
 
 
 def from_rational(value) -> LeviCivitaNumber:
@@ -218,7 +218,10 @@ def from_interval(value: Interval) -> LeviCivitaNumber:
 
 
 def monomial(coeff, exponent) -> LeviCivitaNumber:
-    return LeviCivitaNumber(((_as_exponent(exponent), _as_interval(coeff)),))
+    c = _as_interval(coeff)
+    if c.is_zero:
+        return zero()
+    return LeviCivitaNumber._from_canonical(((_as_exponent(exponent), c),), INFINITE_ORDER)
 
 
 def t_power(exponent) -> LeviCivitaNumber:
@@ -315,8 +318,8 @@ def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     return add(a, neg(b))
 
 
-def mul(a: LeviCivitaNumber, b: LeviCivitaNumber, cap=INFINITE_ORDER) -> LeviCivitaNumber:
-    """Cauchy product, optionally truncated at `cap`.
+def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
+    """Cauchy product.
 
     The unknown tail of one factor meets the leading term of the other at
     exponent T_a + lead(b) (resp. T_b + lead(a)), which caps the result's
@@ -329,7 +332,7 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber, cap=INFINITE_ORDER) -> LeviCiv
     if a.is_zero or b.is_zero:
         return zero()
     order = _min_order(
-        _order_plus(a.order, _lead_or_zero(b)), _order_plus(b.order, _lead_or_zero(a)), cap
+        _order_plus(a.order, _lead_or_zero(b)), _order_plus(b.order, _lead_or_zero(a))
     )
     denominator, (ta, tb) = _on_lattice(a.terms, b.terms)
     top = _lattice_top(order, denominator)

@@ -20,6 +20,7 @@ in a loop, so any number of them parses.
 
 from __future__ import annotations
 
+import decimal
 import re
 from fractions import Fraction
 
@@ -187,9 +188,9 @@ class _Parser:
             raise ParseError("zero denominator in rational literal", pos) from None
 
 
-def parse_number(text: str, order=INFINITE_ORDER) -> LeviCivitaNumber:
-    """Parse a number literal (the full expression grammar is accepted)."""
-    return _Parser(text, order).parse()
+def parse_number(text: str) -> LeviCivitaNumber:
+    """Parse a literal (full expression grammar); ``/`` divides only by monomials."""
+    return _Parser(text, INFINITE_ORDER).parse()
 
 
 def parse_expression(
@@ -216,8 +217,23 @@ def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]
 # formatting
 # ---------------------------------------------------------------------------
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q)
+def approx_float(value: Fraction) -> float | None:
+    """The float nearest `value`, for display; None beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
+def approx_text(value: Fraction, digits: int) -> str:
+    """`value` to `digits` significant digits: the float's ``g`` format, or
+    decimal rounding of the exact value where no float holds it."""
+    approx = approx_float(value)
+    if approx is not None:
+        return f"{approx:.{digits}g}"
+    context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
+    quotient = context.divide(decimal.Decimal(value.numerator), value.denominator)
+    return f"{quotient.normalize(context):g}"
 
 
 def _format_t_power(exponent: Fraction) -> str:
@@ -233,13 +249,13 @@ def _format_term(exponent: Fraction, coeff: Interval) -> str:
     if coeff.is_exact:
         c = coeff.lo
         if not tpart:
-            return _format_fraction(c)
+            return str(c)
         if c == 1:
             return tpart
         if c == -1:
             return f"-{tpart}"
-        return f"{_format_fraction(c)}{tpart}"
-    approx = f"~{float(coeff.midpoint):.17g}"
+        return f"{c}{tpart}"
+    approx = f"~{approx_text(coeff.midpoint, 17)}"
     return f"{approx}{tpart}" if tpart else approx
 
 
@@ -276,7 +292,7 @@ def number_to_json(x: LeviCivitaNumber):
                 "exponent": str(q),
                 "lo": str(c.lo),
                 "hi": str(c.hi),
-                "approx": float(c.midpoint),
+                "approx": approx_float(c.midpoint),
             }
             for q, c in x.terms
         ],

@@ -59,9 +59,9 @@ def random_exact(
     return LeviCivitaNumber(tuple(terms))
 
 
-def random_finite(rng: Random, max_terms: int = 3) -> LeviCivitaNumber:
+def random_finite(rng: Random) -> LeviCivitaNumber:
     """A random exact finite value (possibly zero, possibly infinitesimal)."""
-    return random_exact(rng, max_terms, min_exponent=Fraction(0))
+    return random_exact(rng, 3, min_exponent=Fraction(0))
 
 
 def random_infinitesimal(rng: Random, max_terms: int = 2) -> LeviCivitaNumber:

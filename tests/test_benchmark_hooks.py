@@ -1,4 +1,5 @@
-"""The benchmark's tracer finds every function it wraps in the package."""
+"""The benchmark's calls into the package: the tracer's hook points and every
+workload's query pool."""
 
 import subprocess
 import sys
@@ -30,3 +31,29 @@ def test_tracer_installs_on_every_hook_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
+
+
+def test_benchmark_pools_build_run_and_check():
+    # every workload builds its pool from the package as the benchmark does;
+    # the hull-query and series-expand queries then run once each through the
+    # worker's loop and must pass their output checks, so a name the benchmark
+    # calls cannot be deleted or re-signatured without failing here
+    check = (
+        "import importlib, sys; sys.path[:0] = sys.argv[1:3]\n"
+        "import worker\n"
+        "for name in worker.MODULES.values():\n"
+        "    queries = importlib.import_module(name).build(101)\n"
+        "    if name in ('hull_query', 'series_expand'):\n"
+        "        outputs = worker._serve(queries, 0, None, None)[0]\n"
+        "        failed, _, messages = worker._check_all(queries, outputs)\n"
+        "        assert not failed, messages\n"
+        "        print(name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["hull_query", "series_expand"]

@@ -257,6 +257,36 @@ def test_oracle_coordinates_a_float_cannot_hold(capsys):
     assert code == 2 and err.startswith("error:") and "finite" in err
 
 
+_BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        # Fibonacci coefficients pass the largest float near t^1475
+        (["eval", "1/(1-t-t^2)", "--order", "1480"], "1 + t + 2t^2 + 3t^3 + 5t^4"),
+        (["eval", f"{_BEYOND_FLOAT} + O(t)"], f"{_BEYOND_FLOAT} + O(t)\n"),
+        (["dist", "rationals-line", _BEYOND_FLOAT, "0"], f"d = {_BEYOND_FLOAT}\n"),
+    ],
+    ids=["eval-fibonacci", "eval-1e400", "dist-1e400"],
+)
+def test_values_beyond_the_float_range_print(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith(shown)
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0 and err == ""
+    # beyond the float range the approximation is null; the exact endpoints stay
+    payload = json.loads(out)
+    last = payload["value"]["terms"][-1] if argv[0] == "eval" else payload["standard_part"]
+    assert last["approx"] is None and len(last["lo"]) >= 309
+
+
+def test_approximate_text_beyond_the_float_range(capsys):
+    # a square root of 10^800 + 1 is an enclosure, shown by its decimal rounding
+    code, out, _ = run(capsys, "dist", "euclidean-plane", f"({_BEYOND_FLOAT}, 0)", "(0, 1)")
+    assert code == 0 and out == "d = ~1e+400\nst ~ 1e+400\n"
+
+
 def test_oracle_window_whose_edge_weights_overflow(capsys):
     # the window is finite, but r * dzeta squared is not: rejected before any
     # graph is built, so numpy never warns and no inf is printed

@@ -18,6 +18,7 @@ from ihull.intervals import (
     Interval,
     cos_sin_interval,
     pi_interval,
+    reduce_angle,
     sqrt_interval,
     two_pi_interval,
 )
@@ -272,22 +273,26 @@ def test_separated_net_needs_two_points():
         cover.separated_net(1)
 
 
+def _angle(zeta, precision=64):
+    """The punctured-plane angle of a standard cover point: zeta mod 2 pi."""
+    return reduce_angle(cover.exact_standard_value(zeta), precision)[1]
+
+
 def test_covering_map_examples():
-    r, theta = cover.covering_map(point(1, 0))
-    assert r == 1 and theta == Interval.point(0)
-    r, theta = cover.covering_map(point(1, 4))
+    assert cover.exact_standard_value(lcf.one()) == 1 and _angle(lcf.zero()) == Interval.point(0)
+    theta = _angle(lcf.from_rational(4))
     assert 4 in theta and theta.width <= F(1, 2**60)
-    r, theta = cover.covering_map(point(2, 7))
-    assert r == 2 and THETA_7 in theta
-    _, theta = cover.covering_map(point(1, -1))
+    assert cover.exact_standard_value(lcf.from_rational(2)) == 2
+    assert THETA_7 in _angle(lcf.from_rational(7))
+    theta = _angle(lcf.from_rational(-1))
     assert F(5283185307179586476925286766559005768394, 10**39) in theta  # 2 pi - 1
 
 
 def test_covering_map_requires_standard():
     with pytest.raises(NotStandard):
-        cover.covering_map(point(ONE + T, lcf.zero()))
+        cover.exact_standard_value(ONE + T)
     with pytest.raises(NotStandard):
-        cover.covering_map(point(lcf.sqrt(lcf.from_rational(2), 4, 64), lcf.zero()))
+        cover.exact_standard_value(lcf.sqrt(lcf.from_rational(2), 4, 64))
 
 
 def test_covering_map_local_isometry():
@@ -298,8 +303,7 @@ def test_covering_map_local_isometry():
         z1 = F(rng.randint(-10, 10), 10)
         z2 = z1 + F(rng.randint(-10, 10), 10)
         d = cover.cover_distance(point(r1, z1), point(r2, z2))
-        _, th1 = cover.covering_map(point(r1, z1))
-        _, th2 = cover.covering_map(point(r2, z2))
+        th1, th2 = _angle(lcf.from_rational(z1)), _angle(lcf.from_rational(z2))
         # chord in the plane between the images (r1, th1) and (r2, th2)
         cos_dth, _ = cos_sin_interval(th1 - th2, 64)
         chord_sq = Interval.point(r1 * r1 + r2 * r2) - cos_dth.scale(2 * r1 * r2)
@@ -310,7 +314,7 @@ def test_covering_map_local_isometry():
 @pytest.mark.parametrize("zeta", (10**6, 10**30))
 def test_covering_map_width_does_not_grow_with_the_winding(zeta):
     # 2*pi is enclosed at the precision plus the bit length of k ~ zeta/(2*pi)
-    angles = {p: cover.covering_map(point(1, zeta), p)[1] for p in (64, 128)}
+    angles = {p: _angle(lcf.from_rational(zeta), p) for p in (64, 128)}
     for precision, theta in angles.items():
         assert theta.width <= F(1, 2**precision)
         assert 0 <= theta.lo and theta.hi < two_pi_interval(256).lo

@@ -17,7 +17,6 @@ from ihull.hull import (
     in_galaxy,
     is_approachable,
     is_nearstandard,
-    same_halo,
 )
 from ihull.intervals import Interval
 from ihull.lcf import IndeterminateComparison, Magnitude, Ternary
@@ -236,9 +235,15 @@ def test_hull_distance_rejects_outside_galaxy():
         hull_distance(LINE, halo(LINE, LINE.point(TI)), halo(LINE, LINE.point(0)))
 
 
+def _halo_gap(space, a, b) -> Magnitude:
+    """Size of the distance between the halos of `a` and `b`: infinitesimal
+    exactly when they are the same halo."""
+    return lcf.classify_magnitude(extended_distance(space, halo(space, a), halo(space, b)))
+
+
 def test_same_halo():
-    assert same_halo(LINE, halo(LINE, LINE.point(ONE)), halo(LINE, LINE.point(ONE + T))) is Ternary.TRUE
-    assert same_halo(LINE, halo(LINE, LINE.point(ONE)), halo(LINE, LINE.point(2))) is Ternary.FALSE
+    assert _halo_gap(LINE, LINE.point(ONE), LINE.point(ONE + T)) is Magnitude.INFINITESIMAL
+    assert _halo_gap(LINE, LINE.point(ONE), LINE.point(2)) is Magnitude.APPRECIABLE
 
 
 def test_hull_distance_representative_independence():
@@ -291,9 +296,9 @@ def test_halo_vs_distance_indiscernibility():
     # distance infinitesimal <=> same halo, exercised on a perturbed pair
     base = COVER.point(ONE, lcf.from_rational(2))
     moved = COVER.point(ONE + lcf.t_power(3), lcf.from_rational(2) + T)
-    assert same_halo(COVER, halo(COVER, base), halo(COVER, moved)) is Ternary.TRUE
+    assert _halo_gap(COVER, base, moved) is Magnitude.INFINITESIMAL
     far = COVER.point(lcf.from_rational(2), lcf.from_rational(2))
-    assert same_halo(COVER, halo(COVER, base), halo(COVER, far)) is Ternary.FALSE
+    assert _halo_gap(COVER, base, far) is Magnitude.APPRECIABLE
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import Interval
+from ihull.intervals import Interval, pi_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -52,6 +52,23 @@ def test_exactness_flags():
     assert ONE.is_exact and lcf.zero().is_zero
     assert not lcf.zero(F(3)).is_zero
     assert not lcf.from_interval(Interval(F(1), F(2))).is_exact
+
+
+def test_constructors_equal_the_public_constructor():
+    rng = Random(11)
+    for _ in range(200):
+        q = F(rng.randint(-6, 6), rng.randint(1, 4))
+        c = F(rng.randint(-5, 5), rng.randint(1, 5))
+        iv = Interval(c, c + F(rng.randint(0, 3), 8))
+        assert lcf.monomial(c, q) == LeviCivitaNumber(((q, c),))
+        assert lcf.monomial(iv, q) == LeviCivitaNumber(((q, iv),))
+        assert lcf.from_rational(c) == LeviCivitaNumber(((0, c),))
+        assert lcf.from_interval(iv) == LeviCivitaNumber(((0, iv),))
+        assert lcf.t_power(q) == LeviCivitaNumber(((q, 1),))
+        assert lcf.monomial(0, q).is_zero and lcf.from_interval(Interval(0, 0)).is_zero
+    assert ONE == LeviCivitaNumber(((0, 1),))
+    assert type(ONE.terms[0][0]) is F and type(lcf.t_power(2).terms[0][0]) is F
+    assert lcf.pi_number(32) == LeviCivitaNumber(((0, pi_interval(32)),))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +299,7 @@ def reference_series(u, order, coefficient):
     while power.terms:
         if coefficient(k):
             total = total + lcf.scale(power, coefficient(k))
-        power, k = lcf.mul(power, u, order), k + 1
+        power, k = lcf.truncate(lcf.mul(power, u), order), k + 1
     return lcf.truncate(total, order)
 
 
@@ -319,9 +336,11 @@ def encloses(big, small):
 
 
 def reference_mul(a, b, cap=INFINITE_ORDER):
-    """The Cauchy product on Fraction exponents, the loop lcf.mul replaced."""
+    """The Cauchy product on Fraction exponents, the loop lcf.mul replaced,
+    truncated at `cap`."""
+    cap = cap if cap is INFINITE_ORDER else F(cap)
     if a.is_zero or b.is_zero:
-        return lcf.zero()
+        return lcf.zero(cap)
     lead = lambda x: x.terms[0][0] if x.terms else F(0)
     if a.order is INFINITE_ORDER and b.order is INFINITE_ORDER:
         order = cap
@@ -363,7 +382,7 @@ def test_mul_equals_the_fraction_exponent_product():
         cap = rng.choice(
             [INFINITE_ORDER, F(rng.randint(-8, 24), rng.randint(1, 6)), rng.randint(-2, 6)]
         )
-        got, want = lcf.mul(a, b, cap), reference_mul(a, b, cap)
+        got, want = lcf.truncate(lcf.mul(a, b), cap), reference_mul(a, b, cap)
         assert got.terms == want.terms, (a, b, cap)
         assert got.order == want.order and type(got.order) is type(want.order)
 

@@ -91,6 +91,13 @@ def test_parse_errors_carry_position():
         parse_expression("1/0")
 
 
+def test_parse_number_divides_only_by_monomials():
+    # without a truncation order "/" cannot expand a series
+    assert parse_number("1/(2t)") == parse_number("1/2t^-1")
+    with pytest.raises(ParseError, match="cannot divide"):
+        parse_number("1/(1-t)")
+
+
 def test_parse_point():
     coords = parse_point("(1, t^-1)")
     assert coords == (lcf.one(), lcf.T_INVERSE)
