@@ -43,6 +43,15 @@ EXIT_INDETERMINATE = 3
 #: The largest --precision accepted: enclosing pi alone grows like p^2.4,
 #: about 0.1 s at 4,000 bits and 3 s at 16,000.
 MAX_PRECISION = 4096
+#: The largest |--order| of eval and classify (README: about 1.6 s at it).
+MAX_ORDER = 2048
+#: The same for dist and hull-dist, whose series run on enclosures.
+MAX_DISTANCE_ORDER = 64
+#: The largest denominator of --order, which does not set the series lattice
+#: (the exponents of the operands do): it keeps the order a short literal.
+MAX_ORDER_DENOMINATOR = 1000
+#: The largest `net n`: about 0.1 ms a point.
+MAX_NET_POINTS = 10_000
 
 
 def precision_bits(text: str) -> int:
@@ -54,9 +63,34 @@ def precision_bits(text: str) -> int:
     return value
 
 
+def net_points(text: str) -> int:
+    value = int(text)
+    if not 2 <= value <= MAX_NET_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"a net has between 2 and {MAX_NET_POINTS} points, got {value}"
+        )
+    return value
+
+
+def order_within(limit: int):
+    """The --order type of a subcommand whose |order| is at most `limit`."""
+
+    def order(text: str) -> Fraction:
+        # no exponent form: Fraction("1e10000000") computes 10^10000000 first
+        value = None if "e" in text.lower() else Fraction(text)
+        if value is None or abs(value) > limit or value.denominator > MAX_ORDER_DENOMINATOR:
+            raise argparse.ArgumentTypeError(
+                f"order must be a rational n/d or decimal of size at most {limit} "
+                f"and denominator at most {MAX_ORDER_DENOMINATOR}, got {text}"
+            )
+        return value
+
+    return order
+
+
 _SHARED_FLAGS = {
     "order": dict(
-        type=Fraction, default=lcf.DEFAULT_ORDER, metavar="Q",
+        default=lcf.DEFAULT_ORDER, metavar="Q",
         help="truncation order for series operations (rational, default %(default)s)",
     ),
     "precision": dict(
@@ -67,10 +101,11 @@ _SHARED_FLAGS = {
 }
 
 
-def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+def _flags(parser: argparse.ArgumentParser, *names: str, max_order: int = MAX_ORDER) -> None:
     """Add the named shared flags, those the subcommand acts on, and --json."""
     for name in names:
-        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
+        extra = {"type": order_within(max_order)} if name == "order" else {}
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name], **extra)
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output on stdout"
     )
@@ -92,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("space", choices=spaces.SPACE_NAMES)
     p_dist.add_argument("p1")
     p_dist.add_argument("p2")
-    _flags(p_dist, "order", "precision")
+    _flags(p_dist, "order", "precision", max_order=MAX_DISTANCE_ORDER)
 
     p_cls = sub.add_parser(
         "classify", help="classify a number (magnitude) or cover point"
@@ -104,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hd.add_argument("space", choices=spaces.SPACE_NAMES)
     p_hd.add_argument("p1")
     p_hd.add_argument("p2")
-    _flags(p_hd, "order", "precision")
+    _flags(p_hd, "order", "precision", max_order=MAX_DISTANCE_ORDER)
 
     p_ver = sub.add_parser("verify", help="run a named verification scenario")
     p_ver.add_argument("scenario", choices=scenarios.SCENARIO_NAMES)
@@ -119,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _flags(p_or, "precision")
 
     p_net = sub.add_parser("net", help="print the 2-separated unit-sphere net")
-    p_net.add_argument("n", type=int)
+    p_net.add_argument("n", type=net_points)
     _flags(p_net)
 
     return parser

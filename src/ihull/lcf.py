@@ -13,13 +13,18 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
-Lattice.  `mul` and the series work on integer exponents: every exponent q
-of the operands becomes n = q*D, D the lcm of their denominators, so that
-(1/D)Z holds all of them and their sums.  An exponent n/D lies below a
-truncation order T exactly when n < ceil(T*D); products are accumulated by
-integer n, and each result term gets one Fraction(n, D).  INFINITE_ORDER
-(the float inf) is tested by identity before any arithmetic, so an exact
-operand never meets a Fraction-float comparison.
+Lattice.  `mul` and the series work on integers.  Every exponent q of the
+operands becomes n = q*D, D the lcm of their denominators, so that (1/D)Z
+holds all of them and their sums; n/D lies below a truncation order T
+exactly when n < ceil(T*D).  INFINITE_ORDER (the float inf) is tested by
+identity before any arithmetic, so an exact operand never meets a
+Fraction-float comparison.  Every coefficient becomes, once, a triple
+(L, H, E) with E > 0 standing for [L/E, H/E].  A product of triples is the
+interval product of their endpoints over the product of the E, a sum goes
+over the lcm of the E, and each result coefficient gets one Fraction per
+endpoint (one for both when L == H).  These are the operations `Interval`
+performs, on the same rationals, so every enclosure is the same; only the
+gcd that Fraction runs after each operation is gone.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -40,7 +45,10 @@ L = lead(u), or T when u stores no term.  On interval coefficients the
 result is sound, each coefficient being an interval evaluation of a
 polynomial in u's coefficients, and nested under refinement: the sequence
 of interval operations depends only on u's exponents, and a coefficient
-refined to exactly 0 acts as a [0, 0] operand and can only raise L.
+refined to exactly 0 acts as a [0, 0] operand and can only raise L.  The
+integer core scales each product by the integer a k + b e of the rule table
+and divides the sum once by d e > 0, which is the same interval, and puts
+it in lowest terms by one gcd: the arguments above carry over unchanged.
 """
 
 from __future__ import annotations
@@ -337,7 +345,7 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     denominator, (ta, tb) = _on_lattice(a.terms, b.terms)
     top = _lattice_top(order, denominator)
     lead_b = tb[0][0] if tb else 0
-    accumulated: dict[int, Interval] = {}
+    accumulated: dict[int, tuple[int, int, int]] = {}
     for na, ca in ta:
         if top is not None and na + lead_b >= top:
             break  # b's exponents only grow from its lead
@@ -345,25 +353,25 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
             n = na + nb
             if top is not None and n >= top:
                 break
-            product = ca * cb
+            product = _product(ca, cb)
             if n in accumulated:
-                accumulated[n] = accumulated[n] + product
+                accumulated[n] = _sum(accumulated[n], product)
             else:
                 accumulated[n] = product
     terms = tuple(
-        (Fraction(n, denominator), c)
+        (Fraction(n, denominator), _interval(c))
         for n, c in sorted(accumulated.items())
-        if not c.is_zero
+        if c[0] or c[1]
     )
     return LeviCivitaNumber._from_canonical(terms, order)
 
 
 def _on_lattice(*supports):
-    """(D, supports with each exponent q as the integer q * D), D the lcm of
-    the exponent denominators."""
+    """(D, supports with each term (q, c) as (q * D, the triple of c)), D the
+    lcm of the exponent denominators."""
     denominator = math.lcm(*(q.denominator for terms in supports for q, _ in terms))
     return denominator, [
-        [(q.numerator * (denominator // q.denominator), c) for q, c in terms]
+        [(q.numerator * (denominator // q.denominator), _triple(c)) for q, c in terms]
         for terms in supports
     ]
 
@@ -371,6 +379,44 @@ def _on_lattice(*supports):
 def _lattice_top(order, denominator: int) -> int | None:
     """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
     return None if order is INFINITE_ORDER else math.ceil(order * denominator)
+
+
+# -- integer-endpoint core (module docstring) ------------------------------------
+
+def _triple(c: Interval) -> tuple[int, int, int]:
+    """(L, H, E) with [L/E, H/E] = c, E the lcm of the endpoint denominators."""
+    b, d = c.lo.denominator, c.hi.denominator
+    lcm = b if b == d else b // math.gcd(b, d) * d
+    return c.lo.numerator * (lcm // b), c.hi.numerator * (lcm // d), lcm
+
+
+def _interval(c: tuple[int, int, int]) -> Interval:
+    lo_num, hi_num, d = c
+    lo = Fraction(lo_num, d)
+    return Interval._unchecked(lo, lo if lo_num == hi_num else Fraction(hi_num, d))
+
+
+def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The interval product of two triples, over the product of their E."""
+    (l1, h1, d1), (l2, h2, d2) = x, y
+    if l1 == h1:
+        lo, hi = l1 * l2, l1 * h2
+    elif l2 == h2:
+        lo, hi = l1 * l2, h1 * l2
+    else:
+        p = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
+        lo, hi = min(p), max(p)
+    return (lo, hi, d1 * d2) if lo <= hi else (hi, lo, d1 * d2)
+
+
+def _sum(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The interval sum of two triples, over the lcm of their E."""
+    (l1, h1, d1), (l2, h2, d2) = x, y
+    if d1 == d2:
+        return l1 + l2, h1 + h2, d1
+    g = math.gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return l1 * m1 + l2 * m2, h1 * m1 + h2 * m2, d1 * m1
 
 
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
@@ -532,11 +578,12 @@ def _split_leading(a: LeviCivitaNumber) -> tuple[Fraction, Interval, LeviCivitaN
     return q, c, u
 
 
-#: Series rules (y_0, a, b, source, k1):  e y_e = sum_k (a k + b e) u_k y'_(e-k)
-#: with y' = rules[source]; (1 + u)^alpha has a = alpha + 1 and b = -1.
-_INVERSE = ((1, 0, -1, 0, 1),)
-_SQRT = ((1, Fraction(3, 2), -1, 0, 1),)
-_COS_SIN = ((1, -1, 0, 1, 2), (0, 1, 0, 0, 1))
+#: Series rules (y_0, a, b, d, source, k1), all integers:
+#: d e y_e = sum_k (a k + b e) u_k y'_(e-k) with y' = rules[source];
+#: (1 + u)^alpha has a = d (alpha + 1) and b = -d.
+_INVERSE = ((1, 0, -1, 1, 0, 1),)
+_SQRT = ((1, 3, -2, 2, 0, 1),)
+_COS_SIN = ((1, -1, 0, 1, 1, 2), (0, 1, 0, 1, 0, 1))
 
 
 def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
@@ -560,22 +607,26 @@ def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
         frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached
         reached |= frontier
     exponents = sorted(reached)
-    series = [{0: start.terms[0][1]} if start.terms else {} for start in starts]
+    series = [{0: (y0, y0, 1)} if y0 else {} for y0, *_ in rules]
     for e in exponents[1:]:
-        for y, top_y, (_, a, b, source, _) in zip(series, tops, rules):
+        for y, top_y, (_, a, b, d, source, _) in zip(series, tops, rules):
             total = None
             for k, c in steps:
                 if k > e or e >= top_y:
                     break
                 w = series[source].get(e - k)
                 if w is not None:
-                    term = (c * w).scale(Fraction(a * k + b * e, e))
-                    total = term if total is None else total + term
-            if total is not None and not total.is_zero:
-                y[e] = total
+                    lo, hi, den = _product(c, w)
+                    f = a * k + b * e
+                    term = (lo * f, hi * f, den) if f >= 0 else (hi * f, lo * f, den)
+                    total = term if total is None else _sum(total, term)
+            if total is not None and (total[0] or total[1]):
+                lo, hi, den = total[0], total[1], total[2] * d * e
+                g = math.gcd(lo, hi, den)
+                y[e] = (lo // g, hi // g, den // g)
     return tuple(
         LeviCivitaNumber._from_canonical(
-            tuple((Fraction(e, denominator), c) for e, c in y.items()), cap
+            tuple((Fraction(e, denominator), _interval(c)) for e, c in y.items()), cap
         )
         for y, cap in zip(series, caps)
     )

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,45 @@ def test_precision_above_the_bound_is_rejected_before_any_computation(capsys, mo
             assert code == 2 and out == ""
             assert f"between 1 and {cli.MAX_PRECISION} bits" in err
     assert cli.precision_bits(str(cli.MAX_PRECISION)) == cli.MAX_PRECISION
+
+
+def test_order_and_net_above_their_bounds_are_rejected_before_any_computation(
+    capsys, monkeypatch
+):
+    from ihull import cli, cover, spaces
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected order or net size must not reach the library")
+
+    for module, name in (
+        (cli, "parse_expression"), (cli, "parse_point"),
+        (spaces, "get_space"), (cover, "separated_net"),
+    ):
+        monkeypatch.setattr(module, name, unreachable)
+    too_large = lambda limit: (limit + 1, -limit - 1, 10**9, f"1/{cli.MAX_ORDER_DENOMINATOR + 1}")
+    for command, limit in (
+        (("eval", "1/(1-t)"), cli.MAX_ORDER),
+        (("classify", "1/(1-t)"), cli.MAX_ORDER),
+        (("dist", "cover", "(1, 0)", "(1, 1)"), cli.MAX_DISTANCE_ORDER),
+        (("hull-dist", "cover", "(1, 0)", "(1, 1)"), cli.MAX_DISTANCE_ORDER),
+    ):
+        # an exponent form is refused unread: Fraction would first build 10^exponent
+        for order in (*too_large(limit), "1e100000"):
+            code, out, err = run(capsys, *command, f"--order={order}")
+            assert code == 2 and out == ""
+            assert f"size at most {limit} and denominator at most" in err
+    for n in (cli.MAX_NET_POINTS + 1, 10**9, 1, 0, -1):
+        code, out, err = run(capsys, "net", str(n))
+        assert code == 2 and out == ""
+        assert f"between 2 and {cli.MAX_NET_POINTS} points" in err
+    # the bounds admit the orders and net sizes the README, tests and benchmark use
+    series_order = cli.order_within(cli.MAX_ORDER)
+    for text in ("1480", "17/3", "-3", "0", "2.5", str(cli.MAX_ORDER)):
+        assert series_order(text) == Fraction(text)
+    distance_order = cli.order_within(cli.MAX_DISTANCE_ORDER)
+    assert distance_order(str(cli.MAX_DISTANCE_ORDER)) == cli.MAX_DISTANCE_ORDER
+    assert [cli.net_points(str(n)) for n in (2, 3, 10, 12)] == [2, 3, 10, 12]
+    assert cli.net_points(str(cli.MAX_NET_POINTS)) == cli.MAX_NET_POINTS
 
 
 def test_oracle_coordinates_a_float_cannot_hold(capsys):
