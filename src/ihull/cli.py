@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -43,10 +44,13 @@ EXIT_INDETERMINATE = 3
 #: The largest --precision accepted: enclosing pi alone grows like p^2.4,
 #: about 0.1 s at 4,000 bits and 3 s at 16,000.
 MAX_PRECISION = 4096
-#: The largest |--order| of eval and classify (README: about 1.6 s at it).
+#: The largest |--order| of eval and classify (README: about 0.9 s at it).
 MAX_ORDER = 2048
-#: The same for dist and hull-dist, whose series run on enclosures.
+#: The same for dist and hull-dist, whose series run on enclosures; also their
+#: most points of the literals' exponent lattice (1/D)Z in [0, |--order|).
 MAX_DISTANCE_ORDER = 64
+#: The most such points for eval and classify (README: its 1/(1-t/2-t^2/3)).
+MAX_LATTICE_POINTS = 3 * MAX_ORDER
 #: The largest denominator of --order, which does not set the series lattice
 #: (the exponents of the operands do): it keeps the order a short literal.
 MAX_ORDER_DENOMINATOR = 1000
@@ -193,9 +197,9 @@ def _cmd_dist(args) -> int:
     elif st.is_exact:
         lines.append(f"st = {st.lo}")
     else:
-        lines.append(f"st ~ {parsing.approx_text(st.midpoint, 12)}")
+        lines.append(f"st ~ {parsing.approx_text(st, 12)}")
     st_json = None if st is None else {
-        "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st.midpoint)
+        "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st)
     }
     _emit(
         args,
@@ -231,7 +235,7 @@ def _cmd_hull_dist(args) -> int:
     payload = {
         "space": args.space,
         "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
-        "approx": parsing.approx_float(value.midpoint),
+        "approx": parsing.approx_float(value),
     }
     _emit(args, payload, [str(value)])
     return EXIT_OK
@@ -255,10 +259,10 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_coordinate(value: Fraction) -> float:
-    approx = parsing.approx_float(value)
-    if approx is None:
-        raise ValueError("a coordinate is too large for the float grid oracle")
-    return approx
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a coordinate is too large for the float grid oracle") from None
 
 
 def _cmd_oracle(args) -> int:
@@ -315,6 +319,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if hasattr(args, "order"):  # from the literals' tokens, before any is evaluated
+            literals = [vars(args).get(name, "") for name in ("expr", "point", "p1", "p2")]
+            points = math.ceil(abs(args.order) * math.lcm(*map(parsing.exponent_lcm, literals)))
+            limit = MAX_DISTANCE_ORDER if args.command.endswith("dist") else MAX_LATTICE_POINTS
+            if points > limit:
+                raise ValueError(
+                    f"--order {args.order} spans {points} points of the literals' "
+                    f"exponent lattice, more than {limit}"
+                )
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

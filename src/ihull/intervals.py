@@ -72,11 +72,13 @@ class Interval:
 
     @property
     def is_exact(self) -> bool:
-        return self.lo == self.hi
+        # identity, else numerator and denominator: no Fraction comparison
+        lo, hi = self.lo, self.hi
+        return lo is hi or (lo.numerator == hi.numerator and lo.denominator == hi.denominator)
 
     @property
     def is_zero(self) -> bool:
-        return self.lo == 0 and self.hi == 0
+        return not (self.lo or self.hi)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
@@ -105,9 +107,9 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        if self.lo is self.hi or self.lo == self.hi:
+        if self.is_exact:
             lo = self.lo + other.lo
-            if other.lo == other.hi:
+            if other.is_exact:
                 return Interval._unchecked(lo, lo)
             return Interval._unchecked(lo, self.lo + other.hi)
         return Interval._unchecked(self.lo + other.lo, self.hi + other.hi)
@@ -119,9 +121,9 @@ class Interval:
         return Interval._unchecked(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        if self.lo == self.hi:
+        if self.is_exact:
             return other.scale(self.lo)
-        if other.lo == other.hi:
+        if other.is_exact:
             return self.scale(other.lo)
         products = (
             self.lo * other.lo,
@@ -133,7 +135,7 @@ class Interval:
 
     def scale(self, factor) -> "Interval":
         f = factor if isinstance(factor, Fraction) else Fraction(factor)
-        if self.lo == self.hi:
+        if self.is_exact:
             p = self.lo * f
             return Interval._unchecked(p, p)
         if f >= 0:
@@ -295,7 +297,7 @@ _REDUCE_ABOVE = 4
 def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
     """Enclosures [m - 4g, m + 4g] of (cos s, sin s) from raw enclosures of
     half-width <= g = 2^-(precision + C) (module docstring)."""
-    if s == 0:
+    if not s:
         return ONE_INTERVAL, ZERO_INTERVAL
     bits = precision + _COS_SIN_EXTRA_BITS
     a = abs(s)
@@ -378,13 +380,18 @@ def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:
     """Enclosures of (cos, sin) over a rational interval.
 
     Evaluates both at the midpoint and pads each by the halfwidth
-    (|cos'|, |sin'| <= 1), then clamps to [-1, 1].
+    (|cos'|, |sin'| <= 1), then clamps to [-1, 1].  An exact point is its
+    own midpoint and needs no pad, and an enclosure within [-1, 1] no clamp.
     """
-    c, s = _cos_sin_rational(x.midpoint, precision)
-    return _pad_and_clamp(c, x.width / 2), _pad_and_clamp(s, x.width / 2)
+    exact = x.is_exact
+    c, s = _cos_sin_rational(x.lo if exact else x.midpoint, precision)
+    if not exact:
+        pad = x.width / 2
+        c, s = Interval(c.lo - pad, c.hi + pad), Interval(s.lo - pad, s.hi + pad)
+    return _clamp(c), _clamp(s)
 
 
-def _pad_and_clamp(enc: Interval, pad: Fraction) -> Interval:
-    padded = Interval(enc.lo - pad, enc.hi + pad)
-    clamped = padded.intersect(Interval(Fraction(-1), Fraction(1)))
-    return clamped if clamped is not None else padded
+def _clamp(enc: Interval) -> Interval:
+    if -1 <= enc.lo and enc.hi <= 1:
+        return enc
+    return enc.intersect(Interval(Fraction(-1), _ONE)) or enc

@@ -13,18 +13,22 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
-Lattice.  `mul` and the series work on integers.  Every exponent q of the
-operands becomes n = q*D, D the lcm of their denominators, so that (1/D)Z
-holds all of them and their sums; n/D lies below a truncation order T
-exactly when n < ceil(T*D).  INFINITE_ORDER (the float inf) is tested by
-identity before any arithmetic, so an exact operand never meets a
-Fraction-float comparison.  Every coefficient becomes, once, a triple
-(L, H, E) with E > 0 standing for [L/E, H/E].  A product of triples is the
-interval product of their endpoints over the product of the E, a sum goes
-over the lcm of the E, and each result coefficient gets one Fraction per
-endpoint (one for both when L == H).  These are the operations `Interval`
-performs, on the same rationals, so every enclosure is the same; only the
-gcd that Fraction runs after each operation is gone.
+Lattice.  `mul`, `scale` and the series functions work on integers.  Every
+exponent q of the operands becomes n = q*D, D the lcm of their denominators
+(twice it in a split, so q/2 is on it too), so that (1/D)Z holds all of them
+and their sums; n/D lies below a truncation order T exactly when
+n < ceil(T*D).  INFINITE_ORDER (the float inf) is tested by identity before
+any arithmetic, so an exact operand never meets a Fraction-float comparison.
+Every coefficient becomes, once, a triple (L, H, E) with E > 0 standing for
+[L/E, H/E].  A product of triples is the interval product of their endpoints
+over the product of the E, a sum goes over the lcm of the E, and each result
+coefficient gets one Fraction per endpoint (one for both when L == H).  A
+series function stays on triples from the split a = c t^q (1 + u), whose u
+is the tail times 1/c reduced by one gcd, to the rescale by 1/c or sqrt(c),
+or the angle addition with cos s and sin s, of each result coefficient.
+These are the operations `Interval` performs, on the same rationals, so
+every enclosure is the same; only the gcd that Fraction runs after each
+operation is gone.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -57,6 +61,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 
 from .errors import (
     IndeterminateComparison,
@@ -243,32 +248,14 @@ T_INVERSE = t_power(-1)
 
 # -- structural helpers --------------------------------------------------------
 
-def truncate(a: LeviCivitaNumber, order) -> LeviCivitaNumber:
-    """Forget everything at or above `order` (keeps the tighter of the two)."""
-    order = _as_order(order)
-    if order is INFINITE_ORDER or (a.order is not INFINITE_ORDER and order >= a.order):
-        return a
-    kept = a.terms
-    while kept and kept[-1][0] >= order:
-        kept = kept[:-1]
-    return LeviCivitaNumber._from_canonical(kept, order)
-
-
-def shift(a: LeviCivitaNumber, delta) -> LeviCivitaNumber:
-    """Multiply by t^delta: shifts every exponent and the truncation order."""
-    d = _as_exponent(delta)
-    return LeviCivitaNumber._from_canonical(
-        tuple((q + d, c) for q, c in a.terms), _order_plus(a.order, d)
-    )
-
-
 def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     """Multiply by a scalar rational or interval (exponents unchanged)."""
     f = _as_interval(factor)
     if f.is_zero:
         return zero()  # an exact zero factor leaves no unknown tail
+    f = _triple(f)
     return LeviCivitaNumber._from_canonical(
-        tuple((q, c * f) for q, c in a.terms), a.order
+        tuple((q, _interval(_product(_triple(c), f))) for q, c in a.terms), a.order
     )
 
 
@@ -366,10 +353,10 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     return LeviCivitaNumber._from_canonical(terms, order)
 
 
-def _on_lattice(*supports):
+def _on_lattice(*supports, factor: int = 1):
     """(D, supports with each term (q, c) as (q * D, the triple of c)), D the
-    lcm of the exponent denominators."""
-    denominator = math.lcm(*(q.denominator for terms in supports for q, _ in terms))
+    lcm of the exponent denominators times `factor`."""
+    denominator = factor * math.lcm(*(q.denominator for terms in supports for q, _ in terms))
     return denominator, [
         [(q.numerator * (denominator // q.denominator), _triple(c)) for q, c in terms]
         for terms in supports
@@ -419,6 +406,12 @@ def _sum(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, in
     return l1 * m1 + l2 * m2, h1 * m1 + h2 * m2, d1 * m1
 
 
+def _reduced(x: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x over its least E: the triple `_triple` gives for the same interval."""
+    g = math.gcd(*x)
+    return x[0] // g, x[1] // g, x[2] // g
+
+
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     """Multiplicative inverse via the geometric series.
 
@@ -433,9 +426,8 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
         raise ZeroOrUnknownLeading(
             "cannot invert: leading coefficient is zero or of unknown sign"
         )
-    q, c, u = _split_leading(a)
-    (series,) = _series(u, order, _INVERSE)
-    return shift(scale(series, c.reciprocal()), -q)
+    u, inverse_c, n = _split_leading(a)
+    return _series(u, order, _INVERSE, ((0, inverse_c),), -n)
 
 
 # -- order ------------------------------------------------------------------------
@@ -570,12 +562,15 @@ def halo_equal(a: LeviCivitaNumber, b: LeviCivitaNumber) -> Ternary:
 
 # -- series functions -----------------------------------------------------------------
 
-def _split_leading(a: LeviCivitaNumber) -> tuple[Fraction, Interval, LeviCivitaNumber]:
-    """a = c t^q (1 + u) with u strictly infinitesimal; returns (q, c, u)."""
-    q, c = a.terms[0]
-    tail = LeviCivitaNumber(a.terms[1:], a.order)
-    u = shift(scale(tail, c.reciprocal()), -q)
-    return q, c, u
+def _split_leading(a: LeviCivitaNumber):
+    """a = c t^q (1 + u) with u strictly infinitesimal: (u as `_series` takes
+    it, the triple of 1/c, q D), D twice the lcm of a's exponent denominators
+    (module docstring)."""
+    denominator, (terms,) = _on_lattice(a.terms, factor=2)
+    lead, (lo, hi, d) = terms[0]
+    inverse_c = _reduced((d * lo, d * hi, lo * hi))  # [d/hi, d/lo], lo hi > 0
+    steps = [(n - lead, _reduced(_product(ci, inverse_c))) for n, ci in terms[1:]]
+    return (denominator, steps, _order_plus(a.order, -a.terms[0][0])), inverse_c, lead
 
 
 #: Series rules (y_0, a, b, d, source, k1), all integers:
@@ -586,29 +581,29 @@ _SQRT = ((1, 3, -2, 2, 0, 1),)
 _COS_SIN = ((1, -1, 0, 1, 1, 2), (0, 1, 0, 1, 0, 1))
 
 
-def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
-    """One series per rule at infinitesimal u (module docstring), at the
-    lattice points n of sums of u's exponents below the cap."""
+def _series(u, order, rules, combination, shift: int) -> LeviCivitaNumber:
+    """One series per rule at infinitesimal u = (D, its terms (n, triple) on
+    (1/D)Z, its order) (module docstring), at the lattice points n of sums of
+    u's exponents below the cap; returns the sum of the series `combination`
+    names times their factor triples, every exponent raised by shift / D."""
+    denominator, steps, u_order = u
     order = _as_order(order)
-    starts = [from_rational(rule[0]) for rule in rules]
-    if u.is_zero:
-        return tuple(starts)
-    if order is INFINITE_ORDER and u.terms:
+    if not steps and u_order is INFINITE_ORDER:
+        caps = [INFINITE_ORDER] * len(rules)  # u = 0: the exact starts
+    elif order is INFINITE_ORDER and steps:
         raise ValueError("series does not terminate at infinite truncation order")
-    lead = u.terms[0][0] if u.terms else u.order
-    caps = [_min_order(order, _order_plus(u.order, (k1 - 1) * lead)) for *_, k1 in rules]
-    steps = [(q, c) for q, c in u.terms if q < max(caps)]
-    if not steps:
-        return tuple(truncate(start, cap) for start, cap in zip(starts, caps))
-    denominator, (steps,) = _on_lattice(steps)
+    else:
+        lead = Fraction(steps[0][0], denominator) if steps else u_order
+        caps = [_min_order(order, _order_plus(u_order, (k1 - 1) * lead)) for *_, k1 in rules]
     tops = [_lattice_top(cap, denominator) for cap in caps]
-    top, reached, frontier = max(tops), {0}, {0}
-    while frontier:
+    series = [{0: (y0, y0, 1)} if y0 else {} for y0, *_ in rules]
+    top = max(tops) if steps else 0
+    steps = [(k, c) for k, c in steps if k < top]
+    reached, frontier = {0}, {0}
+    while steps and frontier:
         frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached
         reached |= frontier
-    exponents = sorted(reached)
-    series = [{0: (y0, y0, 1)} if y0 else {} for y0, *_ in rules]
-    for e in exponents[1:]:
+    for e in sorted(reached)[1:]:
         for y, top_y, (_, a, b, d, source, _) in zip(series, tops, rules):
             total = None
             for k, c in steps:
@@ -621,14 +616,20 @@ def _series(u: LeviCivitaNumber, order, rules) -> tuple[LeviCivitaNumber, ...]:
                     term = (lo * f, hi * f, den) if f >= 0 else (hi * f, lo * f, den)
                     total = term if total is None else _sum(total, term)
             if total is not None and (total[0] or total[1]):
-                lo, hi, den = total[0], total[1], total[2] * d * e
-                g = math.gcd(lo, hi, den)
-                y[e] = (lo // g, hi // g, den // g)
-    return tuple(
-        LeviCivitaNumber._from_canonical(
-            tuple((Fraction(e, denominator), _interval(c)) for e, c in y.items()), cap
-        )
-        for y, cap in zip(series, caps)
+                y[e] = _reduced((total[0], total[1], total[2] * d * e))
+    # the rescale and angle addition: one product per term, one sum per exponent
+    parts = [(series[i], caps[i], f) for i, f in combination if f[0] or f[1]]
+    cap = _min_order(*(cap for _, cap, _ in parts))
+    top = _lattice_top(cap, denominator)
+    terms = []
+    for e in sorted({e for y, _, _ in parts for e in y}):
+        if top is not None and e >= top:
+            break
+        total = reduce(_sum, (_product(y[e], f) for y, _, f in parts if e in y))
+        if total[0] or total[1]:
+            terms.append((Fraction(e + shift, denominator), _interval(total)))
+    return LeviCivitaNumber._from_canonical(
+        tuple(terms), _order_plus(cap, Fraction(shift, denominator))
     )
 
 
@@ -646,9 +647,9 @@ def sqrt(
     lead = a.leading
     if lead is None or lead[1].lo <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
-    q, c, u = _split_leading(a)
-    (series,) = _series(u, order if order is INFINITE_ORDER else order - q / 2, _SQRT)
-    return shift(scale(series, sqrt_interval(c, precision)), q / 2)
+    (q, c), (u, _, n) = lead, _split_leading(a)
+    series_order = order if order is INFINITE_ORDER else order - q / 2
+    return _series(u, series_order, _SQRT, ((0, _triple(sqrt_interval(c, precision))),), n // 2)
 
 
 def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:
@@ -660,25 +661,24 @@ def cos_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """cos of a finite value: cos(s)cos(u) - sin(s)sin(u) with s = st-part."""
-    cos_s, sin_s, cos_u, sin_u = _angle_addition_parts(a, order, precision)
-    return sub(scale(cos_u, cos_s), scale(sin_u, sin_s))
+    cos_s, (lo, hi, den), u = _angle_addition_parts(a, precision)
+    return _series(u, order, _COS_SIN, ((0, cos_s), (1, (-hi, -lo, den))), 0)
 
 
 def sin_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """sin of a finite value, by the same angle-addition split as cos."""
-    cos_s, sin_s, cos_u, sin_u = _angle_addition_parts(a, order, precision)
-    return add(scale(sin_u, cos_s), scale(cos_u, sin_s))
+    cos_s, sin_s, u = _angle_addition_parts(a, precision)
+    return _series(u, order, _COS_SIN, ((1, cos_s), (0, sin_s)), 0)
 
 
-def _angle_addition_parts(
-    a: LeviCivitaNumber, order, precision: int
-) -> tuple[Interval, Interval, LeviCivitaNumber, LeviCivitaNumber]:
-    """(cos s, sin s, cos u, sin u) for a = s + u, s the standard part of a
-    (NotFinite unless it is determined) and u the positive part."""
-    u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)
-    return (*cos_sin_interval(standard_part(a), precision), *_series(u, order, _COS_SIN))
+def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
+    """(cos s, sin s) as triples and u as `_series` takes it for a = s + u,
+    s the standard part (NotFinite unless determined), u the positive part."""
+    cos_s, sin_s = cos_sin_interval(standard_part(a), precision)
+    denominator, (steps,) = _on_lattice([(q, c) for q, c in a.terms if q > 0])
+    return _triple(cos_s), _triple(sin_s), (denominator, steps, a.order)
 
 
 # -- rational approximation -----------------------------------------------------------

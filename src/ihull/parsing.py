@@ -21,6 +21,7 @@ in a loop, so any number of them parses.
 from __future__ import annotations
 
 import decimal
+import math
 import re
 from fractions import Fraction
 
@@ -188,6 +189,20 @@ class _Parser:
             raise ParseError("zero denominator in rational literal", pos) from None
 
 
+def exponent_lcm(text: str) -> int:
+    """The lcm of the exponent denominators (after ``^`` or ``^-``) as written
+    in `text`, read from its tokens; 1 when it does not tokenize, as the parser
+    then evaluates none of it."""
+    try:
+        tokens = [(kind, value) for kind, value, _ in _tokenize(text) if value != "-"]
+    except ParseError:
+        return 1
+    return math.lcm(*(
+        int(v.partition("/")[2] or 1) or 1  # a zero is a parse error, where the parser stops
+        for (_, u), (kind, v) in zip(tokens, tokens[1:]) if u == "^" and kind == "rational"
+    ))
+
+
 def parse_number(text: str) -> LeviCivitaNumber:
     """Parse a literal (full expression grammar); ``/`` divides only by monomials."""
     return _Parser(text, INFINITE_ORDER).parse()
@@ -217,22 +232,26 @@ def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]
 # formatting
 # ---------------------------------------------------------------------------
 
-def approx_float(value: Fraction) -> float | None:
-    """The float nearest `value`, for display; None beyond the float range."""
+def approx_float(value: Interval) -> float | None:
+    """The float nearest the midpoint of `value`, for display; None beyond
+    the float range.  The midpoint (n1 d2 + n2 d1) / (2 d1 d2) of n1/d1 and
+    n2/d2 is rounded once, by int true division, without a Fraction."""
+    (n1, d1), (n2, d2) = value.lo.as_integer_ratio(), value.hi.as_integer_ratio()
     try:
-        return float(value)
+        return (n1 * d2 + n2 * d1) / (2 * d1 * d2)
     except OverflowError:
         return None
 
 
-def approx_text(value: Fraction, digits: int) -> str:
-    """`value` to `digits` significant digits: the float's ``g`` format, or
-    decimal rounding of the exact value where no float holds it."""
+def approx_text(value: Interval, digits: int) -> str:
+    """The midpoint of `value` to `digits` significant digits: the float's ``g``
+    format, or decimal rounding of the exact midpoint where no float holds it."""
     approx = approx_float(value)
     if approx is not None:
         return f"{approx:.{digits}g}"
+    midpoint = value.midpoint
     context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
-    quotient = context.divide(decimal.Decimal(value.numerator), value.denominator)
+    quotient = context.divide(decimal.Decimal(midpoint.numerator), midpoint.denominator)
     return f"{quotient.normalize(context):g}"
 
 
@@ -255,7 +274,7 @@ def _format_term(exponent: Fraction, coeff: Interval) -> str:
         if c == -1:
             return f"-{tpart}"
         return f"{c}{tpart}"
-    approx = f"~{approx_text(coeff.midpoint, 17)}"
+    approx = f"~{approx_text(coeff, 17)}"
     return f"{approx}{tpart}" if tpart else approx
 
 
@@ -292,7 +311,7 @@ def number_to_json(x: LeviCivitaNumber):
                 "exponent": str(q),
                 "lo": str(c.lo),
                 "hi": str(c.hi),
-                "approx": approx_float(c.midpoint),
+                "approx": approx_float(c),
             }
             for q, c in x.terms
         ],

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ihull.cli import main
-from ihull.parsing import parse_number
+from ihull.parsing import exponent_lcm, parse_number
 
 
 def run(capsys, *argv):
@@ -286,6 +286,36 @@ def test_order_and_net_above_their_bounds_are_rejected_before_any_computation(
     assert distance_order(str(cli.MAX_DISTANCE_ORDER)) == cli.MAX_DISTANCE_ORDER
     assert [cli.net_points(str(n)) for n in (2, 3, 10, 12)] == [2, 3, 10, 12]
     assert cli.net_points(str(cli.MAX_NET_POINTS)) == cli.MAX_NET_POINTS
+
+
+def test_lattice_above_the_bound_is_rejected_before_any_computation(capsys, monkeypatch):
+    from ihull import cli, spaces
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected lattice must not reach the library")
+
+    for module, name in ((cli, "parse_expression"), (cli, "parse_point"), (spaces, "get_space")):
+        monkeypatch.setattr(module, name, unreachable)
+    for argv, points, limit in (
+        (["eval", "1/(1-t^1/1000)", "--order", "2048"], 2048000, cli.MAX_LATTICE_POINTS),
+        (["eval", "1/(1-t^1/1000)"], 8000, cli.MAX_LATTICE_POINTS),
+        (["classify", "1 + O(t^-1/999)", "--order", "9"], 8991, cli.MAX_LATTICE_POINTS),
+        (["dist", "cover", "(1+t^1/6, t^1/6)", "(2, 1)", "--order", "64"], 384, cli.MAX_DISTANCE_ORDER),
+        (["hull-dist", "cover", "(1, 0)", "(2, t^1/7)", "--order", "9.5"], 67, cli.MAX_DISTANCE_ORDER),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"spans {points} points of the literals' exponent lattice, more than {limit}" in err
+    # a literal the parser stops in counts every exponent before the stop
+    code, out, err = run(capsys, "eval", "1/(1-t^1/1000) + t^(1)")
+    assert code == 2 and "spans 8000 points" in err
+    # the bound admits the literals and orders the README, tests and benchmark use:
+    # probe exponents have denominators up to 3, so lattices up to (1/6)Z, and
+    # README's largest eval has t^2/3 = t^(2/3), so (1/3)Z at order 2048
+    assert [exponent_lcm(text) for text in ("(1 + 2t^1/2, -t^2/3)", "t^-1/3", "1/(1-t-t^2)")] == [6, 3, 1]
+    assert 2048 * exponent_lcm("1/(1-t/2-t^2/3)") == 6144 == cli.MAX_LATTICE_POINTS
+    # denominators count as written; a zero one or a bad character counts 1
+    assert [exponent_lcm(text) for text in ("O(t^2/4)", "t^1/0", "t^1/2 # 1")] == [4, 1, 1]
 
 
 def test_oracle_coordinates_a_float_cannot_hold(capsys):

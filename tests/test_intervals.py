@@ -51,6 +51,63 @@ def test_interval_predicates():
         Interval(F(-1), F(1)).reciprocal()
 
 
+def _reference_arithmetic(x, y):
+    """x + y, x * y and x.scale(y.lo) as Interval computed them when it
+    decided exactness by Fraction ==, each as (lo, hi, lo is hi)."""
+    def scale(a, f):
+        if a.lo == a.hi:
+            p = a.lo * f
+            return p, p
+        return (a.lo * f, a.hi * f) if f >= 0 else (a.hi * f, a.lo * f)
+
+    def mul(a, b):
+        if a.lo == a.hi:
+            return scale(b, a.lo)
+        if b.lo == b.hi:
+            return scale(a, b.lo)
+        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+        return min(products), max(products)
+
+    def add(a, b):
+        if a.lo == a.hi:
+            lo = a.lo + b.lo
+            return (lo, lo) if b.lo == b.hi else (lo, a.lo + b.hi)
+        return a.lo + b.lo, a.hi + b.hi
+
+    return x.lo == x.hi, [(lo, hi, lo is hi) for lo, hi in (add(x, y), mul(x, y), scale(x, y.lo))]
+
+
+def test_exactness_is_decided_without_fraction_equality(monkeypatch):
+    # points with one endpoint object, equal endpoints held in distinct
+    # Fraction objects, zeros, intervals straddling, touching and avoiding 0
+    rng = Random(29)
+    cases = [Interval.point(F(3, 4)), Interval._unchecked(F(3, 4), F(6, 8)), Interval(F(0), F(0))]
+    for _ in range(30):
+        n, d = rng.randint(-9, 9), rng.randint(1, 9)
+        lo = F(n, d)
+        hi = rng.choice([lo, F(n, d), F(2 * n, 2 * d), lo + F(rng.randint(1, 9), rng.randint(1, 9))])
+        cases.append(Interval(lo, hi))
+    want = [[_reference_arithmetic(x, y) for y in cases] for x in cases]
+    calls, equal = 0, F.__eq__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return equal(a, b)
+
+    monkeypatch.setattr(F, "__eq__", counted)
+    got = [
+        [
+            (x.is_exact, [(r.lo, r.hi, r.lo is r.hi) for r in (x + y, x * y, x.scale(y.lo))])
+            for y in cases
+        ]
+        for x in cases
+    ]
+    monkeypatch.undo()
+    assert calls == 0
+    assert got == want
+
+
 def test_sqrt_bounds_enclose_and_width():
     lo, hi = sqrt_bounds(F(2), 64)
     assert lo < SQRT2 < hi

@@ -14,7 +14,7 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import Interval, pi_interval
+from ihull.intervals import Interval, _cos_sin_rational, pi_interval, sqrt_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -36,6 +36,11 @@ def num(text):
     from ihull.parsing import parse_number
 
     return parse_number(text)
+
+
+def truncate(a, order):
+    """a with everything at or above `order` forgotten; the tighter order wins."""
+    return LeviCivitaNumber(a.terms, min(order, a.order))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +89,7 @@ def test_add_disjoint_exponents():
 
 
 def test_add_truncation_dominates():
-    result = lcf.truncate(ONE, 3) + lcf.t_power(5)
+    result = truncate(ONE, 3) + lcf.t_power(5)
     assert result.terms == ((F(0), Interval.point(1)),)
     assert result.order == 3
 
@@ -100,21 +105,21 @@ def test_mul_fractional_exponents():
 def test_mul_annihilation():
     assert (lcf.zero() * TI).is_zero
     # an exact zero factor annihilates the other's unknown tail too
-    truncated = lcf.truncate(ONE + T, 3)
+    truncated = truncate(ONE + T, 3)
     assert (lcf.zero() * truncated).is_zero and (truncated * lcf.zero()).is_zero
     assert lcf.scale(truncated, 0).is_zero
 
 
 def test_mul_truncation_rule():
-    a = lcf.truncate(ONE + T, 4)           # 1 + t + O(t^4)
+    a = truncate(ONE + T, 4)               # 1 + t + O(t^4)
     b = lcf.scale(T, 3)                    # 3t
     product = a * b
     assert product.order == 5              # O(t^4) * 3t enters at t^5
-    assert product == lcf.truncate(num("3t + 3t^2"), 5)
+    assert product == truncate(num("3t + 3t^2"), 5)
 
 
 def test_inverse_geometric_series():
-    assert lcf.inverse(ONE - T, 3) == lcf.truncate(num("1 + t + t^2"), 3)
+    assert lcf.inverse(ONE - T, 3) == truncate(num("1 + t + t^2"), 3)
 
 
 def test_inverse_monomials_exact():
@@ -154,7 +159,7 @@ def test_compare_examples():
 
 def test_compare_indeterminate_carries_exponent():
     with pytest.raises(IndeterminateComparison) as info:
-        lcf.compare(lcf.truncate(ONE, 3), ONE)
+        lcf.compare(truncate(ONE, 3), ONE)
     assert info.value.exponent == 3
     with pytest.raises(IndeterminateComparison) as info:
         lcf.sign(lcf.from_interval(Interval(F(-1), F(1))))
@@ -295,12 +300,12 @@ SERIES_ORDERS = (F(2), F(4), F(17, 3), F(8), F(16))
 
 def reference_series(u, order, coefficient):
     """sum_k c_k u^k from the powers u^k, each one lcf.mul from the last."""
-    total, power, k = lcf.from_rational(coefficient(0)), lcf.truncate(u, order), 1
+    total, power, k = lcf.from_rational(coefficient(0)), truncate(u, order), 1
     while power.terms:
         if coefficient(k):
             total = total + lcf.scale(power, coefficient(k))
-        power, k = lcf.truncate(lcf.mul(power, u), order), k + 1
-    return lcf.truncate(total, order)
+        power, k = truncate(lcf.mul(power, u), order), k + 1
+    return truncate(total, order)
 
 
 def random_lattice_u(rng, interval=False):
@@ -392,7 +397,7 @@ def test_mul_equals_the_fraction_exponent_product():
         cap = rng.choice(
             [INFINITE_ORDER, F(rng.randint(-8, 24), rng.randint(1, 6)), rng.randint(-2, 6)]
         )
-        got, want = lcf.truncate(lcf.mul(a, b), cap), reference_mul(a, b, cap)
+        got, want = truncate(lcf.mul(a, b), cap), reference_mul(a, b, cap)
         assert got.terms == want.terms, (a, b, cap)
         assert got.order == want.order and type(got.order) is type(want.order)
     # 40-bit coefficients whose endpoint denominators differ: every sum of
@@ -431,6 +436,8 @@ def reference_recurrence(u, order, rules):
     starts = [lcf.from_rational(rule[0]) for rule in rules]
     if u.is_zero:
         return tuple(starts)
+    if order is INFINITE_ORDER and u.terms:
+        raise ValueError("series does not terminate at infinite truncation order")
     lead = u.terms[0][0] if u.terms else u.order
     caps = [
         lcf._min_order(order, lcf._order_plus(u.order, (k1 - 1) * lead))
@@ -438,7 +445,7 @@ def reference_recurrence(u, order, rules):
     ]
     steps = [(q, c) for q, c in u.terms if q < max(caps)]
     if not steps:
-        return tuple(lcf.truncate(start, cap) for start, cap in zip(starts, caps))
+        return tuple(truncate(start, cap) for start, cap in zip(starts, caps))
     denominator = math.lcm(*(q.denominator for q, _ in steps))
     steps = [(q.numerator * (denominator // q.denominator), c) for q, c in steps]
     tops = [lcf._lattice_top(cap, denominator) for cap in caps]
@@ -483,6 +490,15 @@ def _refined_to_zero(u):
     return LeviCivitaNumber(kept, u.order)
 
 
+def _each_series(u, order, rules):
+    """lcf._series once per rule, each series times the exact factor 1."""
+    denominator, (steps,) = lcf._on_lattice(u.terms)
+    return tuple(
+        lcf._series((denominator, steps, u.order), order, rules, ((i, (1, 1, 1)),), 0)
+        for i in range(len(rules))
+    )
+
+
 @pytest.mark.parametrize("rules", ["_INVERSE", "_SQRT", "_COS_SIN"])
 def test_series_equals_the_interval_recurrence(rules):
     rules = getattr(lcf, rules)
@@ -491,9 +507,108 @@ def test_series_equals_the_interval_recurrence(rules):
         for _ in range(8):
             for u in (random_wide_u(rng), random_lattice_u(rng, interval=True)):
                 for v in (u, _refined_to_zero(u)):
-                    got = lcf._series(v, order, rules)
+                    got = _each_series(v, order, rules)
                     want = reference_recurrence(v, order, rules)
                     assert [as_triples(x) for x in got] == [as_triples(x) for x in want]
+
+
+def reference_scale(a, factor):
+    """lcf.scale as it ran on Interval objects."""
+    if factor.is_zero:
+        return lcf.zero()
+    return LeviCivitaNumber._from_canonical(tuple((q, c * factor) for q, c in a.terms), a.order)
+
+
+def reference_shift(a, delta):
+    """Multiplication by t^delta, the step the fused rescale replaced."""
+    terms = tuple((q + delta, c) for q, c in a.terms)
+    return LeviCivitaNumber._from_canonical(terms, lcf._order_plus(a.order, delta))
+
+
+def reference_cos_sin(x, precision):
+    """cos_sin_interval as it ran before its exact-point path: midpoint,
+    pad by the halfwidth and clamp to [-1, 1], also at an exact point."""
+    pad = x.width / 2
+    return tuple(
+        Interval(e.lo - pad, e.hi + pad).intersect(Interval(F(-1), F(1)))
+        for e in _cos_sin_rational(x.midpoint, precision)
+    )
+
+
+def reference_function(name, a, order, precision):
+    """inverse, sqrt, cos_enclosure or sin_enclosure composed as before the
+    fused rescale: the Interval-based split a = c t^q (1 + u),
+    reference_recurrence, then shift(scale(series, f), delta), or for cos
+    and sin the add/sub of the series scaled by cos s and sin s."""
+    order = lcf._as_order(order)
+    if name in ("inverse", "sqrt"):
+        q, c = a.terms[0]
+        tail = LeviCivitaNumber(a.terms[1:], a.order)
+        u = reference_shift(reference_scale(tail, c.reciprocal()), -q)
+        if name == "inverse":
+            (series,) = reference_recurrence(u, order, lcf._INVERSE)
+            return reference_shift(reference_scale(series, c.reciprocal()), -q)
+        series_order = order if order is INFINITE_ORDER else order - q / 2
+        (series,) = reference_recurrence(u, series_order, lcf._SQRT)
+        return reference_shift(reference_scale(series, sqrt_interval(c, precision)), q / 2)
+    cos_s, sin_s = reference_cos_sin(lcf.standard_part(a), precision)
+    u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)
+    cos_u, sin_u = reference_recurrence(u, order, lcf._COS_SIN)
+    if name == "cos_enclosure":
+        return lcf.sub(reference_scale(cos_u, cos_s), reference_scale(sin_u, sin_s))
+    return lcf.add(reference_scale(sin_u, cos_s), reference_scale(cos_u, sin_s))
+
+
+def random_series_argument(rng, name):
+    """A valid argument of `name`: for inverse and sqrt a leading term c t^q
+    with q negative or fractional and c an interval or exact (positive for
+    sqrt), for cos and sin a standard part that is 0, exact (large ones
+    reduced mod 2 pi) or an interval; then up to four higher terms from
+    random_wide_interval or small rationals, touching or straddling 0, and
+    a finite or no truncation order."""
+    d = rng.choice([1, 2, 3, 6])
+    if name in ("inverse", "sqrt"):
+        lead = F(rng.randint(-6, 6), d)
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        if name == "inverse" and rng.random() < 0.5:
+            c = -c
+        if rng.random() < 0.5:
+            c = Interval(c - F(rng.randint(0, 3), 64), c + F(rng.randint(0, 3), 64))
+    else:
+        lead, c = F(0), rng.choice([0, F(rng.randint(-9, 9), rng.randint(1, 4)), F(rng.randint(5, 10**6))])
+        if rng.random() < 0.3:
+            c = Interval(F(c) - F(rng.randint(0, 3), 64), F(c) + F(rng.randint(0, 3), 64))
+    terms = [(lead, c)]
+    for n in sorted(rng.sample(range(1, 4 * d), rng.randint(0, min(4, 4 * d - 1)))):
+        coeff = random_wide_interval(rng) if rng.random() < 0.5 else F(rng.randint(-3, 3), 4)
+        if rng.random() < 0.3:
+            coeff = Interval(F(0), F(rng.randint(1, 3), 8))  # touches 0
+        terms.append((lead + F(n, d), coeff))
+    order = lead + F(4 * d + rng.randint(0, 6), d)
+    return LeviCivitaNumber(tuple(terms), order if rng.random() < 0.5 else INFINITE_ORDER)
+
+
+def flagged(x):
+    """The terms with each coefficient's `lo is hi` flag, the order and its type."""
+    return [(q, c.lo, c.hi, c.lo is c.hi) for q, c in x.terms], x.order, type(x.order)
+
+
+@pytest.mark.parametrize("name", ["inverse", "sqrt", "cos_enclosure", "sin_enclosure"])
+def test_fused_rescale_equals_the_interval_composition(name):
+    function = getattr(lcf, name)
+    rng = Random(53)
+    for _ in range(300):
+        a = random_series_argument(rng, name)
+        order = rng.choice([F(2), F(17, 6), F(4), F(8), F(-1), INFINITE_ORDER])
+        precision = rng.choice([16, 64, 100])
+        try:
+            want = flagged(reference_function(name, a, order, precision))
+        except ValueError as exc:  # a series at infinite order
+            with pytest.raises(type(exc)):
+                function(a, order, precision) if name != "inverse" else function(a, order)
+            continue
+        got = function(a, order, precision) if name != "inverse" else function(a, order)
+        assert flagged(got) == want, (a, order, precision)
 
 
 def _member(rng, u):
@@ -539,8 +654,8 @@ def test_series_nested_when_a_coefficient_refines_to_zero():
 
 
 def test_series_cost_is_linear_in_terms(monkeypatch):
-    # two products of the integer core per term from a two-term u; the scale
-    # by 1/c runs on Interval and is no product of the core
+    # per term: two products of the recurrence from a two-term u and one of
+    # the rescale by 1/c; the two tail terms of u take one product each
     calls = 0
     product = lcf._product
 

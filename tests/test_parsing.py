@@ -7,7 +7,9 @@ import pytest
 
 from ihull import lcf
 from ihull.errors import ParseError
+from ihull.intervals import Interval
 from ihull.parsing import (
+    approx_float,
     format_number,
     number_to_json,
     parse_expression,
@@ -50,7 +52,7 @@ def test_exact_round_trip_random():
 
 
 def test_round_trip_with_truncation():
-    value = lcf.truncate(parse_number("1 + t"), F(7, 2))
+    value = parse_number("1 + t") + lcf.zero(F(7, 2))
     assert parse_number(format_number(value)) == value
 
 
@@ -66,7 +68,7 @@ def test_expression_arithmetic():
     assert parse_expression("-(1+t) + 1") == parse_number("-t")
     assert parse_expression("2*3/4") == lcf.from_rational(F(3, 2))
     inv = parse_expression("1/(1-t)", order=3)
-    assert inv == lcf.truncate(parse_number("1 + t + t^2"), 3)
+    assert inv == parse_number("1 + t + t^2") + lcf.zero(3)
 
 
 def test_exponent_grammar():
@@ -124,3 +126,19 @@ def test_number_to_json():
     assert payload["order"] is None
     assert payload["terms"][0]["exponent"] == "0"
     assert abs(payload["terms"][0]["approx"] - 1.4142135623730951) < 1e-12
+
+
+def test_display_float_is_the_correctly_rounded_midpoint():
+    # against float(midpoint) on seeded intervals whose endpoint denominators
+    # differ, near 0, in the float range, past it (None) and in the subnormals
+    rng = Random(31)
+    for _ in range(3000):
+        scale = F(2) ** rng.choice([0, 40, -40, 1000, 1023, 1030, 1100, -1070, -1080, -1100])
+        lo = F(rng.randint(-10**20, 10**20), rng.randint(1, 10**20)) * scale
+        hi = lo + F(rng.randint(0, 10**12), rng.randint(1, 10**12)) * scale
+        c = Interval(lo, hi)
+        try:
+            want = float(c.midpoint)
+        except OverflowError:
+            want = None
+        assert repr(approx_float(c)) == repr(want), c
