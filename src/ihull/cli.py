@@ -44,10 +44,11 @@ EXIT_INDETERMINATE = 3
 #: The largest --precision accepted: enclosing pi alone grows like p^2.4,
 #: about 0.1 s at 4,000 bits and 3 s at 16,000.
 MAX_PRECISION = 4096
-#: The largest |--order| of eval and classify (README: about 0.9 s at it).
+#: The largest |--order| (README: eval about 0.9 s at it).
 MAX_ORDER = 2048
-#: The same for dist and hull-dist, whose series run on enclosures; also their
-#: most points of the literals' exponent lattice (1/D)Z in [0, |--order|).
+#: The most points of the literals' exponent lattice (1/D)Z in [0, |--order|)
+#: for dist and hull-dist, whose series run on enclosures; as ceil(|Q| D) >= |Q|,
+#: it bounds their |--order| too.
 MAX_DISTANCE_ORDER = 64
 #: The most such points for eval and classify (README: its 1/(1-t/2-t^2/3)).
 MAX_LATTICE_POINTS = 3 * MAX_ORDER
@@ -76,25 +77,20 @@ def net_points(text: str) -> int:
     return value
 
 
-def order_within(limit: int):
-    """The --order type of a subcommand whose |order| is at most `limit`."""
-
-    def order(text: str) -> Fraction:
-        # no exponent form: Fraction("1e10000000") computes 10^10000000 first
-        value = None if "e" in text.lower() else Fraction(text)
-        if value is None or abs(value) > limit or value.denominator > MAX_ORDER_DENOMINATOR:
-            raise argparse.ArgumentTypeError(
-                f"order must be a rational n/d or decimal of size at most {limit} "
-                f"and denominator at most {MAX_ORDER_DENOMINATOR}, got {text}"
-            )
-        return value
-
-    return order
+def order_value(text: str) -> Fraction:
+    # no exponent form: Fraction("1e10000000") computes 10^10000000 first
+    value = None if "e" in text.lower() else Fraction(text)
+    if value is None or abs(value) > MAX_ORDER or value.denominator > MAX_ORDER_DENOMINATOR:
+        raise argparse.ArgumentTypeError(
+            f"order must be a rational n/d or decimal of size at most {MAX_ORDER} "
+            f"and denominator at most {MAX_ORDER_DENOMINATOR}, got {text}"
+        )
+    return value
 
 
 _SHARED_FLAGS = {
     "order": dict(
-        default=lcf.DEFAULT_ORDER, metavar="Q",
+        type=order_value, default=lcf.DEFAULT_ORDER, metavar="Q",
         help="truncation order for series operations (rational, default %(default)s)",
     ),
     "precision": dict(
@@ -105,11 +101,10 @@ _SHARED_FLAGS = {
 }
 
 
-def _flags(parser: argparse.ArgumentParser, *names: str, max_order: int = MAX_ORDER) -> None:
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add the named shared flags, those the subcommand acts on, and --json."""
     for name in names:
-        extra = {"type": order_within(max_order)} if name == "order" else {}
-        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name], **extra)
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output on stdout"
     )
@@ -131,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("space", choices=spaces.SPACE_NAMES)
     p_dist.add_argument("p1")
     p_dist.add_argument("p2")
-    _flags(p_dist, "order", "precision", max_order=MAX_DISTANCE_ORDER)
+    _flags(p_dist, "order", "precision")
 
     p_cls = sub.add_parser(
         "classify", help="classify a number (magnitude) or cover point"
@@ -143,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hd.add_argument("space", choices=spaces.SPACE_NAMES)
     p_hd.add_argument("p1")
     p_hd.add_argument("p2")
-    _flags(p_hd, "order", "precision", max_order=MAX_DISTANCE_ORDER)
+    _flags(p_hd, "order", "precision")
 
     p_ver = sub.add_parser("verify", help="run a named verification scenario")
     p_ver.add_argument("scenario", choices=scenarios.SCENARIO_NAMES)
@@ -164,17 +159,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(args, payload, text_lines) -> None:
+    """Print `payload()` as JSON or the lines of `text_lines()`, building only
+    the output printed; its integers print at any length (literals are still
+    parsed under the interpreter's digit limit)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(payload(), indent=2))
+        else:
+            for line in text_lines():
+                print(line)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_eval(args) -> int:
     value = parse_expression(args.expr, args.order)
-    _emit(args, {"value": number_to_json(value)}, [format_number(value)])
+    _emit(args, lambda: {"value": number_to_json(value)}, lambda: [format_number(value)])
     return EXIT_OK
 
 
@@ -191,21 +194,23 @@ def _cmd_dist(args) -> int:
         st = lcf.standard_part(d)
     except NotFinite:
         st = None
-    lines = [f"d = {format_number(d)}"]
-    if st is None:
-        lines.append("st = (not finite)")
-    elif st.is_exact:
-        lines.append(f"st = {st.lo}")
-    else:
-        lines.append(f"st ~ {parsing.approx_text(st, 12)}")
-    st_json = None if st is None else {
-        "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st)
-    }
-    _emit(
-        args,
-        {"space": args.space, "distance": number_to_json(d), "standard_part": st_json},
-        lines,
-    )
+
+    def payload():
+        st_json = None if st is None else {
+            "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st)
+        }
+        return {"space": args.space, "distance": number_to_json(d), "standard_part": st_json}
+
+    def lines():
+        if st is None:
+            tail = "st = (not finite)"
+        elif st.is_exact:
+            tail = f"st = {st.lo}"
+        else:
+            tail = f"st ~ {parsing.approx_text(st, 12)}"
+        return [f"d = {format_number(d)}", tail]
+
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -213,17 +218,19 @@ def _cmd_classify(args) -> int:
     coords = parse_point(args.point, args.order)
     if len(coords) == 1:
         verdict = lcf.classify_magnitude(coords[0])
-        payload = {"kind": "magnitude", "verdict": verdict.value}
-        lines = [verdict.value]
-    elif len(coords) == 2:
-        classified = cover.classify_point(cover.CoverPoint(coords[0], coords[1]))
+        _emit(args, lambda: {"kind": "magnitude", "verdict": verdict.value}, lambda: [verdict.value])
+        return EXIT_OK
+    if len(coords) != 2:
+        raise ParseError("expected a number or a pair", 0)
+    classified = cover.classify_point(cover.CoverPoint(coords[0], coords[1]))
+
+    def payload():
         payload = {"kind": "cover", "verdict": classified.verdict.value}
         if classified.standard_point is not None:
             payload["standard_point"] = [str(i) for i in classified.standard_point]
-        lines = [str(classified)]
-    else:
-        raise ParseError("expected a number or a pair", 0)
-    _emit(args, payload, lines)
+        return payload
+
+    _emit(args, payload, lambda: [str(classified)])
     return EXIT_OK
 
 
@@ -232,12 +239,15 @@ def _cmd_hull_dist(args) -> int:
     a = _parse_space_point(space, args.p1)
     b = _parse_space_point(space, args.p2)
     value = hull.hull_distance(space, a, b)
-    payload = {
-        "space": args.space,
-        "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
-        "approx": parsing.approx_float(value),
-    }
-    _emit(args, payload, [str(value)])
+    _emit(
+        args,
+        lambda: {
+            "space": args.space,
+            "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
+            "approx": parsing.approx_float(value),
+        },
+        lambda: [str(value)],
+    )
     return EXIT_OK
 
 
@@ -254,7 +264,7 @@ def _cmd_verify(args) -> int:
     else:
         code = EXIT_OK
     lines.append(f"result: {'pass' if code == EXIT_OK else 'fail' if code == 1 else 'unknown'}")
-    _emit(args, report, lines)
+    _emit(args, lambda: report, lambda: lines)
     return code
 
 
@@ -290,14 +300,14 @@ def _cmd_oracle(args) -> int:
         f"closed form = {closed:.6f}",
         f"relative gap = {gap:.4%}",
     ]
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return EXIT_OK
 
 
 def _cmd_net(args) -> int:
     net = cover.separated_net(args.n)
     rendered = [str(p) for p in net]
-    _emit(args, {"points": rendered}, rendered)
+    _emit(args, lambda: {"points": rendered}, lambda: rendered)
     return EXIT_OK
 
 

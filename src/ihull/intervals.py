@@ -5,13 +5,16 @@ no rounding ever happens, and an operation's result interval contains every
 possible value of the operation over the input intervals.  An exact number is
 the degenerate interval with `lo == hi`.
 
-Enclosures are *nested under refinement*: calling any function here with a
-larger `precision` returns an interval contained in the one returned at a
-smaller precision.  Tests rely on this.
+Enclosures are *nested under refinement*: calling any function here but
+`reduce_angle` with a larger `precision` returns an interval contained in the
+one returned at a smaller precision.  Tests rely on this.
 
 cos and sin at a rational s run on integers.  An |s| of 4 or more is first
-reduced by `reduce_angle` and shifted by pi into [-pi, pi].  For the
-argument's magnitude a, X_lo = floor(a 2^w) and X_hi = ceil(a 2^w) at
+reduced by `reduce_angle` to an enclosure of s - 2 pi k within
+pi + 2^-(precision + C + 8) of 0: any integer k gives the same cos and sin,
+so k is not certified, and the proof below needs only that the raw enclosure
+contains the value with half-width at most g.  For the magnitude a of either
+end of the argument, X_lo = floor(a 2^w) and X_hi = ceil(a 2^w) at
 w = precision + C + guard bits; each Taylor term magnitude a^m/m! is carried
 as a lower and an upper integer, the lower one rounded down (floor division)
 and the upper one up (ceil division), so the alternating partial sums plus
@@ -20,10 +23,9 @@ A run-time check requires (H - L)/2 <= g = 2^-(precision + C), doubling the
 guard bits until it holds.  The result is [m - 4g, m + 4g], with m the
 midpoint of [L, H] rounded to the nearest multiple of g/2, so |m - v| <= 5g/4
 and the endpoints are dyadic with precision + C + 1 bits.  It contains v, and
-for p < q (so g_q <= g_p/2) it nests: O_q lies within v +- 21g_q/4, so
-within v +- 21g_p/8, which lies within v +- 11g_p/4, which O_p contains.
-
-s = 0 stays exact.
+for p < q (so g_q <= g_p/2) it nests: O_q lies within v +- 21g_q/4, so within
+v +- 21g_p/8, which lies within v +- 11g_p/4, which O_p contains.  s = 0
+stays exact.
 """
 
 from __future__ import annotations
@@ -250,36 +252,17 @@ def two_pi_interval(precision: int) -> Interval:
 # angle reduction
 # ---------------------------------------------------------------------------
 
-def reduce_angle(x: Fraction, precision: int) -> tuple[int, Interval]:
-    """(k, r): k = floor(x / 2 pi) and an enclosure r of x - 2 pi k.
+def reduce_angle(x: Fraction, precision: int) -> Interval:
+    """An enclosure of x - 2 pi k, k the integer nearest x / 2 pi by the
+    midpoint of 2 pi enclosed at precision + n + 1 bits, |x| < 2^n.
 
-    r lies in [0, 2 pi) (0 <= r.lo, r.hi < the lower end of the 2 pi
-    enclosure used) and is at most 2^-precision wide.  k is estimated from
-    2 pi at a rung of 64 bits plus the bit length of |x| and certified there;
-    only an x within about 2^-64 of a multiple of 2 pi takes further rungs
-    (128, 256, ... plus that length).  r then takes 2 pi at the larger of the
-    rung and `precision` plus k's bit length: both grow with `precision` or
-    not at all, and the enclosures of 2 pi are nested, so r is nested under
-    refinement (and stays certified).
+    |k| < 2^(n+1), so it is at most 2^-precision wide and lies within
+    pi + 2^-precision of 0.  k is not certified and the enclosure need not
+    nest: any integer k gives the same cos and sin.
     """
     size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
-    rung = 64
-    while (k := _floor_quotient(x, two_pi_interval(rung + size))) is None:
-        rung *= 2
-    two_pi = two_pi_interval(max(rung + size, precision + abs(k).bit_length()))
-    return k, Interval.point(x) - two_pi.scale(k)
-
-
-def _floor_quotient(z: Fraction, divisor: Interval) -> int | None:
-    """The integer k with divisor*k <= z < divisor*(k+1), if certifiable."""
-    guess = math.floor(z / divisor.midpoint)
-    for k in (guess, guess - 1, guess + 1):
-        lo_ok = (divisor.hi * k <= z) if k >= 0 else (divisor.lo * k <= z)
-        up = k + 1
-        hi_ok = (z < divisor.lo * up) if up >= 0 else (z < divisor.hi * up)
-        if lo_ok and hi_ok:
-            return k
-    return None
+    two_pi = two_pi_interval(precision + size + 1)
+    return Interval.point(x) - two_pi.scale(round(x / two_pi.midpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +273,7 @@ def _floor_quotient(z: Fraction, divisor: Interval) -> int | None:
 _COS_SIN_EXTRA_BITS = 8
 #: first working bits beyond precision + C; doubled until the width check passes
 _COS_SIN_GUARD_BITS = 12
-#: arguments below this are summed directly, larger ones reduced mod 2 pi
+#: arguments below this are summed directly, larger ones reduced by 2 pi k
 _REDUCE_ABOVE = 4
 
 
@@ -300,22 +283,12 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
     if not s:
         return ONE_INTERVAL, ZERO_INTERVAL
     bits = precision + _COS_SIN_EXTRA_BITS
-    a = abs(s)
-    if a < _REDUCE_ABOVE:
-        angle, flip = Interval.point(a), 1
-    else:
-        # cos a = -cos(r - pi) and sin a = -sin(r - pi), r = a mod 2 pi
-        _, r = reduce_angle(a, bits + 8)
-        angle, flip = r - pi_interval(bits + 8), -1
+    angle = Interval.point(s) if abs(s) < _REDUCE_ABOVE else reduce_angle(s, bits + 8)
     guard = _COS_SIN_GUARD_BITS
     while (raw := _fixed_cos_sin(angle, bits + guard, bits)) is None:
         guard *= 2
     (cos_lo, cos_hi), (sin_lo, sin_hi) = raw
-    sign = flip if s > 0 else -flip
-    return (
-        _around(flip * (cos_lo + cos_hi), guard, bits),
-        _around(sign * (sin_lo + sin_hi), guard, bits),
-    )
+    return _around(cos_lo + cos_hi, guard, bits), _around(sin_lo + sin_hi, guard, bits)
 
 
 def _around(twice_mid: int, guard: int, bits: int) -> Interval:

@@ -66,6 +66,7 @@ class _Parser:
         self.index = 0
         self.order = order
         self.depth = 0
+        self.deepest = None  # position of the first "(" opened at MAX_NESTING
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -94,8 +95,13 @@ class _Parser:
             if len(coords) > 1:
                 self.expect(")")
                 return self._at_end(tuple(coords))
-            # no comma: the parenthesis opens an expression such as "(1)*5"
-            self.index = 0
+            # no comma: the parenthesis opened the first atom of an expression
+            # such as "(1)*5"; as an atom it nests what it holds one level
+            # deeper, so a parenthesis that reached MAX_NESTING is one too deep
+            if self.deepest is not None:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.deepest)
+            self.expect(")")
+            return (self._at_end(self.expression(coords[0])),)
         return (self.parse(),)
 
     def _at_end(self, value):
@@ -104,9 +110,9 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
-    # expression := product (("+"|"-") product)*
-    def expression(self) -> LeviCivitaNumber:
-        value = self.product()
+    # expression := product (("+"|"-") product)*, from its first atom's value if given
+    def expression(self, first=None) -> LeviCivitaNumber:
+        value = self.product(first)
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.product()
@@ -114,8 +120,8 @@ class _Parser:
         return value
 
     # product := factor (("*"|"/") factor)*
-    def product(self) -> LeviCivitaNumber:
-        value = self.factor()
+    def product(self, first=None) -> LeviCivitaNumber:
+        value = self.factor() if first is None else first
         while self.peek()[1] in ("*", "/"):
             op, _, pos = self.next()[1], None, self.peek()[2]
             rhs = self.factor()
@@ -142,6 +148,8 @@ class _Parser:
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
+            if self.depth == MAX_NESTING and self.deepest is None:
+                self.deepest = pos
             value = self.expression()
             self.depth -= 1
             self.expect(")")
@@ -256,9 +264,9 @@ def approx_text(value: Interval, digits: int) -> str:
 
 
 def _format_t_power(exponent: Fraction) -> str:
-    if exponent == 0:
+    if not exponent:
         return ""
-    if exponent == 1:
+    if exponent.as_integer_ratio() == (1, 1):  # not Fraction ==, a call per term
         return "t"
     return f"t^{exponent}"
 
@@ -269,9 +277,10 @@ def _format_term(exponent: Fraction, coeff: Interval) -> str:
         c = coeff.lo
         if not tpart:
             return str(c)
-        if c == 1:
+        ratio = c.as_integer_ratio()
+        if ratio == (1, 1):
             return tpart
-        if c == -1:
+        if ratio == (-1, 1):
             return f"-{tpart}"
         return f"{c}{tpart}"
     approx = f"~{approx_text(coeff, 17)}"

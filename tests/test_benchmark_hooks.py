@@ -57,3 +57,33 @@ def test_benchmark_pools_build_run_and_check():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["hull_query", "series_expand"]
+
+
+def test_cli_cold_pool_runs_and_checks_in_process():
+    # the cli-cold queries call the CLI in a child process each; here each
+    # runs `cli.main` in process instead, and must pass its own output check
+    check = (
+        "import contextlib, io, json, sys; sys.path[:0] = sys.argv[1:3]\n"
+        "import cli_cold, worker\n"
+        "from ihull import cli\n"
+        "def run_in_process(argv, tracer):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main([*argv, '--json'])\n"
+        "    return code, json.loads(out.getvalue()) if out.getvalue().strip() else None\n"
+        "cli_cold._run_child = run_in_process\n"
+        "for seed in (101, 7777):\n"
+        "    queries = cli_cold.build(seed)\n"
+        "    outputs = worker._serve(queries, 0, None, None)[0]\n"
+        "    failed, unknown, messages = worker._check_all(queries, outputs)\n"
+        "    assert not failed and not unknown, messages\n"
+        "    print(len(queries))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["19", "19"]

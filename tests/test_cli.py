@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from ihull.cli import main
-from ihull.parsing import exponent_lcm, parse_number
+from ihull.parsing import exponent_lcm, parse_number, parse_point
 
 
 def run(capsys, *argv):
@@ -273,17 +273,20 @@ def test_order_and_net_above_their_bounds_are_rejected_before_any_computation(
         for order in (*too_large(limit), "1e100000"):
             code, out, err = run(capsys, *command, f"--order={order}")
             assert code == 2 and out == ""
-            assert f"size at most {limit} and denominator at most" in err
+            if isinstance(order, int) and abs(order) <= cli.MAX_ORDER:
+                # dist and hull-dist: the lattice rule, as ceil(|Q| D) >= |Q|
+                assert f"exponent lattice, more than {limit}" in err
+            else:
+                assert f"size at most {cli.MAX_ORDER} and denominator at most" in err
     for n in (cli.MAX_NET_POINTS + 1, 10**9, 1, 0, -1):
         code, out, err = run(capsys, "net", str(n))
         assert code == 2 and out == ""
         assert f"between 2 and {cli.MAX_NET_POINTS} points" in err
     # the bounds admit the orders and net sizes the README, tests and benchmark use
-    series_order = cli.order_within(cli.MAX_ORDER)
     for text in ("1480", "17/3", "-3", "0", "2.5", str(cli.MAX_ORDER)):
-        assert series_order(text) == Fraction(text)
-    distance_order = cli.order_within(cli.MAX_DISTANCE_ORDER)
-    assert distance_order(str(cli.MAX_DISTANCE_ORDER)) == cli.MAX_DISTANCE_ORDER
+        assert cli.order_value(text) == Fraction(text)
+    with pytest.raises(AssertionError, match="must not reach"):
+        main(["dist", "cover", "(1, 0)", "(1, 1)", f"--order={cli.MAX_DISTANCE_ORDER}"])
     assert [cli.net_points(str(n)) for n in (2, 3, 10, 12)] == [2, 3, 10, 12]
     assert cli.net_points(str(cli.MAX_NET_POINTS)) == cli.MAX_NET_POINTS
 
@@ -351,6 +354,41 @@ def test_values_beyond_the_float_range_print(capsys, argv, shown):
     assert last["approx"] is None and len(last["lo"]) >= 309
 
 
+def test_integers_past_the_digit_limit_print(capsys):
+    # 6,001-digit products and a distance whose JSON endpoints pass 4,300
+    # digits: the output prints whole, and the limit is restored after it
+    from ihull import hull, spaces
+
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * 3000
+    far = f"(-{_BEYOND_FLOAT}/7 + t, 0)"
+    code, out, err = run(capsys, "eval", f"{big}*{big}")
+    assert (code, out, err) == (0, "1" + "0" * 6000 + "\n", "")
+    code, out, err = run(capsys, "eval", f"{big}*{big}", "--json")
+    assert code == 0 and json.loads(out) == {"value": "1" + "0" * 6000}
+    code, out, err = run(capsys, "classify", f"({big}*{big}, 0)", "--json")
+    assert code == 0 and json.loads(out)["standard_point"][0] == "1" + "0" * 6000
+    code, out, err = run(capsys, "dist", "euclidean-plane", far, "(0, 1)")
+    assert code == 0 and err == "" and out.endswith("st ~ 1.42857142857e+399\n")
+    code, out, err = run(capsys, "dist", "euclidean-plane", far, "(0, 1)", "--json")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    space = spaces.get_space("euclidean-plane")
+    d = hull.extended_distance(space, *(space.point(*parse_point(p, space.order)) for p in (far, "(0, 1)")))
+    payload = json.loads(out)
+    terms = payload["distance"]["terms"]
+    assert max(len(t[end]) for t in terms for end in ("lo", "hi")) > 4300
+    sys.set_int_max_str_digits(0)  # to read the endpoints back
+    try:
+        assert [(Fraction(t["lo"]), Fraction(t["hi"])) for t in terms] == [
+            (c.lo, c.hi) for _, c in d.terms
+        ]
+        st = payload["standard_part"]
+        assert (Fraction(st["lo"]), Fraction(st["hi"])) == (d.terms[0][1].lo, d.terms[0][1].hi)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_approximate_text_beyond_the_float_range(capsys):
     # a square root of 10^800 + 1 is an enclosure, shown by its decimal rounding
     code, out, _ = run(capsys, "dist", "euclidean-plane", f"({_BEYOND_FLOAT}, 0)", "(0, 1)")
@@ -386,6 +424,39 @@ def test_deeply_nested_literals_are_parse_errors(capsys):
     # signs fold in a loop: any number of them parses
     assert run(capsys, "eval", "--", "-" * 1000 + "1")[:2] == (0, "1\n")
     assert run(capsys, "eval", "--", "-" * 999 + "1")[:2] == (0, "-1\n")
+
+
+def test_truncation_and_exponent_errors(capsys):
+    # an O(1) tail absorbs every term of non-negative exponent
+    assert run(capsys, "eval", "1+t+O(1)") == (0, "O(1)\n", "")
+    for literal, message in (
+        ("t^t", "expected a rational exponent after ^ (at position 2)"),
+        ("O(2)", "expected t or 1 inside O(...) (at position 2)"),
+    ):
+        assert run(capsys, "eval", literal) == (2, "", f"parse error: {message}\n")
+
+
+def test_completion_distances_at_the_restored_origin(capsys):
+    assert run(capsys, "dist", "cover-completion", "(0,0)", "(1,2)")[:2] == (0, "d = 1\nst = 1\n")
+    assert run(capsys, "hull-dist", "cover-completion", "(0,0)", "(t,1)")[:2] == (0, "0\n")
+
+
+def test_hull_dist_raises_an_undecidable_branch_at_once(capsys, monkeypatch):
+    # 355/113 is within 2^-8 of pi: the branch test cannot settle at precision
+    # 8, and more order would not help, so no second attempt is made
+    from ihull import hull
+
+    calls = []
+    distance = hull.extended_distance
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return distance(*args, **kwargs)
+
+    monkeypatch.setattr(hull, "extended_distance", counted)
+    code, out, err = run(capsys, "hull-dist", "cover", "(1,0)", "(1, 355/113)", "--precision", "8")
+    assert code == 3 and out == "" and err.startswith("indeterminate: angle gap vs pi")
+    assert len(calls) == 1
 
 
 def test_usage_error_exit_code(capsys):

@@ -304,15 +304,17 @@ def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
     assert cost(10**30) <= 3 * cost(10)
 
 
-def test_reduce_angle_certifies_the_floor_quotient():
+def test_reduce_angle_is_narrow_and_within_pi_of_zero():
+    # any integer k gives the same cos and sin, so k is not certified: it is
+    # recovered here as the integer nearest (x - r) / 2 pi
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(400):
         for x in KERNEL_ARGUMENTS + [_near_multiple_of_pi(2 * k) for k in (1, -3, 10**6)]:
-            reduced = {p: reduce_angle(x, p) for p in (8, 64, 65, 200)}
-            turns = mpmath.mpf(x.numerator) / x.denominator / (2 * mpmath.pi)
-            assert {k for k, _ in reduced.values()} == {int(mpmath.floor(turns))}, x
-            for p, (_, r) in reduced.items():
-                assert 0 <= r.lo and r.hi < two_pi_interval(400).lo and r.width <= F(1, 2**p)
-            assert reduced[8][1].contains_interval(reduced[64][1])
-            assert reduced[64][1].contains_interval(reduced[65][1])
-            assert reduced[65][1].contains_interval(reduced[200][1])
+            value = mpmath.mpf(x.numerator) / x.denominator
+            for p in (8, 64, 65, 200):
+                r = reduce_angle(x, p)
+                lo, hi = (mpmath.mpf(end.numerator) / end.denominator for end in (r.lo, r.hi))
+                k = mpmath.nint((value - (lo + hi) / 2) / (2 * mpmath.pi))
+                assert lo <= value - 2 * mpmath.pi * k <= hi, (x, p)
+                assert r.width <= F(1, 2**p), (x, p)
+                assert max(-lo, hi) <= mpmath.pi + mpmath.mpf(2) ** -p, (x, p)

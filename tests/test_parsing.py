@@ -9,6 +9,7 @@ from ihull import lcf
 from ihull.errors import ParseError
 from ihull.intervals import Interval
 from ihull.parsing import (
+    MAX_NESTING,
     approx_float,
     format_number,
     number_to_json,
@@ -118,6 +119,51 @@ def test_parse_point():
     with pytest.raises(ParseError) as info:
         parse_point("(1, 2 3)")
     assert info.value.position == 6
+
+
+def test_parenthesised_literal_is_parsed_once(monkeypatch):
+    # without a comma the parenthesis opens an expression that continues from
+    # the value read, so each "/" inverts once, as in the bare literal
+    calls = []
+    inverse = lcf.inverse
+    monkeypatch.setattr(lcf, "inverse", lambda *args: calls.append(args) or inverse(*args))
+    (value,) = parse_point("(1/(1-t-t^2))", 8)
+    assert len(calls) == 1
+    assert value == parse_expression("1/(1-t-t^2)", 8)
+    assert parse_point("(1/(1-t))*(1-t) - 2", 8) == (parse_expression("1/(1-t)*(1-t) - 2", 8),)
+
+
+def test_parenthesised_literal_keeps_the_nesting_bound():
+    # a point's parenthesis counts toward MAX_NESTING only where it opens an
+    # expression, and the error names the parenthesis one level too deep
+    deep = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    assert parse_point(f"({deep}, 0)") == (lcf.one(), lcf.zero())
+    assert parse_point(deep) == (lcf.one(),)
+    for text in (f"({deep})", f"({deep} 2)"):
+        with pytest.raises(ParseError) as info:
+            parse_point(text)
+        assert info.value.position == MAX_NESTING and "nested deeper" in str(info.value)
+    # an error inside the first coordinate comes first, wherever it lies
+    with pytest.raises(ParseError) as info:
+        parse_point(f"({deep} + 1/0)")
+    assert info.value.position == len(deep) + 4 and "zero denominator" in str(info.value)
+
+
+def test_format_number_makes_no_fraction_comparison(monkeypatch):
+    # terms are told apart by numerator and denominator: Fraction == is a
+    # Python-level call per term
+    values = [
+        parse_number("-t^-1 + 1 - t + 2/3t^1/2 + t^2 + O(t^3)"),
+        parse_number("-1 + t^-1/2 + O(1)"),
+        lcf.sqrt(parse_number("2 + t"), 4, 64),
+        lcf.zero(),
+    ]
+    expected = [format_number(x) for x in values]
+    calls = []
+    equal = F.__eq__
+    monkeypatch.setattr(F, "__eq__", lambda a, b: calls.append(b) or equal(a, b))
+    assert [format_number(x) for x in values] == expected
+    assert calls == []
 
 
 def test_number_to_json():
