@@ -152,7 +152,13 @@ def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Int
     constant term and only standard parts are multiplied.  At the space's
     order the same products reach t^0, added in the same order, and every
     further term lands at or above e > 0: the t^0 coefficient, and so the
-    interval returned, is identical.  Where the attempt at e raises (on the
+    interval returned, is identical.  It is built from the coordinates' t^0
+    coefficients, the standard points' coordinates (`locate` finds them while
+    it checks finiteness); so for e > 0, where both representatives have
+    one, the attempt runs first on the standard points, with every series
+    exact from the start.  Where it raises or returns exactly 0 (a branch
+    the standard points cannot decide, infinitely close representatives),
+    the representatives' own attempt follows.  Where that raises (on the
     cover the t^0 coefficient of the squared distance of infinitely close
     representatives cancels, so `sqrt` finds no positive leading term; a
     coordinate of unknown finiteness leaves no positive leading term
@@ -160,12 +166,25 @@ def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Int
     result or exception is returned unchanged; a first attempt that the
     cap already put at the space's order is not repeated, and its exception
     is the one the repeat would raise.  `BranchIndeterminate` depends on
-    the precision only and is raised at once.
+    the precision only and is raised at once.  One answer is not the
+    representatives' own: the standard point of the completion's origin
+    halo is the restored origin, so there the answer is st r of the other
+    point even where the representatives' branch test is undecidable.
     """
+    near = []
     for p in (a, b):
-        if in_galaxy(s, p) is Ternary.FALSE:
+        location = locate(s, p)
+        if location.finite is Ternary.FALSE:
             raise NotFinite(f"representative {p} outside the galaxy")
+        near.append(location.nearstandard)
     first = min(_standard_part_order(a, b), s.order)
+    if first > 0 and None not in near:
+        try:
+            st = lcf.standard_part(extended_distance(s, *near, order=first))
+            if not st.is_zero:
+                return st
+        except IhullError:
+            pass
     try:
         return lcf.standard_part(extended_distance(s, a, b, order=first))
     except BranchIndeterminate:

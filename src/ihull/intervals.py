@@ -20,12 +20,13 @@ as a lower and an upper integer, the lower one rounded down (floor division)
 and the upper one up (ceil division), so the alternating partial sums plus
 the tail bound next/(1 - ratio) give a raw enclosure [L, H] of the value v.
 A run-time check requires (H - L)/2 <= g = 2^-(precision + C), doubling the
-guard bits until it holds.  The result is [m - 4g, m + 4g], with m the
-midpoint of [L, H] rounded to the nearest multiple of g/2, so |m - v| <= 5g/4
-and the endpoints are dyadic with precision + C + 1 bits.  It contains v, and
-for p < q (so g_q <= g_p/2) it nests: O_q lies within v +- 21g_q/4, so within
-v +- 21g_p/8, which lies within v +- 11g_p/4, which O_p contains.  s = 0
-stays exact.
+guard bits until it holds, at most four times: past that the argument's
+enclosure was wider than the proof allows, an AssertionError.  The result
+is [m - 4g, m + 4g], with m the midpoint of [L, H] rounded to the nearest
+multiple of g/2, so |m - v| <= 5g/4 and the endpoints are dyadic with
+precision + C + 1 bits.  It contains v, and for p < q (so g_q <= g_p/2) it
+nests: O_q lies within v +- 21g_q/4, so within v +- 21g_p/8, which lies
+within v +- 11g_p/4, which O_p contains.  s = 0 stays exact.
 """
 
 from __future__ import annotations
@@ -273,6 +274,10 @@ def reduce_angle(x: Fraction, precision: int) -> Interval:
 _COS_SIN_EXTRA_BITS = 8
 #: first working bits beyond precision + C; doubled until the width check passes
 _COS_SIN_GUARD_BITS = 12
+#: the doubling stops here: a raw enclosure is as wide as the argument plus
+#: the rounding, which the first guard already keeps below g, and a reduced
+#: argument is at most g/256 wide, so getting here means a broken width bound
+_COS_SIN_MAX_GUARD_BITS = _COS_SIN_GUARD_BITS << 4
 #: arguments below this are summed directly, larger ones reduced by 2 pi k
 _REDUCE_ABOVE = 4
 
@@ -286,6 +291,8 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
     angle = Interval.point(s) if abs(s) < _REDUCE_ABOVE else reduce_angle(s, bits + 8)
     guard = _COS_SIN_GUARD_BITS
     while (raw := _fixed_cos_sin(angle, bits + guard, bits)) is None:
+        if guard >= _COS_SIN_MAX_GUARD_BITS:
+            raise AssertionError(f"cos/sin of {s}: raw enclosure wider than 2g at {guard} bits")
         guard *= 2
     (cos_lo, cos_hi), (sin_lo, sin_hi) = raw
     return _around(cos_lo + cos_hi, guard, bits), _around(sin_lo + sin_hi, guard, bits)

@@ -112,12 +112,17 @@ class _Parser:
 
     # expression := product (("+"|"-") product)*, from its first atom's value if given
     def expression(self, first=None) -> LeviCivitaNumber:
-        value = self.product(first)
+        terms = [self.product(first)]
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            terms.append(rhs if op == "+" else lcf.neg(rhs))
+        # pairwise in rounds, so each term is merged about log2(n) times, not
+        # up to n; the coefficients are exact, so the sum is the left fold's
+        while len(terms) > 1:
+            odd = terms[-1:] if len(terms) % 2 else []
+            terms = [lcf.add(x, y) for x, y in zip(terms[::2], terms[1::2])] + odd
+        return terms[0]
 
     # product := factor (("*"|"/") factor)*
     def product(self, first=None) -> LeviCivitaNumber:
@@ -167,7 +172,7 @@ class _Parser:
             tok = self.next()
             if tok[1] == "t":
                 exponent = self._optional_exponent()
-            elif tok[0] == "rational" and Fraction(tok[1]) == 1:
+            elif tok[0] == "rational" and self._fraction(tok[1], tok[2]) == 1:
                 exponent = Fraction(0)  # O(1)
             else:
                 raise ParseError("expected t or 1 inside O(...)", tok[2])

@@ -87,3 +87,40 @@ def test_cli_cold_pool_runs_and_checks_in_process():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["19", "19"]
+
+
+def test_cover_hull_distances_run_on_standard_points():
+    # every cover hull distance of the hull-query pool makes one distance
+    # call, on its representatives' standard points, so a change that loses
+    # that path fails here and not only in the benchmark
+    check = (
+        "import sys; sys.path[:0] = sys.argv[1:3]\n"
+        "import hull_query\n"
+        "from ihull import hull\n"
+        "calls, seen = [], []\n"
+        "distance, hull_distance = hull.extended_distance, hull.hull_distance\n"
+        "def counted(s, a, b, order=None):\n"
+        "    calls.append((a, b))\n"
+        "    return distance(s, a, b, order=order)\n"
+        "def recorded(s, a, b):\n"
+        "    seen.append((s, a, b))\n"
+        "    return hull_distance(s, a, b)\n"
+        "hull.extended_distance, hull.hull_distance = counted, recorded\n"
+        "for seed in (7777, 101):\n"
+        "    queries = [q for q in hull_query.build(seed) if q.kind == 'hull_distance.cover']\n"
+        "    for q in queries:\n"
+        "        calls.clear(); seen.clear()\n"
+        "        q.run()\n"
+        "        (s, a, b), = seen\n"
+        "        standard = tuple(hull.locate(s, p).nearstandard for p in (a, b))\n"
+        "        assert calls == [standard] and None not in standard, (a, b, calls)\n"
+        "    print(len(queries))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["80", "80"]

@@ -432,6 +432,7 @@ def test_truncation_and_exponent_errors(capsys):
     for literal, message in (
         ("t^t", "expected a rational exponent after ^ (at position 2)"),
         ("O(2)", "expected t or 1 inside O(...) (at position 2)"),
+        ("O(1/0)", "zero denominator in rational literal (at position 2)"),
     ):
         assert run(capsys, "eval", literal) == (2, "", f"parse error: {message}\n")
 
@@ -443,20 +444,32 @@ def test_completion_distances_at_the_restored_origin(capsys):
 
 def test_hull_dist_raises_an_undecidable_branch_at_once(capsys, monkeypatch):
     # 355/113 is within 2^-8 of pi: the branch test cannot settle at precision
-    # 8, and more order would not help, so no second attempt is made
-    from ihull import hull
+    # 8, on the standard points or on the representatives (here the same
+    # points), and more order would not help, so no attempt at --order follows
+    from ihull import hull, spaces
 
     calls = []
     distance = hull.extended_distance
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("order"))
-        return distance(*args, **kwargs)
+    def counted(s, a, b, order=None):
+        calls.append((a, b, order))
+        return distance(s, a, b, order=order)
 
     monkeypatch.setattr(hull, "extended_distance", counted)
     code, out, err = run(capsys, "hull-dist", "cover", "(1,0)", "(1, 355/113)", "--precision", "8")
     assert code == 3 and out == "" and err.startswith("indeterminate: angle gap vs pi")
-    assert len(calls) == 1
+    cover = spaces.get_space("cover")
+    a, b = cover.point(1, 0), cover.point(1, Fraction(355, 113))
+    assert calls == [(a, b, Fraction(1)), (a, b, Fraction(1))]
+
+
+def test_hull_dist_from_the_restored_origin(capsys):
+    # (t, 355/113) lies in the origin halo, whose standard point in the
+    # completion is the restored origin: the hull distance is st r of (1, 0),
+    # although the representatives' own branch test is undecidable at 8 bits
+    argv = ["hull-dist", "cover-completion", "(t, 355/113)", "(1, 0)", "--precision", "8"]
+    assert run(capsys, *argv) == (0, "1\n", "")
+    assert run(capsys, "hull-dist", "cover", *argv[2:])[0] == 3
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from ihull import hull, lcf, probes, spaces
-from ihull.errors import IhullError, NotFinite, SpaceMismatch
+from ihull.errors import BranchIndeterminate, IhullError, NotFinite, SpaceMismatch
 from ihull.hull import (
     check_proposition_a,
     check_theorem_b,
@@ -137,43 +137,48 @@ def test_hull_distance_cover_pair_at_angle_pi():
 
 
 def _counting(space):
-    """`space` with a distance that records the order of every call."""
-    orders = []
+    """`space` with a distance that records the points and the order of
+    every call."""
+    calls = []
 
     def counted(a, b, order, space=space):
-        orders.append(order)
+        calls.append((a, b, order))
         return space.distance(a, b, order)
 
-    return dataclasses.replace(space, distance=counted), orders
+    return dataclasses.replace(space, distance=counted), calls
 
 
 def test_hull_distance_computes_one_distance():
+    # one distance, on the representatives' standard points
     pairs = {1: ((ONE + T,), (3,)), 2: ((ONE + T, ONE), (2, T))}
+    standard = {1: ((1,), (3,)), 2: ((1, 1), (2, 0))}
     for space in ALL_SPACES:
-        counting, orders = _counting(space)
+        counting, calls = _counting(space)
         p, q = (counting.point(*c) for c in pairs[space.dimension])
         hull_distance(counting, halo(counting, p), halo(counting, q))
-        assert len(orders) == 1, space.space_id
-    # infinitely close pair, st d = 0: the attempt at the standard part's
-    # order cannot decide sqrt's leading term, the configured order can
-    counting, orders = _counting(COVER)
+        st_p, st_q = (counting.point(*c) for c in standard[space.dimension])
+        assert calls == [(st_p, st_q, F(1))], space.space_id
+    # infinitely close pair, st d = 0: the standard points (1, 0) are at
+    # distance exactly 0, which the representatives' own attempts confirm;
+    # the attempt at the standard part's order cannot decide sqrt's leading
+    # term, the configured order can
+    counting, calls = _counting(COVER)
     p, q = counting.point(ONE + T, T), counting.point(1, 0)
     st = hull_distance(counting, halo(counting, p), halo(counting, q))
     assert st == Interval.point(0)
-    assert len(orders) == 2
-    assert orders[0] < COVER.order
-    assert orders[1] == COVER.order
+    assert calls == [(q, q, F(1)), (p, q, F(1)), (p, q, COVER.order)]
     # configured order 0, below the coordinates' smallest exponent: the first
-    # attempt already runs at the configured order and is not repeated
+    # attempt already runs at the configured order, on the representatives,
+    # and is not repeated
     plane = spaces.get_space("euclidean-plane", F(0))
-    counting, orders = _counting(plane)
+    counting, calls = _counting(plane)
     p, q = counting.point(ONE + T, 0), counting.point(2, 0)
     with pytest.raises(NotFinite) as direct:
         lcf.standard_part(extended_distance(plane, p, q))
     with pytest.raises(NotFinite) as hulled:
         hull_distance(counting, halo(counting, p), halo(counting, q))
     assert str(hulled.value) == str(direct.value)
-    assert orders == [F(0)]
+    assert calls == [(p, q, F(0))]
 
 
 def _moved(point, rng):
@@ -190,8 +195,8 @@ def _moved(point, rng):
 def _distance_calls(space, a, b):
     """Check that hull_distance answers as st of the distance at the
     configured order (the same interval, or the same exception type and
-    message) and return the orders of the distance calls it made."""
-    counting, orders = _counting(space)
+    message) and return the distance calls it made, as (a, b, order)."""
+    counting, calls = _counting(space)
     try:
         expected = lcf.standard_part(space.distance(a, b, space.order))
     except IhullError as exc:
@@ -200,8 +205,13 @@ def _distance_calls(space, a, b):
         assert str(raised.value) == str(exc)
     else:
         assert hull_distance(counting, halo(counting, a), halo(counting, b)) == expected
-    assert len(set(orders)) == len(orders), orders  # no attempt is repeated
-    return orders
+    # a call on the standard points at a positive order comes first, if at
+    # all; then the representatives' own, no attempt repeated
+    standard = tuple(hull.locate(space, p).nearstandard for p in (a, b))
+    own = calls[1:] if calls and calls[0][:2] == standard and calls[0][2] > 0 else calls
+    assert [c[:2] for c in own] == [(a, b)] * len(own), calls
+    assert [c[2] for c in own] == sorted({c[2] for c in own}), calls
+    return calls
 
 
 @pytest.mark.parametrize("order", [F(0), F(1, 2), F(8)], ids=str)
@@ -222,12 +232,123 @@ def test_hull_distance_same_as_configured_order(order):
         for a, b in pairs:
             _distance_calls(space, a, b)
         for a, _ in pairs:
-            orders = _distance_calls(space, _moved(a, rng), a)
+            moved = _moved(a, rng)
+            calls = _distance_calls(space, moved, a)
             if name.startswith("cover"):
-                # st d = 0 from a cancelled t^0 coefficient: the configured
-                # order decides, after an attempt below it if there was one
-                assert orders[-1] == order, (name, a)
-                assert len(orders) == (2 if orders[0] < order else 1), (name, a)
+                # st d = 0: the moved copy and `a` share their standard point,
+                # at distance exactly 0; the representatives' attempt below the
+                # configured order meets a cancelled t^0 coefficient, so the
+                # configured order decides
+                first = calls[0][2]
+                st = hull.locate(space, a).nearstandard
+                expected = [(st, st, first)] if first > 0 and st is not None else []
+                expected.append((moved, a, first))
+                if first < order:
+                    expected.append((moved, a, order))
+                assert calls == expected, (name, a)
+
+
+def _representatives_hull_distance(s, a, b):
+    """The hull distance computed on the representatives alone, as before
+    standard points answered: the attempt at the smallest positive exponent
+    (capped at the space's order), then the space's order."""
+    for p in (a, b):
+        if in_galaxy(s, p) is Ternary.FALSE:
+            raise NotFinite(f"representative {p} outside the galaxy")
+    exponents = [q for p in (a, b) for c in p.coords for q, _ in c.terms if q > 0]
+    first = min(min(exponents, default=F(1)), s.order)
+    try:
+        return lcf.standard_part(extended_distance(s, a, b, order=first))
+    except BranchIndeterminate:
+        raise
+    except IhullError:
+        if first == s.order:
+            raise
+    return lcf.standard_part(extended_distance(s, a, b))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _sweep_point(space, rng):
+    """A representative of one of several kinds: exact or interval-valued
+    standard part, origin halo or restored origin, infinite angle, unknown or
+    infinite r."""
+    kind = rng.choice(["exact"] * 4 + ["enclosed"] * 3 + ["origin", "far", "odd"])
+    enclosed = lambda: lcf.add(
+        lcf.sqrt(lcf.from_rational(rng.choice([2, 3, 5, F(7, 3)]))),
+        lcf.scale(probes.random_infinitesimal(rng), probes.random_fraction(rng)),
+    )
+    if space.dimension == 1:
+        if kind == "enclosed":
+            return space.point(lcf.add(enclosed(), probes.random_finite(rng)))
+        if kind == "odd":
+            return space.point(rng.choice([TI, lcf.add(ONE, lcf.zero(F(0)))]))
+        return probes.finite_probes(space, rng, 1)[0]
+    zeta = rng.choice([
+        probes.random_finite(rng),
+        lcf.scale(lcf.pi_number(), probes.random_fraction(rng, 3)),
+        lcf.add(lcf.from_rational(F(355, 113)), probes.random_infinitesimal(rng)),
+    ])
+    if kind == "enclosed":
+        return space.point(enclosed(), zeta)
+    if kind == "origin" and space.space_id.startswith("cover"):
+        r = lcf.scale(probes.random_infinitesimal(rng), probes.random_fraction(rng))
+        if lcf.sign(r) <= 0:
+            r = lcf.zero() if space.space_id == "cover-completion" else lcf.T
+        return space.point(r, zeta)
+    if kind == "far":
+        return space.point(ONE, rng.choice([TI, lcf.scale(TI, F(-2, 3))]))
+    if kind == "odd":
+        unknown_r = lcf.LeviCivitaNumber(((-1, Interval(F(0), F(1))), (0, 1)))
+        return space.point(rng.choice([unknown_r, lcf.add(TI, ONE)]), zeta)
+    return probes.finite_probes(space, rng, 1)[0]
+
+
+def test_hull_distance_same_as_the_representatives_alone():
+    """A seeded sweep of over 2,000 pairs on every space at orders 0, 1/2 and
+    8 and precisions 8 and 64: the same interval, or the same exception type
+    and message, as the representatives alone give.  The one difference: on
+    the completion, an origin-halo representative's standard point is the
+    restored origin, so its hull distance to a nearstandard point is that
+    point's st r."""
+    rng = Random(2024)
+    from_origin = answered = raised = 0
+    for order in (F(0), F(1, 2), F(8)):
+        for precision in (8, 64):
+            for name in spaces.SPACE_NAMES:
+                space = spaces.get_space(name, order, precision)
+                origin = space.point(0, 0) if name == "cover-completion" else None
+                pairs = []
+                while len(pairs) < 90:
+                    a, b = _sweep_point(space, rng), _sweep_point(space, rng)
+                    pairs.append((a, b))
+                    if rng.random() < 0.25:
+                        pairs += [(a, a), (_moved(b, rng), b)]
+                if space.dimension == 2:
+                    pairs += [
+                        (space.point(ONE, lcf.pi_number()), space.point(2, lcf.pi_number())),
+                        (space.point(1, 0), space.point(1, lcf.pi_number())),
+                    ]
+                for a, b in pairs:
+                    got = _outcome(hull_distance, space, a, b)
+                    expected = _outcome(_representatives_hull_distance, space, a, b)
+                    answered += isinstance(got, Interval)
+                    raised += not isinstance(got, Interval)
+                    located = [_outcome(hull.locate, space, p) for p in (a, b)]
+                    near = [getattr(v, "nearstandard", None) for v in located]
+                    if origin is None or order <= 0 or near.count(origin) != 1 or None in near:
+                        assert got == expected, (name, order, precision, a, b)
+                        continue
+                    other = b if near[0] == origin else a
+                    assert got == lcf.standard_part(other.coords[0]), (a, b, got)
+                    assert not isinstance(expected, Interval) or expected.intersect(got)
+                    from_origin += 1
+    assert answered + raised > 2000 and answered > 1000 and from_origin > 20
 
 
 def test_hull_distance_rejects_outside_galaxy():

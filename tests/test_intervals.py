@@ -304,6 +304,24 @@ def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
     assert cost(10**30) <= 3 * cost(10)
 
 
+def test_cos_sin_guard_doubling_stops(monkeypatch):
+    # an argument enclosure wider than 2g, as a reduction that broke its width
+    # bound would give, never passes the width check: the guard bits double
+    # four times and the evaluation fails, naming the argument
+    guards = []
+    kernel = intervals._fixed_cos_sin
+
+    def counted(x, w, bits):
+        guards.append(w - bits)
+        return kernel(x, w, bits)
+
+    monkeypatch.setattr(intervals, "reduce_angle", lambda x, p: Interval(F(0), F(1, 2**40)))
+    monkeypatch.setattr(intervals, "_fixed_cos_sin", counted)
+    with pytest.raises(AssertionError, match=r"^cos/sin of 10: raw enclosure wider than 2g"):
+        cos_sin_interval(Interval.point(F(10)), 64)
+    assert guards == [12, 24, 48, 96, 192]
+
+
 def test_reduce_angle_is_narrow_and_within_pi_of_zero():
     # any integer k gives the same cos and sin, so k is not certified: it is
     # recovered here as the integer nearest (x - r) / 2 pi

@@ -166,6 +166,38 @@ def test_format_number_makes_no_fraction_comparison(monkeypatch):
     assert calls == []
 
 
+def test_sums_merge_each_term_a_logarithmic_number_of_times(monkeypatch):
+    # a left fold merges up to k terms at the k-th "+", n^2/2 for the sum
+    n = 4096
+    text = " + ".join(f"{k}t^{k}" for k in range(1, n + 1))
+    merged = []
+    add = lcf.add
+
+    def counted(a, b):
+        merged.append(len(a.terms) + len(b.terms))
+        return add(a, b)
+
+    monkeypatch.setattr(lcf, "add", counted)
+    value = parse_number(text)
+    assert len(merged) == n - 1
+    assert sum(merged) <= n * 13  # n (log2 n + 1)
+    assert value == lcf.LeviCivitaNumber(tuple((k, k) for k in range(1, n + 1)))
+
+
+def test_sums_equal_the_left_fold():
+    rng = Random(17)
+    for _ in range(40):
+        signs = [rng.choice("+-") for _ in range(rng.randint(1, 60))]
+        fixed = ["O(t^3)", "(1 - t)/(1 + t)", "-t^-1/2*t"]
+        terms = [rng.choice([f"({format_number(random_exact(rng))})", *fixed]) for _ in signs]
+        text = "".join(f" {sign} {term}" for sign, term in zip(signs, terms))
+        expected = lcf.zero()
+        for sign, term in zip(signs, terms):
+            value = parse_expression(term, 4)
+            expected = expected + value if sign == "+" else expected - value
+        assert parse_expression(text, 4) == expected, text
+
+
 def test_number_to_json():
     assert number_to_json(parse_number("1 + t")) == "1 + t"
     payload = number_to_json(lcf.sqrt(lcf.from_rational(2), 4, 64))
