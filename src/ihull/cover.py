@@ -145,9 +145,7 @@ def _chord_distance(a, b, dz, order, precision) -> LeviCivitaNumber:
     cos_dz = lcf.cos_enclosure(dz, order, precision)
     cross = lcf.scale(lcf.mul(lcf.mul(a.r, b.r), cos_dz), -2)
     squared = lcf.add(lcf.add(lcf.mul(a.r, a.r), lcf.mul(b.r, b.r)), cross)
-    if squared.is_zero:
-        return lcf.zero()
-    return lcf.sqrt(squared, order, precision)
+    return lcf.sqrt_nonnegative(squared, order, precision)
 
 
 def completion_distance(

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import lcf
-from .errors import BranchIndeterminate, IhullError, NotFinite, SpaceMismatch
+from .errors import NotFinite, SpaceMismatch
 from .intervals import Interval
 from .lcf import LeviCivitaNumber, Ternary
 
@@ -67,15 +67,13 @@ class Location:
 class SpaceDescriptor:
     """A registered metric space with its extension and its `locate` oracle.
 
-    `order` is the truncation order the space was built at, the most any
-    distance on it works at.  `distance(a, b, order)` works at the `order`
-    it is given; `extended_distance` decides that order, never above the
-    space's own.  It must be symmetric, nonnegative, and satisfy the
-    triangle inequality; the test suite probes these on random triples
-    rather than trusting registrations.  `locate` is space-specific:
-    approachability has no generic decision procedure, and finiteness is
-    decided from the coordinates, never by expanding a distance to the
-    basepoint.
+    `order` is the truncation order the space was built at, and
+    `distance(a, b)` works at it.  The distance must be symmetric,
+    nonnegative, and satisfy the triangle inequality; the test suite probes
+    these on random triples rather than trusting registrations.  `locate`
+    is space-specific: approachability has no generic decision procedure,
+    and finiteness is decided from the coordinates, never by expanding a
+    distance to the basepoint.
     """
 
     space_id: str
@@ -110,12 +108,12 @@ def _check_membership(s: SpaceDescriptor, *points: ExtendedPoint) -> None:
 # ---------------------------------------------------------------------------
 
 def extended_distance(
-    s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint, order=None
+    s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint
 ) -> LeviCivitaNumber:
     """The space's distance on extended points (>= 0 by registration), at
-    the space's order, or at `order` when that is lower."""
+    the space's order."""
     _check_membership(s, a, b)
-    return s.distance(a, b, s.order if order is None else min(order, s.order))
+    return s.distance(a, b)
 
 
 def locate(s: SpaceDescriptor, a: ExtendedPoint) -> Location:
@@ -138,70 +136,24 @@ def halo(s: SpaceDescriptor, a: ExtendedPoint) -> ExtendedPoint:
 
 def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Interval:
     """Distance between the hull points of representatives `a` and `b`: st
-    of the extended distance.
+    of the extended distance, with each representative that has a standard
+    point replaced by that point.
 
-    Well-defined on halos: replacing a representative by an infinitely close
-    point moves the extended distance by an infinitesimal, which st ignores.
-
-    The first attempt works at the smallest positive exponent e among the
-    representatives' coordinates (1 if there is none), capped at the space's
-    order, and its answer is the one the space's order gives.  A distance
-    takes an order only in its series (`cos_enclosure` of the angle gap,
-    `sqrt`); branch tests, |dx| and the far branch take none.  Every term of
-    a series argument then sits at or above e, so each series stops at its
-    constant term and only standard parts are multiplied.  At the space's
-    order the same products reach t^0, added in the same order, and every
-    further term lands at or above e > 0: the t^0 coefficient, and so the
-    interval returned, is identical.  It is built from the coordinates' t^0
-    coefficients, the standard points' coordinates (`locate` finds them while
-    it checks finiteness); so for e > 0, where both representatives have
-    one, the attempt runs first on the standard points, with every series
-    exact from the start.  Where it raises or returns exactly 0 (a branch
-    the standard points cannot decide, infinitely close representatives),
-    the representatives' own attempt follows.  Where that raises (on the
-    cover the t^0 coefficient of the squared distance of infinitely close
-    representatives cancels, so `sqrt` finds no positive leading term; a
-    coordinate of unknown finiteness leaves no positive leading term
-    either), the distance is recomputed at the space's order, and its
-    result or exception is returned unchanged; a first attempt that the
-    cap already put at the space's order is not repeated, and its exception
-    is the one the repeat would raise.  `BranchIndeterminate` depends on
-    the precision only and is raised at once.  One answer is not the
-    representatives' own: the standard point of the completion's origin
-    halo is the restored origin, so there the answer is st r of the other
-    point even where the representatives' branch test is undecidable.
+    The replacement changes no answer: d(a, st a) is infinitesimal, so by
+    the triangle inequality st d(a, b) = st d(st a, b), and likewise for b.
+    The same argument makes the hull distance well-defined on halos.  At an
+    order <= 0 the representatives are kept: the space's series stop below
+    t^0 there, and st of the representatives' own distance is the answer or
+    the error.
     """
-    near = []
+    points = []
     for p in (a, b):
         location = locate(s, p)
         if location.finite is Ternary.FALSE:
             raise NotFinite(f"representative {p} outside the galaxy")
-        near.append(location.nearstandard)
-    first = min(_standard_part_order(a, b), s.order)
-    if first > 0 and None not in near:
-        try:
-            st = lcf.standard_part(extended_distance(s, *near, order=first))
-            if not st.is_zero:
-                return st
-        except IhullError:
-            pass
-    try:
-        return lcf.standard_part(extended_distance(s, a, b, order=first))
-    except BranchIndeterminate:
-        raise
-    except IhullError:
-        if first == s.order:
-            raise
-    # recomputed outside the handler, so no exception is chained
-    return lcf.standard_part(extended_distance(s, a, b))
-
-
-def _standard_part_order(*points: ExtendedPoint) -> Fraction:
-    """The smallest positive exponent among the points' coordinates, or 1."""
-    return min(
-        (q for p in points for c in p.coords for q, _ in c.terms if q > 0),
-        default=Fraction(1),
-    )
+        near = location.nearstandard
+        points.append(near if near is not None and s.order > 0 else p)
+    return lcf.standard_part(extended_distance(s, *points))
 
 
 def is_approachable(s: SpaceDescriptor, a: ExtendedPoint) -> Ternary:

@@ -652,6 +652,27 @@ def sqrt(
     return _series(u, series_order, _SQRT, ((0, _triple(sqrt_interval(c, precision))),), n // 2)
 
 
+def sqrt_nonnegative(
+    a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
+) -> LeviCivitaNumber:
+    """Square root of a value whose every member the caller knows is >= 0.
+
+    Exact zero gives zero.  Without a certainly positive leading coefficient
+    but with no term below a positive exponent L (the lead exponent, or the
+    order when no term is stored), every member is 0 or c t^e + ... with
+    c > 0 and e >= L, so the root is O(t^(L/2)).  Anything else goes to
+    `sqrt`, which raises NotPositive where it has no positive leading term.
+    """
+    if a.is_zero:
+        return zero()
+    lead = a.leading
+    if lead is None or lead[1].lo <= 0:
+        low = a.order if lead is None else lead[0]
+        if low > 0:
+            return zero(low / 2)
+    return sqrt(a, order, precision)
+
+
 def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:
     """pi as an exponent-0 enclosure."""
     return from_interval(pi_interval(precision))

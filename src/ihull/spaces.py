@@ -12,10 +12,10 @@ cover           no        no           hull strictly larger than completion
 cover-completion yes      no           complete but not Heine-Borel
 ============== ========= ============ ==================================
 
-Each space is built at one truncation order, recorded as its `order`.  Its
-`distance(a, b, order)` works at the order it is given; `hull` decides that
-order and never passes more than the space's own.  The line's |a - b| has
-no series and ignores it.
+Each space is built at one truncation order, recorded as its `order`, and
+one precision; its `distance(a, b)` works at both.  The standard point that
+`locate` finds is what `hull.hull_distance` measures from: st d(a, b) =
+st d(st a, b) by the triangle inequality.
 
 Soundness of the oracles.  Each space's `locate` decides finiteness from
 the coordinates, never by expanding the distance to the basepoint, so the
@@ -85,7 +85,7 @@ def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
 # ---------------------------------------------------------------------------
 
 def _rationals_line(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
+    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return lcf.abs_value(lcf.sub(a.coords[0], b.coords[0]))
 
     def nearstandard(x: LeviCivitaNumber) -> ExtendedPoint | None:
@@ -120,13 +120,11 @@ def _rationals_line(order, precision) -> SpaceDescriptor:
 # ---------------------------------------------------------------------------
 
 def _euclidean_plane(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
+    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         dx = lcf.sub(a.coords[0], b.coords[0])
         dy = lcf.sub(a.coords[1], b.coords[1])
         squared = lcf.add(lcf.mul(dx, dx), lcf.mul(dy, dy))
-        if squared.is_zero:
-            return lcf.zero()
-        return lcf.sqrt(squared, order, precision)
+        return lcf.sqrt_nonnegative(squared, order, precision)
 
     def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
         # The plane is complete: the coordinatewise standard part is the
@@ -204,7 +202,7 @@ def _cover_locate(space_id: str, origin: ExtendedPoint | None):
 
 
 def _cover(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
+    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return cover_mod.cover_distance(
             _as_cover_point(a), _as_cover_point(b), order, precision
         )
@@ -222,7 +220,7 @@ def _cover(order, precision) -> SpaceDescriptor:
 
 
 def _cover_completion(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint, order) -> LeviCivitaNumber:
+    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return cover_mod.completion_distance(
             _as_completion_point(a), _as_completion_point(b), order, precision
         )

@@ -13,7 +13,7 @@ def test_tracer_installs_on_every_hook_point():
     # deletion in `src/` raises here instead of breaking the benchmark; the
     # grid oracle is imported first because its hooks are only installed
     # where it is loaded; one hull distance of an appreciable cover pair must
-    # reach the `extended_distance` wrapper once, keyword call included
+    # reach the `extended_distance` wrapper once
     check = (
         "import sys; sys.path[:0] = sys.argv[1:3]; "
         "import ihull.gridoracle, tracer; t = tracer.Tracer(); tracer.install(t); "
@@ -90,31 +90,36 @@ def test_cli_cold_pool_runs_and_checks_in_process():
 
 
 def test_cover_hull_distances_run_on_standard_points():
-    # every cover hull distance of the hull-query pool makes one distance
-    # call, on its representatives' standard points, so a change that loses
-    # that path fails here and not only in the benchmark
+    # every hull distance of the hull-query pool (cover and line pairs and
+    # the flagship) makes one distance call, on each representative's
+    # standard point where it has one, so a change that loses that path
+    # fails here and not only in the benchmark
     check = (
         "import sys; sys.path[:0] = sys.argv[1:3]\n"
         "import hull_query\n"
         "from ihull import hull\n"
         "calls, seen = [], []\n"
         "distance, hull_distance = hull.extended_distance, hull.hull_distance\n"
-        "def counted(s, a, b, order=None):\n"
+        "def counted(s, a, b):\n"
         "    calls.append((a, b))\n"
-        "    return distance(s, a, b, order=order)\n"
+        "    return distance(s, a, b)\n"
         "def recorded(s, a, b):\n"
         "    seen.append((s, a, b))\n"
         "    return hull_distance(s, a, b)\n"
         "hull.extended_distance, hull.hull_distance = counted, recorded\n"
         "for seed in (7777, 101):\n"
-        "    queries = [q for q in hull_query.build(seed) if q.kind == 'hull_distance.cover']\n"
+        "    queries = [q for q in hull_query.build(seed) if q.kind.startswith('hull_distance.')]\n"
+        "    kinds = {}\n"
         "    for q in queries:\n"
         "        calls.clear(); seen.clear()\n"
         "        q.run()\n"
         "        (s, a, b), = seen\n"
-        "        standard = tuple(hull.locate(s, p).nearstandard for p in (a, b))\n"
-        "        assert calls == [standard] and None not in standard, (a, b, calls)\n"
-        "    print(len(queries))\n"
+        "        near = [hull.locate(s, p).nearstandard for p in (a, b)]\n"
+        "        expected = tuple(p if n is None else n for p, n in zip((a, b), near))\n"
+        "        assert calls == [expected], (a, b, calls)\n"
+        "        assert q.kind != 'hull_distance.cover' or None not in near, (a, b)\n"
+        "        kinds[q.kind] = kinds.get(q.kind, 0) + 1\n"
+        "    print(*(f'{k}={v}' for k, v in sorted(kinds.items())))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", check, str(ROOT / "perfbench"), str(ROOT / "src")],
@@ -123,4 +128,9 @@ def test_cover_hull_distances_run_on_standard_points():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["80", "80"]
+    for line in proc.stdout.splitlines():
+        kinds = dict(item.split("=") for item in line.split())
+        assert kinds["hull_distance.cover"] == "80"
+        assert kinds["hull_distance.flagship"] == "1"
+        assert kinds["hull_distance.rationals-line"] == "11"
+    assert len(proc.stdout.splitlines()) == 2

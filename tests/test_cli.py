@@ -120,8 +120,8 @@ def test_hull_dist(capsys):
 
 
 def test_hull_dist_order_caps_the_first_attempt(capsys):
-    # at --order 0 no distance has a standard part, whatever order the
-    # coordinates alone would allow
+    # at --order 0 the one distance, on the representatives, has no standard
+    # part, whatever order the coordinates alone would allow
     code, _, err = run(
         capsys, "hull-dist", "cover", "(1+t, 0)", "(2, 1)", "--order", "0"
     )
@@ -443,24 +443,44 @@ def test_completion_distances_at_the_restored_origin(capsys):
 
 
 def test_hull_dist_raises_an_undecidable_branch_at_once(capsys, monkeypatch):
-    # 355/113 is within 2^-8 of pi: the branch test cannot settle at precision
-    # 8, on the standard points or on the representatives (here the same
-    # points), and more order would not help, so no attempt at --order follows
+    # 355/113 is within 2^-8 of pi: the branch test of the standard points
+    # (here the points themselves) cannot settle at precision 8, and the one
+    # distance call raises it
     from ihull import hull, spaces
 
     calls = []
     distance = hull.extended_distance
 
-    def counted(s, a, b, order=None):
-        calls.append((a, b, order))
-        return distance(s, a, b, order=order)
+    def counted(s, a, b):
+        calls.append((a, b))
+        return distance(s, a, b)
 
     monkeypatch.setattr(hull, "extended_distance", counted)
     code, out, err = run(capsys, "hull-dist", "cover", "(1,0)", "(1, 355/113)", "--precision", "8")
     assert code == 3 and out == "" and err.startswith("indeterminate: angle gap vs pi")
     cover = spaces.get_space("cover")
     a, b = cover.point(1, 0), cover.point(1, Fraction(355, 113))
-    assert calls == [(a, b, Fraction(1)), (a, b, Fraction(1))]
+    assert calls == [(a, b)]
+
+
+@pytest.mark.parametrize("space, p, q", [
+    ("euclidean-plane", "(1 + O(t^3), 0)", "(1 + O(t^3), 0)"),
+    ("cover", "(1 + t + O(t^2), 2)", "(1, 2)"),
+    ("cover", "(t + O(t^3), 2)", "(t, 2)"),
+])
+def test_hull_dist_of_infinitely_close_points_is_zero(capsys, space, p, q):
+    # the first two pairs share their standard point; the last lies in the
+    # origin halo of the cover, where the squared distance is O(t^4)
+    assert run(capsys, "hull-dist", space, p, q) == (0, "0\n", "")
+
+
+def test_dist_of_infinitely_close_points_is_a_bound(capsys):
+    # no term of the squared distance is known, so the distance is the
+    # bound O(t^(L/2)) for a squared distance O(t^L)
+    plane = ("euclidean-plane", "(1 + O(t^3), 0)", "(1 + O(t^3), 0)")
+    assert run(capsys, "dist", *plane) == (0, "d = O(t^3/2)\nst = 0\n", "")
+    cover = ("cover", "(t + O(t^3), 2)", "(t, 2)")
+    assert run(capsys, "dist", *cover) == (0, "d = O(t^2)\nst = 0\n", "")
 
 
 def test_hull_dist_from_the_restored_origin(capsys):

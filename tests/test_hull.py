@@ -7,7 +7,13 @@ from random import Random
 import pytest
 
 from ihull import hull, lcf, probes, spaces
-from ihull.errors import BranchIndeterminate, IhullError, NotFinite, SpaceMismatch
+from ihull.errors import (
+    BranchIndeterminate,
+    IhullError,
+    NotFinite,
+    NotPositive,
+    SpaceMismatch,
+)
 from ihull.hull import (
     check_proposition_a,
     check_theorem_b,
@@ -19,7 +25,7 @@ from ihull.hull import (
     is_nearstandard,
 )
 from ihull.intervals import Interval
-from ihull.lcf import IndeterminateComparison, Magnitude, Ternary
+from ihull.lcf import IndeterminateComparison, LeviCivitaNumber, Magnitude, Ternary
 
 T = lcf.T
 TI = lcf.T_INVERSE
@@ -137,13 +143,12 @@ def test_hull_distance_cover_pair_at_angle_pi():
 
 
 def _counting(space):
-    """`space` with a distance that records the points and the order of
-    every call."""
+    """`space` with a distance that records the points of every call."""
     calls = []
 
-    def counted(a, b, order, space=space):
-        calls.append((a, b, order))
-        return space.distance(a, b, order)
+    def counted(a, b, space=space):
+        calls.append((a, b))
+        return space.distance(a, b)
 
     return dataclasses.replace(space, distance=counted), calls
 
@@ -157,19 +162,16 @@ def test_hull_distance_computes_one_distance():
         p, q = (counting.point(*c) for c in pairs[space.dimension])
         hull_distance(counting, halo(counting, p), halo(counting, q))
         st_p, st_q = (counting.point(*c) for c in standard[space.dimension])
-        assert calls == [(st_p, st_q, F(1))], space.space_id
-    # infinitely close pair, st d = 0: the standard points (1, 0) are at
-    # distance exactly 0, which the representatives' own attempts confirm;
-    # the attempt at the standard part's order cannot decide sqrt's leading
-    # term, the configured order can
+        assert calls == [(st_p, st_q)], space.space_id
+    # infinitely close pair, st d = 0: both standard points are (1, 0), at
+    # distance exactly 0
     counting, calls = _counting(COVER)
     p, q = counting.point(ONE + T, T), counting.point(1, 0)
     st = hull_distance(counting, halo(counting, p), halo(counting, q))
     assert st == Interval.point(0)
-    assert calls == [(q, q, F(1)), (p, q, F(1)), (p, q, COVER.order)]
-    # configured order 0, below the coordinates' smallest exponent: the first
-    # attempt already runs at the configured order, on the representatives,
-    # and is not repeated
+    assert calls == [(q, q)]
+    # configured order 0: the representatives are kept, and their distance
+    # has no standard part
     plane = spaces.get_space("euclidean-plane", F(0))
     counting, calls = _counting(plane)
     p, q = counting.point(ONE + T, 0), counting.point(2, 0)
@@ -178,7 +180,7 @@ def test_hull_distance_computes_one_distance():
     with pytest.raises(NotFinite) as hulled:
         hull_distance(counting, halo(counting, p), halo(counting, q))
     assert str(hulled.value) == str(direct.value)
-    assert calls == [(p, q, F(0))]
+    assert calls == [(p, q)]
 
 
 def _moved(point, rng):
@@ -192,26 +194,23 @@ def _moved(point, rng):
     )
 
 
-def _distance_calls(space, a, b):
-    """Check that hull_distance answers as st of the distance at the
-    configured order (the same interval, or the same exception type and
-    message) and return the distance calls it made, as (a, b, order)."""
+def _check_one_call(space, a, b):
+    """Check that hull_distance makes one distance call, on the standard
+    points where the order is positive and the representatives have them,
+    and answers as st of that distance (the same interval, or the same
+    exception type and message); where the representatives' own distance
+    has a standard part too, the two intervals meet."""
+    near = [hull.locate(space, p).nearstandard for p in (a, b)]
+    points = tuple(
+        p if n is None or space.order <= 0 else n for p, n in zip((a, b), near)
+    )
     counting, calls = _counting(space)
-    try:
-        expected = lcf.standard_part(space.distance(a, b, space.order))
-    except IhullError as exc:
-        with pytest.raises(type(exc)) as raised:
-            hull_distance(counting, halo(counting, a), halo(counting, b))
-        assert str(raised.value) == str(exc)
-    else:
-        assert hull_distance(counting, halo(counting, a), halo(counting, b)) == expected
-    # a call on the standard points at a positive order comes first, if at
-    # all; then the representatives' own, no attempt repeated
-    standard = tuple(hull.locate(space, p).nearstandard for p in (a, b))
-    own = calls[1:] if calls and calls[0][:2] == standard and calls[0][2] > 0 else calls
-    assert [c[:2] for c in own] == [(a, b)] * len(own), calls
-    assert [c[2] for c in own] == sorted({c[2] for c in own}), calls
-    return calls
+    got = _outcome(hull_distance, counting, halo(counting, a), halo(counting, b))
+    assert calls == [points]
+    assert got == _outcome(lambda: lcf.standard_part(space.distance(*points)))
+    own = _outcome(lambda: lcf.standard_part(space.distance(a, b)))
+    if isinstance(got, Interval) and isinstance(own, Interval):
+        assert got.intersect(own) is not None, (a, b, got, own)
 
 
 @pytest.mark.parametrize("order", [F(0), F(1, 2), F(8)], ids=str)
@@ -230,35 +229,23 @@ def test_hull_distance_same_as_configured_order(order):
                 (space.point(unknown_r, ONE), space.point(1, 0)),
             ]
         for a, b in pairs:
-            _distance_calls(space, a, b)
-        for a, _ in pairs:
-            moved = _moved(a, rng)
-            calls = _distance_calls(space, moved, a)
-            if name.startswith("cover"):
-                # st d = 0: the moved copy and `a` share their standard point,
-                # at distance exactly 0; the representatives' attempt below the
-                # configured order meets a cancelled t^0 coefficient, so the
-                # configured order decides
-                first = calls[0][2]
-                st = hull.locate(space, a).nearstandard
-                expected = [(st, st, first)] if first > 0 and st is not None else []
-                expected.append((moved, a, first))
-                if first < order:
-                    expected.append((moved, a, order))
-                assert calls == expected, (name, a)
+            _check_one_call(space, a, b)
+            _check_one_call(space, _moved(a, rng), a)
 
 
-def _representatives_hull_distance(s, a, b):
+def _representatives_hull_distance(s, a, b, precision):
     """The hull distance computed on the representatives alone, as before
-    standard points answered: the attempt at the smallest positive exponent
-    (capped at the space's order), then the space's order."""
+    standard points answered: the distance at the smallest positive exponent
+    (capped at the space's order), then at the space's order."""
     for p in (a, b):
         if in_galaxy(s, p) is Ternary.FALSE:
             raise NotFinite(f"representative {p} outside the galaxy")
     exponents = [q for p in (a, b) for c in p.coords for q, _ in c.terms if q > 0]
     first = min(min(exponents, default=F(1)), s.order)
     try:
-        return lcf.standard_part(extended_distance(s, a, b, order=first))
+        return lcf.standard_part(
+            extended_distance(spaces.get_space(s.space_id, first, precision), a, b)
+        )
     except BranchIndeterminate:
         raise
     except IhullError:
@@ -312,12 +299,17 @@ def _sweep_point(space, rng):
 def test_hull_distance_same_as_the_representatives_alone():
     """A seeded sweep of over 2,000 pairs on every space at orders 0, 1/2 and
     8 and precisions 8 and 64: the same interval, or the same exception type
-    and message, as the representatives alone give.  The one difference: on
-    the completion, an origin-halo representative's standard point is the
-    restored origin, so its hull distance to a nearstandard point is that
-    point's st r."""
+    and message, as the representatives alone give, with three kinds of
+    difference, each of which occurs.  Where both standard points are one
+    point, an error becomes the answer 0.  On the completion, an origin-halo
+    representative's standard point is the restored origin, whose distance
+    to a point is that point's r: so the hull distance to a nearstandard
+    point is st r, and to an r of unknown finiteness NotFinite, where the
+    representatives' square root found no positive leading term."""
     rng = Random(2024)
-    from_origin = answered = raised = 0
+    unknown_r = lcf.LeviCivitaNumber(((-1, Interval(F(0), F(1))), (0, 1)))
+    answered = raised = 0
+    kinds = dict.fromkeys(("same standard point", "from origin", "unknown r"), 0)
     for order in (F(0), F(1, 2), F(8)):
         for precision in (8, 64):
             for name in spaces.SPACE_NAMES:
@@ -333,22 +325,83 @@ def test_hull_distance_same_as_the_representatives_alone():
                     pairs += [
                         (space.point(ONE, lcf.pi_number()), space.point(2, lcf.pi_number())),
                         (space.point(1, 0), space.point(1, lcf.pi_number())),
+                        (space.point(T, 1), space.point(unknown_r, 1)),
                     ]
+                else:
+                    pairs.append(tuple(space.point(lcf.add(ONE, lcf.zero(k))) for k in (2, 3)))
                 for a, b in pairs:
                     got = _outcome(hull_distance, space, a, b)
-                    expected = _outcome(_representatives_hull_distance, space, a, b)
+                    expected = _outcome(_representatives_hull_distance, space, a, b, precision)
                     answered += isinstance(got, Interval)
                     raised += not isinstance(got, Interval)
                     located = [_outcome(hull.locate, space, p) for p in (a, b)]
                     near = [getattr(v, "nearstandard", None) for v in located]
-                    if origin is None or order <= 0 or near.count(origin) != 1 or None in near:
+                    if got == expected or order <= 0:
                         assert got == expected, (name, order, precision, a, b)
-                        continue
-                    other = b if near[0] == origin else a
-                    assert got == lcf.standard_part(other.coords[0]), (a, b, got)
-                    assert not isinstance(expected, Interval) or expected.intersect(got)
-                    from_origin += 1
-    assert answered + raised > 2000 and answered > 1000 and from_origin > 20
+                    elif near[0] == near[1] is not None:
+                        assert got == Interval.point(0), (a, b, got)
+                        assert not isinstance(expected, Interval)
+                        kinds["same standard point"] += 1
+                    else:
+                        assert origin is not None and near.count(origin) == 1, (a, b)
+                        other = b if near[0] == origin else a
+                        st_r = _outcome(lcf.standard_part, other.coords[0])
+                        assert got == st_r, (a, b, got)
+                        if None in near:
+                            assert expected[0] is NotPositive and got[0] is NotFinite
+                            kinds["unknown r"] += 1
+                        else:
+                            assert not isinstance(expected, Interval) or expected.intersect(got)
+                            kinds["from origin"] += 1
+    assert answered + raised > 2000 and answered > 1000
+    assert all(kinds.values()), kinds
+
+
+def _close_pair(space, rng):
+    """An exact point and a copy moved by one or two terms at exponents 3 to
+    10; on the cover r is appreciable or an infinitesimal c t^m."""
+    if space.space_id == "euclidean-plane":
+        base = [lcf.from_rational(probes.random_fraction(rng)) for _ in range(2)]
+    else:
+        r = abs(probes.random_nonzero_fraction(rng))
+        base = [
+            lcf.monomial(r, rng.choice([0, 0, F(1, 2), 1, 2])),
+            lcf.from_rational(probes.random_fraction(rng, 3)),
+        ]
+    moved = [
+        lcf.add(c, LeviCivitaNumber(tuple(
+            (rng.randint(3, 10), probes.random_nonzero_fraction(rng))
+            for _ in range(rng.randint(1, 2))
+        )))
+        for c in base
+    ]
+    return base, moved
+
+
+def test_infinitely_close_distances_bound_the_higher_orders():
+    """Seeded infinitely close exact pairs, each coordinate known up to the
+    working order: where the distance at order 8 is a bound O(t^k) with no
+    term, every term of the distance at order 16 lies at or above k, and
+    every coefficient the two share meets."""
+    rng = Random(271)
+    for name in ("euclidean-plane", "cover"):
+        low, high = (spaces.get_space(name, order) for order in (F(8), F(16)))
+        bounds = 0
+        for _ in range(40):
+            pair = _close_pair(low, rng)
+            d8, d16 = (
+                extended_distance(s, *(
+                    s.point(*(lcf.add(c, lcf.zero(s.order)) for c in p)) for p in pair
+                ))
+                for s in (low, high)
+            )
+            if not d8.terms:
+                bounds += 1
+                assert not d16.terms or d16.lead_exponent >= d8.order, (pair, d8, d16)
+            for q, c in d16.terms:
+                if q < d8.order:
+                    assert c.intersect(d8.coefficient(q)) is not None, (pair, d8, d16)
+        assert bounds > 5, name
 
 
 def test_hull_distance_rejects_outside_galaxy():

@@ -235,6 +235,20 @@ def test_sqrt_requires_positive_leading():
         lcf.sqrt(lcf.zero(), 4, 64)
 
 
+def test_sqrt_nonnegative():
+    assert lcf.sqrt_nonnegative(lcf.zero(), 4, 64) == lcf.zero()
+    assert lcf.sqrt_nonnegative(num("4t^2"), 4, 64) == num("2t")
+    # no term below a positive exponent L: the root is O(t^(L/2))
+    assert lcf.sqrt_nonnegative(num("O(t^3)"), 4, 64) == lcf.zero(F(3, 2))
+    maybe_zero = LeviCivitaNumber(((2, Interval(F(0), F(1))),), F(4))
+    assert lcf.sqrt_nonnegative(maybe_zero, 4, 64) == lcf.zero(F(1))
+    # an undecided t^0 coefficient, or none determined, still raises
+    with pytest.raises(NotPositive):
+        lcf.sqrt_nonnegative(LeviCivitaNumber(((0, Interval(F(0), F(1))),)), 4, 64)
+    with pytest.raises(NotPositive):
+        lcf.sqrt_nonnegative(num("O(1)"), 4, 64)
+
+
 def test_sqrt_fractional_lead_exponent():
     result = lcf.sqrt(num("9t^3"), 6, 64)
     assert result == lcf.monomial(3, F(3, 2))
