@@ -5,6 +5,17 @@ no rounding ever happens, and an operation's result interval contains every
 possible value of the operation over the input intervals.  An exact number is
 the degenerate interval with `lo == hi`.
 
+Sum, product and reciprocal run on one integer-endpoint core, which the
+series of `lcf` run on too.  An interval becomes a triple (L, H, E) with
+E > 0 standing for [L/E, H/E], E the lcm of the endpoint denominators.  A
+product of triples is the interval product of their endpoints over the
+product of the E, a sum goes over the lcm of the E, and the reciprocal of a
+triple with L H > 0 is (E L, E H, L H).  `_reduced` puts a triple over its
+least E by one gcd, and `_interval` turns it back with one Fraction per
+endpoint (one for both when L == H).  The operations are exact, so a chain
+of them on triples gives the rationals the same chain on intervals gives;
+it saves the gcd that Fraction runs after each operation.
+
 Enclosures are *nested under refinement*: calling any function here but
 `reduce_angle` with a larger `precision` returns an interval contained in the
 one returned at a smaller precision.  Tests rely on this.
@@ -19,8 +30,9 @@ w = precision + C + guard bits; each Taylor term magnitude a^m/m! is carried
 as a lower and an upper integer, the lower one rounded down (floor division)
 and the upper one up (ceil division), so the alternating partial sums plus
 the tail bound next/(1 - ratio) give a raw enclosure [L, H] of the value v.
-A run-time check requires (H - L)/2 <= g = 2^-(precision + C), doubling the
-guard bits until it holds, at most four times: past that the argument's
+A run-time check requires (H - L)/2 <= g = 2^-(precision + C).  At 12 guard
+bits it holds for an argument at most g/256 wide, as a point or a reduced
+argument is, so the kernel runs once; a failure means the argument's
 enclosure was wider than the proof allows, an AssertionError.  The result
 is [m - 4g, m + 4g], with m the midpoint of [L, H] rounded to the nearest
 multiple of g/2, so |m - v| <= 5g/4 and the endpoints are dyadic with
@@ -110,12 +122,7 @@ class Interval:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        if self.is_exact:
-            lo = self.lo + other.lo
-            if other.is_exact:
-                return Interval._unchecked(lo, lo)
-            return Interval._unchecked(lo, self.lo + other.hi)
-        return Interval._unchecked(self.lo + other.lo, self.hi + other.hi)
+        return _interval(_sum(_triple(self), _triple(other)))
 
     def __sub__(self, other: "Interval") -> "Interval":
         return self + (-other)
@@ -124,31 +131,12 @@ class Interval:
         return Interval._unchecked(-self.hi, -self.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        if self.is_exact:
-            return other.scale(self.lo)
-        if other.is_exact:
-            return self.scale(other.lo)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval._unchecked(min(products), max(products))
-
-    def scale(self, factor) -> "Interval":
-        f = factor if isinstance(factor, Fraction) else Fraction(factor)
-        if self.is_exact:
-            p = self.lo * f
-            return Interval._unchecked(p, p)
-        if f >= 0:
-            return Interval._unchecked(self.lo * f, self.hi * f)
-        return Interval._unchecked(self.hi * f, self.lo * f)
+        return _interval(_product(_triple(self), _triple(other)))
 
     def reciprocal(self) -> "Interval":
         if self.contains_zero():
             raise ZeroDivisionError("reciprocal of an interval containing 0")
-        return Interval(1 / self.hi, 1 / self.lo)
+        return _interval(_reciprocal(_triple(self)))
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
@@ -165,6 +153,58 @@ class Interval:
 
 ZERO_INTERVAL = Interval(_ZERO, _ZERO)
 ONE_INTERVAL = Interval(_ONE, _ONE)
+
+
+# ---------------------------------------------------------------------------
+# integer-endpoint core (module docstring)
+# ---------------------------------------------------------------------------
+
+def _triple(c: Interval) -> tuple[int, int, int]:
+    """(L, H, E) with [L/E, H/E] = c, E the lcm of the endpoint denominators."""
+    b, d = c.lo.denominator, c.hi.denominator
+    lcm = b if b == d else b // math.gcd(b, d) * d
+    return c.lo.numerator * (lcm // b), c.hi.numerator * (lcm // d), lcm
+
+
+def _interval(c: tuple[int, int, int]) -> Interval:
+    lo_num, hi_num, d = c
+    lo = Fraction(lo_num, d)
+    return Interval._unchecked(lo, lo if lo_num == hi_num else Fraction(hi_num, d))
+
+
+def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The interval product of two triples, over the product of their E."""
+    (l1, h1, d1), (l2, h2, d2) = x, y
+    if l1 == h1:
+        lo, hi = l1 * l2, l1 * h2
+    elif l2 == h2:
+        lo, hi = l1 * l2, h1 * l2
+    else:
+        p = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
+        lo, hi = min(p), max(p)
+    return (lo, hi, d1 * d2) if lo <= hi else (hi, lo, d1 * d2)
+
+
+def _sum(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The interval sum of two triples, over the lcm of their E."""
+    (l1, h1, d1), (l2, h2, d2) = x, y
+    if d1 == d2:
+        return l1 + l2, h1 + h2, d1
+    g = math.gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return l1 * m1 + l2 * m2, h1 * m1 + h2 * m2, d1 * m1
+
+
+def _reduced(x: tuple[int, int, int]) -> tuple[int, int, int]:
+    """x over its least E: the triple `_triple` gives for the same interval."""
+    g = math.gcd(*x)
+    return x[0] // g, x[1] // g, x[2] // g
+
+
+def _reciprocal(x: tuple[int, int, int]) -> tuple[int, int, int]:
+    """[E/H, E/L] for a triple with L H > 0, over L H and reduced."""
+    lo, hi, d = x
+    return _reduced((d * lo, d * hi, lo * hi))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +286,7 @@ def pi_interval(precision: int) -> Interval:
 
 
 def two_pi_interval(precision: int) -> Interval:
-    return pi_interval(precision + 1).scale(2)
+    return pi_interval(precision + 1) * Interval.point(2)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +303,7 @@ def reduce_angle(x: Fraction, precision: int) -> Interval:
     """
     size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
     two_pi = two_pi_interval(precision + size + 1)
-    return Interval.point(x) - two_pi.scale(round(x / two_pi.midpoint))
+    return Interval.point(x) - two_pi * Interval.point(round(x / two_pi.midpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +312,10 @@ def reduce_angle(x: Fraction, precision: int) -> Interval:
 
 #: C: the raw enclosures are at most g = 2^-(precision + C) in half-width.
 _COS_SIN_EXTRA_BITS = 8
-#: first working bits beyond precision + C; doubled until the width check passes
+#: working bits beyond precision + C: a raw enclosure is as wide as the
+#: argument plus the rounding, which these keep below g, and a reduced argument
+#: is at most g/256 wide, so the width check fails only on a broken width bound
 _COS_SIN_GUARD_BITS = 12
-#: the doubling stops here: a raw enclosure is as wide as the argument plus
-#: the rounding, which the first guard already keeps below g, and a reduced
-#: argument is at most g/256 wide, so getting here means a broken width bound
-_COS_SIN_MAX_GUARD_BITS = _COS_SIN_GUARD_BITS << 4
 #: arguments below this are summed directly, larger ones reduced by 2 pi k
 _REDUCE_ABOVE = 4
 
@@ -289,19 +327,17 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
         return ONE_INTERVAL, ZERO_INTERVAL
     bits = precision + _COS_SIN_EXTRA_BITS
     angle = Interval.point(s) if abs(s) < _REDUCE_ABOVE else reduce_angle(s, bits + 8)
-    guard = _COS_SIN_GUARD_BITS
-    while (raw := _fixed_cos_sin(angle, bits + guard, bits)) is None:
-        if guard >= _COS_SIN_MAX_GUARD_BITS:
-            raise AssertionError(f"cos/sin of {s}: raw enclosure wider than 2g at {guard} bits")
-        guard *= 2
+    raw = _fixed_cos_sin(angle, bits + _COS_SIN_GUARD_BITS, bits)
+    if raw is None:
+        raise AssertionError(f"cos/sin of {s}: raw enclosure wider than 2g")
     (cos_lo, cos_hi), (sin_lo, sin_hi) = raw
-    return _around(cos_lo + cos_hi, guard, bits), _around(sin_lo + sin_hi, guard, bits)
+    return _around(cos_lo + cos_hi, bits), _around(sin_lo + sin_hi, bits)
 
 
-def _around(twice_mid: int, guard: int, bits: int) -> Interval:
-    """[m - 4g, m + 4g] for m = twice_mid / 2^(bits + guard + 1) rounded to
-    the nearest multiple of g/2, g = 2^-bits."""
-    m = (twice_mid + (1 << (guard - 1))) >> guard
+def _around(twice_mid: int, bits: int) -> Interval:
+    """[m - 4g, m + 4g] for m = twice_mid / 2^(bits + G + 1), G the guard
+    bits, rounded to the nearest multiple of g/2, g = 2^-bits."""
+    m = (twice_mid + (1 << (_COS_SIN_GUARD_BITS - 1))) >> _COS_SIN_GUARD_BITS
     unit = 1 << (bits + 1)
     return Interval._unchecked(Fraction(m - 8, unit), Fraction(m + 8, unit))
 

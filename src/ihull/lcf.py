@@ -13,22 +13,17 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
-Lattice.  `mul`, `scale` and the series functions work on integers.  Every
+Lattice.  `mul` and the series functions work on integers.  Every
 exponent q of the operands becomes n = q*D, D the lcm of their denominators
 (twice it in a split, so q/2 is on it too), so that (1/D)Z holds all of them
 and their sums; n/D lies below a truncation order T exactly when
 n < ceil(T*D).  INFINITE_ORDER (the float inf) is tested by identity before
 any arithmetic, so an exact operand never meets a Fraction-float comparison.
-Every coefficient becomes, once, a triple (L, H, E) with E > 0 standing for
-[L/E, H/E].  A product of triples is the interval product of their endpoints
-over the product of the E, a sum goes over the lcm of the E, and each result
-coefficient gets one Fraction per endpoint (one for both when L == H).  A
+Every coefficient becomes, once, a triple of the integer-endpoint core of
+`intervals`, and every result coefficient becomes an `Interval` once.  A
 series function stays on triples from the split a = c t^q (1 + u), whose u
 is the tail times 1/c reduced by one gcd, to the rescale by 1/c or sqrt(c),
 or the angle addition with cos s and sin s, of each result coefficient.
-These are the operations `Interval` performs, on the same rationals, so
-every enclosure is the same; only the gcd that Fraction runs after each
-operation is gone.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -74,6 +69,12 @@ from .intervals import (
     Interval,
     ONE_INTERVAL,
     ZERO_INTERVAL,
+    _interval,
+    _product,
+    _reciprocal,
+    _reduced,
+    _sum,
+    _triple,
     cos_sin_interval,
     pi_interval,
     sqrt_interval,
@@ -253,10 +254,7 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     f = _as_interval(factor)
     if f.is_zero:
         return zero()  # an exact zero factor leaves no unknown tail
-    f = _triple(f)
-    return LeviCivitaNumber._from_canonical(
-        tuple((q, _interval(_product(_triple(c), f))) for q, c in a.terms), a.order
-    )
+    return LeviCivitaNumber._from_canonical(tuple((q, c * f) for q, c in a.terms), a.order)
 
 
 def _order_plus(order, delta):
@@ -366,50 +364,6 @@ def _on_lattice(*supports, factor: int = 1):
 def _lattice_top(order, denominator: int) -> int | None:
     """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
     return None if order is INFINITE_ORDER else math.ceil(order * denominator)
-
-
-# -- integer-endpoint core (module docstring) ------------------------------------
-
-def _triple(c: Interval) -> tuple[int, int, int]:
-    """(L, H, E) with [L/E, H/E] = c, E the lcm of the endpoint denominators."""
-    b, d = c.lo.denominator, c.hi.denominator
-    lcm = b if b == d else b // math.gcd(b, d) * d
-    return c.lo.numerator * (lcm // b), c.hi.numerator * (lcm // d), lcm
-
-
-def _interval(c: tuple[int, int, int]) -> Interval:
-    lo_num, hi_num, d = c
-    lo = Fraction(lo_num, d)
-    return Interval._unchecked(lo, lo if lo_num == hi_num else Fraction(hi_num, d))
-
-
-def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The interval product of two triples, over the product of their E."""
-    (l1, h1, d1), (l2, h2, d2) = x, y
-    if l1 == h1:
-        lo, hi = l1 * l2, l1 * h2
-    elif l2 == h2:
-        lo, hi = l1 * l2, h1 * l2
-    else:
-        p = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
-        lo, hi = min(p), max(p)
-    return (lo, hi, d1 * d2) if lo <= hi else (hi, lo, d1 * d2)
-
-
-def _sum(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The interval sum of two triples, over the lcm of their E."""
-    (l1, h1, d1), (l2, h2, d2) = x, y
-    if d1 == d2:
-        return l1 + l2, h1 + h2, d1
-    g = math.gcd(d1, d2)
-    m1, m2 = d2 // g, d1 // g
-    return l1 * m1 + l2 * m2, h1 * m1 + h2 * m2, d1 * m1
-
-
-def _reduced(x: tuple[int, int, int]) -> tuple[int, int, int]:
-    """x over its least E: the triple `_triple` gives for the same interval."""
-    g = math.gcd(*x)
-    return x[0] // g, x[1] // g, x[2] // g
 
 
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
@@ -567,8 +521,8 @@ def _split_leading(a: LeviCivitaNumber):
     it, the triple of 1/c, q D), D twice the lcm of a's exponent denominators
     (module docstring)."""
     denominator, (terms,) = _on_lattice(a.terms, factor=2)
-    lead, (lo, hi, d) = terms[0]
-    inverse_c = _reduced((d * lo, d * hi, lo * hi))  # [d/hi, d/lo], lo hi > 0
+    lead, c = terms[0]
+    inverse_c = _reciprocal(c)
     steps = [(n - lead, _reduced(_product(ci, inverse_c))) for n, ci in terms[1:]]
     return (denominator, steps, _order_plus(a.order, -a.terms[0][0])), inverse_c, lead
 
@@ -657,19 +611,16 @@ def sqrt_nonnegative(
 ) -> LeviCivitaNumber:
     """Square root of a value whose every member the caller knows is >= 0.
 
-    Exact zero gives zero.  Without a certainly positive leading coefficient
-    but with no term below a positive exponent L (the lead exponent, or the
-    order when no term is stored), every member is 0 or c t^e + ... with
-    c > 0 and e >= L, so the root is O(t^(L/2)).  Anything else goes to
-    `sqrt`, which raises NotPositive where it has no positive leading term.
+    Exact zero gives zero.  Let L be the lead exponent, or the order when no
+    term is stored.  Without a certainly positive leading coefficient every
+    member is 0 or c t^e + ... with c > 0 and e >= L, so the root is
+    O(t^(L/2)), whatever the sign of L.  Anything else goes to `sqrt`.
     """
     if a.is_zero:
         return zero()
     lead = a.leading
     if lead is None or lead[1].lo <= 0:
-        low = a.order if lead is None else lead[0]
-        if low > 0:
-            return zero(low / 2)
+        return zero((a.order if lead is None else lead[0]) / 2)
     return sqrt(a, order, precision)
 
 

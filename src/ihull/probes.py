@@ -36,20 +36,11 @@ def random_exact(
     rng: Random,
     max_terms: int = 3,
     min_exponent: Fraction | None = None,
-    force_constant: bool | None = None,
 ) -> LeviCivitaNumber:
-    """A random exact value; optionally bounded below in exponent.
-
-    `force_constant` pins whether an exponent-0 term appears, which controls
-    whether the value is appreciable or a pure infinitesimal.
-    """
+    """A random exact value; optionally bounded below in exponent."""
     pool = [q for q in _EXPONENTS if min_exponent is None or q >= min_exponent]
-    if min_exponent is not None and min_exponent > 0:
-        include_constant = False
-    elif force_constant is None:
-        include_constant = rng.random() < 0.6
-    else:
-        include_constant = force_constant
+    # no draw for a value bounded above exponent 0: it has no constant term
+    include_constant = (min_exponent is None or min_exponent <= 0) and rng.random() < 0.6
     exponents = rng.sample(pool, k=min(rng.randint(0, max_terms), len(pool)))
     terms = [(q, random_nonzero_fraction(rng)) for q in exponents]
     if include_constant:

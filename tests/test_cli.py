@@ -483,6 +483,15 @@ def test_dist_of_infinitely_close_points_is_a_bound(capsys):
     assert run(capsys, "dist", *cover) == (0, "d = O(t^2)\nst = 0\n", "")
 
 
+def test_dist_at_order_0_is_a_bound_on_the_cover_as_on_the_plane(capsys):
+    # the squared chord has no term below its order 0, so the distance is O(1)
+    want = (0, "d = O(1)\nst = (not finite)\n", "")
+    cover = ("cover", "(4, 1/2 + t^2)", "(1 + t, -2/3)")
+    assert run(capsys, "dist", "--order", "0", "--", *cover) == want
+    plane = ("euclidean-plane", "(1 + t, 0)", "(2, 0)")
+    assert run(capsys, "dist", "--order", "0", "--", *plane) == want
+
+
 def test_hull_dist_from_the_restored_origin(capsys):
     # (t, 355/113) lies in the origin halo, whose standard point in the
     # completion is the restored origin: the hull distance is st r of (1, 0),

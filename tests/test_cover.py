@@ -305,7 +305,7 @@ def test_covering_map_local_isometry():
         th1, th2 = _angle(lcf.from_rational(z1)), _angle(lcf.from_rational(z2))
         # chord in the plane between the images (r1, th1) and (r2, th2)
         cos_dth, _ = cos_sin_interval(th1 - th2, 64)
-        chord_sq = Interval.point(r1 * r1 + r2 * r2) - cos_dth.scale(2 * r1 * r2)
+        chord_sq = Interval.point(r1 * r1 + r2 * r2) - cos_dth * Interval.point(2 * r1 * r2)
         chord = sqrt_interval(chord_sq, 64)
         assert lcf.standard_part(d).intersect(chord) is not None
 

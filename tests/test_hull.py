@@ -11,7 +11,6 @@ from ihull.errors import (
     BranchIndeterminate,
     IhullError,
     NotFinite,
-    NotPositive,
     SpaceMismatch,
 )
 from ihull.hull import (
@@ -299,17 +298,16 @@ def _sweep_point(space, rng):
 def test_hull_distance_same_as_the_representatives_alone():
     """A seeded sweep of over 2,000 pairs on every space at orders 0, 1/2 and
     8 and precisions 8 and 64: the same interval, or the same exception type
-    and message, as the representatives alone give, with three kinds of
+    and message, as the representatives alone give, with two kinds of
     difference, each of which occurs.  Where both standard points are one
     point, an error becomes the answer 0.  On the completion, an origin-halo
     representative's standard point is the restored origin, whose distance
     to a point is that point's r: so the hull distance to a nearstandard
-    point is st r, and to an r of unknown finiteness NotFinite, where the
-    representatives' square root found no positive leading term."""
+    point is st r.  To an r of unknown finiteness both give NotFinite."""
     rng = Random(2024)
     unknown_r = lcf.LeviCivitaNumber(((-1, Interval(F(0), F(1))), (0, 1)))
     answered = raised = 0
-    kinds = dict.fromkeys(("same standard point", "from origin", "unknown r"), 0)
+    kinds = dict.fromkeys(("same standard point", "from origin"), 0)
     for order in (F(0), F(1, 2), F(8)):
         for precision in (8, 64):
             for name in spaces.SPACE_NAMES:
@@ -344,15 +342,12 @@ def test_hull_distance_same_as_the_representatives_alone():
                         kinds["same standard point"] += 1
                     else:
                         assert origin is not None and near.count(origin) == 1, (a, b)
+                        assert None not in near, (a, b)
                         other = b if near[0] == origin else a
                         st_r = _outcome(lcf.standard_part, other.coords[0])
                         assert got == st_r, (a, b, got)
-                        if None in near:
-                            assert expected[0] is NotPositive and got[0] is NotFinite
-                            kinds["unknown r"] += 1
-                        else:
-                            assert not isinstance(expected, Interval) or expected.intersect(got)
-                            kinds["from origin"] += 1
+                        assert not isinstance(expected, Interval) or expected.intersect(got)
+                        kinds["from origin"] += 1
     assert answered + raised > 2000 and answered > 1000
     assert all(kinds.values()), kinds
 

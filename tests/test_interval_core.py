@@ -1,0 +1,68 @@
+"""Property tests of the integer-endpoint core under `Interval` arithmetic."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from ihull.intervals import Interval, _interval, _reduced, _triple
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(database=None, derandomize=True)
+
+_small = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+_large = st.builds(F, st.integers(-(1 << 90), 1 << 90), st.integers(1, 1 << 90))
+_rationals = st.one_of(_small, _large)
+_nonnegative = _rationals.map(abs)
+
+#: points, intervals of any sign, and intervals straddling or touching 0
+_intervals = st.one_of(
+    _rationals.map(Interval.point),
+    st.tuples(_rationals, _rationals).map(lambda ends: Interval(*sorted(ends))),
+    st.tuples(_nonnegative, _nonnegative).map(lambda ends: Interval(-ends[0], ends[1])),
+)
+#: a fraction of the way from lo to hi
+_positions = st.builds(F, st.integers(0, 64), st.just(64))
+
+
+def _reference(x, y):
+    """x + y, x - y, x * y and 1/x (None when x holds 0) on Fraction endpoints."""
+    products = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return (
+        (x.lo + y.lo, x.hi + y.hi),
+        (x.lo - y.hi, x.hi - y.lo),
+        (min(products), max(products)),
+        None if x.lo <= 0 <= x.hi else (1 / x.hi, 1 / x.lo),
+    )
+
+
+def _results(x, y):
+    reciprocal = None if x.contains_zero() else x.reciprocal()
+    return x + y, x - y, x * y, reciprocal
+
+
+@PROPERTY
+@given(_intervals, _intervals)
+def test_core_arithmetic_equals_the_fraction_reference(x, y):
+    got = [None if r is None else (r.lo, r.hi) for r in _results(x, y)]
+    assert got == list(_reference(x, y))
+    if x.contains_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.reciprocal()
+
+
+@PROPERTY
+@given(_intervals, _intervals, _positions, _positions)
+def test_members_land_inside_the_results(x, y, s, u):
+    a, b = x.lo + s * x.width, y.lo + u * y.width
+    total, difference, product, reciprocal = _results(x, y)
+    assert a + b in total and a - b in difference and a * b in product
+    assert reciprocal is None or 1 / a in reciprocal
+
+
+@PROPERTY
+@given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80), st.integers(1, 1 << 80))
+def test_reduced_is_the_triple_of_its_interval(lo, width, denominator):
+    x = (lo, lo + width, denominator)
+    assert _reduced(x) == _triple(_interval(x))

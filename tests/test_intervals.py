@@ -36,7 +36,7 @@ def test_interval_arithmetic():
     assert a - b == Interval(F(-2), F(3))
     assert a * b == Interval(F(-2), F(6))
     assert (-a) == Interval(F(-2), F(-1))
-    assert a.scale(-2) == Interval(F(-4), F(-2))
+    assert a * Interval.point(-2) == Interval(F(-4), F(-2))
     assert a.reciprocal() == Interval(F(1, 2), F(1))
     assert a.intersect(b) == Interval(F(1), F(2))
     assert Interval(F(2), F(3)).intersect(Interval(F(4), F(5))) is None
@@ -52,8 +52,8 @@ def test_interval_predicates():
 
 
 def _reference_arithmetic(x, y):
-    """x + y, x * y and x.scale(y.lo) as Interval computed them when it
-    decided exactness by Fraction ==, each as (lo, hi, lo is hi)."""
+    """x + y, x * y and x * [y.lo, y.lo] as Interval computed them on Fraction
+    endpoints, deciding exactness by Fraction ==, each as (lo, hi)."""
     def scale(a, f):
         if a.lo == a.hi:
             p = a.lo * f
@@ -74,7 +74,7 @@ def _reference_arithmetic(x, y):
             return (lo, lo) if b.lo == b.hi else (lo, a.lo + b.hi)
         return a.lo + b.lo, a.hi + b.hi
 
-    return x.lo == x.hi, [(lo, hi, lo is hi) for lo, hi in (add(x, y), mul(x, y), scale(x, y.lo))]
+    return x.lo == x.hi, [add(x, y), mul(x, y), scale(x, y.lo)]
 
 
 def test_exactness_is_decided_without_fraction_equality(monkeypatch):
@@ -97,15 +97,14 @@ def test_exactness_is_decided_without_fraction_equality(monkeypatch):
 
     monkeypatch.setattr(F, "__eq__", counted)
     got = [
-        [
-            (x.is_exact, [(r.lo, r.hi, r.lo is r.hi) for r in (x + y, x * y, x.scale(y.lo))])
-            for y in cases
-        ]
+        [(x.is_exact, [x + y, x * y, x * Interval.point(y.lo)]) for y in cases]
         for x in cases
     ]
     monkeypatch.undo()
     assert calls == 0
-    assert got == want
+    assert [[(e, [(r.lo, r.hi) for r in rs]) for e, rs in row] for row in got] == want
+    # an exact result holds one endpoint object, any other result two
+    assert all((r.lo is r.hi) == (r.lo == r.hi) for row in got for _, rs in row for r in rs)
 
 
 def test_sqrt_bounds_enclose_and_width():
@@ -284,8 +283,8 @@ def test_cos_sin_nested_at_the_widest_admissible_raw_enclosures(monkeypatch):
 
 
 def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
-    # cost proxy: the working bits of every fixed-point evaluation, retries
-    # included; without a reduction they would grow like 1.44 |x|
+    # cost proxy: the working bits of the fixed-point evaluation; without a
+    # reduction they would grow like 1.44 |x|
     working = []
     kernel = intervals._fixed_cos_sin
 
@@ -304,10 +303,9 @@ def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):
     assert cost(10**30) <= 3 * cost(10)
 
 
-def test_cos_sin_guard_doubling_stops(monkeypatch):
+def test_cos_sin_width_check_runs_once(monkeypatch):
     # an argument enclosure wider than 2g, as a reduction that broke its width
-    # bound would give, never passes the width check: the guard bits double
-    # four times and the evaluation fails, naming the argument
+    # bound would give, fails the one width check, naming the argument
     guards = []
     kernel = intervals._fixed_cos_sin
 
@@ -319,7 +317,7 @@ def test_cos_sin_guard_doubling_stops(monkeypatch):
     monkeypatch.setattr(intervals, "_fixed_cos_sin", counted)
     with pytest.raises(AssertionError, match=r"^cos/sin of 10: raw enclosure wider than 2g"):
         cos_sin_interval(Interval.point(F(10)), 64)
-    assert guards == [12, 24, 48, 96, 192]
+    assert guards == [12]
 
 
 def test_reduce_angle_is_narrow_and_within_pi_of_zero():

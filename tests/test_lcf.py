@@ -22,7 +22,7 @@ from ihull.lcf import (
     Ordering,
     Ternary,
 )
-from ihull.probes import random_finite, random_exact
+from ihull.probes import random_appreciable_positive, random_exact, random_finite
 
 T = lcf.T
 TI = lcf.T_INVERSE
@@ -218,9 +218,7 @@ def test_sqrt_scalar_enclosure():
 def test_sqrt_square_re_encloses_input():
     rng = Random(3)
     for _ in range(25):
-        a = random_exact(rng, max_terms=2, force_constant=True)
-        if a.leading is None or a.leading[1].lo <= 0 or a.leading[0] != 0:
-            continue
+        a = random_appreciable_positive(rng)
         root = lcf.sqrt(a, 6, 64)
         residue = root * root - a
         for q, c in residue.terms:
@@ -238,15 +236,15 @@ def test_sqrt_requires_positive_leading():
 def test_sqrt_nonnegative():
     assert lcf.sqrt_nonnegative(lcf.zero(), 4, 64) == lcf.zero()
     assert lcf.sqrt_nonnegative(num("4t^2"), 4, 64) == num("2t")
-    # no term below a positive exponent L: the root is O(t^(L/2))
+    # no term below an exponent L and none certainly positive: O(t^(L/2))
     assert lcf.sqrt_nonnegative(num("O(t^3)"), 4, 64) == lcf.zero(F(3, 2))
     maybe_zero = LeviCivitaNumber(((2, Interval(F(0), F(1))),), F(4))
     assert lcf.sqrt_nonnegative(maybe_zero, 4, 64) == lcf.zero(F(1))
-    # an undecided t^0 coefficient, or none determined, still raises
-    with pytest.raises(NotPositive):
-        lcf.sqrt_nonnegative(LeviCivitaNumber(((0, Interval(F(0), F(1))),)), 4, 64)
-    with pytest.raises(NotPositive):
-        lcf.sqrt_nonnegative(num("O(1)"), 4, 64)
+    # so is any other L: an undecided t^0 coefficient, none determined, O(t^-2)
+    undecided = LeviCivitaNumber(((0, Interval(F(0), F(1))),))
+    assert lcf.sqrt_nonnegative(undecided, 4, 64) == lcf.zero(0)
+    assert lcf.sqrt_nonnegative(num("O(1)"), 4, 64) == lcf.zero(0)
+    assert lcf.sqrt_nonnegative(num("O(t^-2)"), 4, 64) == lcf.zero(-1)
 
 
 def test_sqrt_fractional_lead_exponent():
@@ -476,7 +474,7 @@ def reference_recurrence(u, order, rules):
                     break
                 w = series[source].get(e - k)
                 if w is not None:
-                    term = (c * w).scale(F(a * k + b * e, d * e))
+                    term = c * w * Interval.point(F(a * k + b * e, d * e))
                     total = term if total is None else total + term
             if total is not None and not total.is_zero:
                 y[e] = total
