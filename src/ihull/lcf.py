@@ -13,17 +13,19 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
-Lattice.  `mul` and the series functions work on integers.  Every
-exponent q of the operands becomes n = q*D, D the lcm of their denominators
-(twice it in a split, so q/2 is on it too), so that (1/D)Z holds all of them
-and their sums; n/D lies below a truncation order T exactly when
-n < ceil(T*D).  INFINITE_ORDER (the float inf) is tested by identity before
+Lattice.  A number is stored on its least lattice (1/D)Z, as integers n = q D,
+so equal numbers have equal fields.  `add` merges them after one rescale to
+lcm(D1, D2), `mul` adds them on that lcm, and a series starts on the stored
+lattice (twice it in a sqrt whose leading n is odd, so that q/2 is on it);
+each result goes onto its least lattice by one gcd.  n/D < T exactly when
+n < ceil(T D).  INFINITE_ORDER (the float inf) is tested by identity before
 any arithmetic, so an exact operand never meets a Fraction-float comparison.
-Every coefficient becomes, once, a triple of the integer-endpoint core of
-`intervals`, and every result coefficient becomes an `Interval` once.  A
-series function stays on triples from the split a = c t^q (1 + u), whose u
-is the tail times 1/c reduced by one gcd, to the rescale by 1/c or sqrt(c),
-or the angle addition with cos s and sin s, of each result coefficient.
+Inside `mul` and the series each coefficient becomes, once, a triple of the
+integer-endpoint core of `intervals`, and each result coefficient an
+`Interval` once.  A series function stays on triples from the split
+a = c t^q (1 + u), whose u is the tail times 1/c reduced by one gcd, to the
+rescale by 1/c or sqrt(c), or the angle addition with cos s and sin s, of
+each result coefficient.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -109,10 +111,8 @@ class Ternary(Enum):
     UNKNOWN = "unknown"
 
 
-def _as_exponent(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _as_exponent(value) -> int | Fraction:
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
 def _as_order(value):
@@ -124,70 +124,65 @@ def _as_order(value):
 
 
 def _as_interval(value) -> Interval:
-    if isinstance(value, Interval):
-        return value
-    return Interval.point(value)
+    return value if isinstance(value, Interval) else Interval.point(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LeviCivitaNumber:
     """Truncated series with interval coefficients; immutable.
 
-    `terms` is kept canonical: strictly increasing exponents, no [0, 0]
-    coefficients, every exponent below `order`.  Construction merges
-    duplicate exponents by interval addition and drops out-of-range terms.
+    Stored on its least lattice (1/D)Z, D = `denominator`: `pairs` holds one
+    (n, c) per term c t^(n/D), n increasing, c not [0, 0], n/D below `order`.
+    `LeviCivitaNumber(terms, order)` merges duplicate exponents by interval
+    addition and drops zero and out-of-range terms; `terms` reads them back.
     """
 
-    terms: tuple[tuple[Fraction, Interval], ...] = ()
-    order: Fraction | float = INFINITE_ORDER
+    denominator: int
+    pairs: tuple[tuple[int, Interval], ...]
+    order: Fraction | float
 
-    def __post_init__(self):
-        order = _as_order(self.order)
-        merged: dict[Fraction, Interval] = {}
-        for exponent, coeff in self.terms:
+    def __new__(cls, terms=(), order=INFINITE_ORDER):
+        order = _as_order(order)
+        merged: dict[int | Fraction, Interval] = {}
+        for exponent, coeff in terms:
             q = _as_exponent(exponent)
             c = _as_interval(coeff)
             merged[q] = merged[q] + c if q in merged else c
-        canonical = tuple(
+        kept = [
             (q, c)
             for q, c in sorted(merged.items())
             if (order is INFINITE_ORDER or q < order) and not c.is_zero
-        )
-        object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "order", order)
-
-    @classmethod
-    def _from_canonical(cls, terms, order) -> "LeviCivitaNumber":
-        """Internal constructor for terms already in canonical form."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "order", order)
-        return obj
+        ]
+        denominator = math.lcm(*(q.denominator for q, _ in kept))
+        pairs = tuple((q.numerator * (denominator // q.denominator), c) for q, c in kept)
+        return _number(denominator, pairs, order)
 
     # -- inspection ----------------------------------------------------------
 
     @property
+    def terms(self) -> tuple[tuple[Fraction, Interval], ...]:
+        return tuple((Fraction(n, self.denominator), c) for n, c in self.pairs)
+
+    @property
     def is_exact(self) -> bool:
-        return self.order is INFINITE_ORDER and all(c.is_exact for _, c in self.terms)
+        return self.order is INFINITE_ORDER and all(c.is_exact for _, c in self.pairs)
 
     @property
     def is_zero(self) -> bool:
         """Exactly zero (not merely indistinguishable from it)."""
-        return not self.terms and self.order is INFINITE_ORDER
-
-    @property
-    def leading(self) -> tuple[Fraction, Interval] | None:
-        return self.terms[0] if self.terms else None
+        return not self.pairs and self.order is INFINITE_ORDER
 
     @property
     def lead_exponent(self) -> Fraction | None:
-        return self.terms[0][0] if self.terms else None
+        return Fraction(self.pairs[0][0], self.denominator) if self.pairs else None
 
     def coefficient(self, exponent) -> Interval:
-        q = _as_exponent(exponent)
-        for e, c in self.terms:
-            if e == q:
-                return c
+        n, d = _as_exponent(exponent).as_integer_ratio()
+        if self.denominator % d == 0:
+            n *= self.denominator // d
+            for m, c in self.pairs:
+                if m == n:
+                    return c
         return ZERO_INTERVAL
 
     # -- operators ------------------------------------------------------------
@@ -213,6 +208,33 @@ class LeviCivitaNumber:
         return f"LeviCivitaNumber({self})"
 
 
+# -- the stored lattice ----------------------------------------------------------
+
+def _number(denominator: int, pairs, order) -> LeviCivitaNumber:
+    """The number of canonical `pairs` on (1/D)Z, moved to its least lattice."""
+    if denominator != 1:
+        divisor = math.gcd(denominator, *(n for n, _ in pairs))
+        if divisor != 1:
+            denominator //= divisor
+            pairs = tuple((n // divisor, c) for n, c in pairs)
+    number = object.__new__(LeviCivitaNumber)
+    object.__setattr__(number, "denominator", denominator)
+    object.__setattr__(number, "pairs", pairs)
+    object.__setattr__(number, "order", order)
+    return number
+
+
+def _rescaled(a: LeviCivitaNumber, denominator: int):
+    """a's pairs on (1/denominator)Z, a lattice that holds a's."""
+    factor = denominator // a.denominator
+    return a.pairs if factor == 1 else [(n * factor, c) for n, c in a.pairs]
+
+
+def _lattice_top(order, denominator: int) -> int | None:
+    """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
+    return None if order is INFINITE_ORDER else math.ceil(order * denominator)
+
+
 # -- constructors -------------------------------------------------------------
 
 def zero(order=INFINITE_ORDER) -> LeviCivitaNumber:
@@ -235,7 +257,8 @@ def monomial(coeff, exponent) -> LeviCivitaNumber:
     c = _as_interval(coeff)
     if c.is_zero:
         return zero()
-    return LeviCivitaNumber._from_canonical(((_as_exponent(exponent), c),), INFINITE_ORDER)
+    n, d = _as_exponent(exponent).as_integer_ratio()
+    return _number(d, ((n, c),), INFINITE_ORDER)
 
 
 def t_power(exponent) -> LeviCivitaNumber:
@@ -254,7 +277,7 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     f = _as_interval(factor)
     if f.is_zero:
         return zero()  # an exact zero factor leaves no unknown tail
-    return LeviCivitaNumber._from_canonical(tuple((q, c * f) for q, c in a.terms), a.order)
+    return _number(a.denominator, tuple((n, c * f) for n, c in a.pairs), a.order)
 
 
 def _order_plus(order, delta):
@@ -268,43 +291,38 @@ def _min_order(*orders):
     return min(finite) if finite else INFINITE_ORDER
 
 
-def _lead_or_zero(a: LeviCivitaNumber) -> Fraction:
-    return a.terms[0][0] if a.terms else Fraction(0)
-
-
 # -- ring operations ------------------------------------------------------------
 
 def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     order = _min_order(a.order, b.order)
+    denominator = math.lcm(a.denominator, b.denominator)
+    ta, tb = _rescaled(a, denominator), _rescaled(b, denominator)
     merged = []
     i = j = 0
-    ta, tb = a.terms, b.terms
     while i < len(ta) and j < len(tb):
-        qa, qb = ta[i][0], tb[j][0]
-        if qa < qb:
+        na, nb = ta[i][0], tb[j][0]
+        if na < nb:
             merged.append(ta[i])
             i += 1
-        elif qb < qa:
+        elif nb < na:
             merged.append(tb[j])
             j += 1
         else:
             coeff = ta[i][1] + tb[j][1]
             if not coeff.is_zero:
-                merged.append((qa, coeff))
+                merged.append((na, coeff))
             i += 1
             j += 1
     merged.extend(ta[i:])
     merged.extend(tb[j:])
-    if order is not INFINITE_ORDER:
-        while merged and merged[-1][0] >= order:
-            merged.pop()
-    return LeviCivitaNumber._from_canonical(tuple(merged), order)
+    top = _lattice_top(order, denominator)
+    while top is not None and merged and merged[-1][0] >= top:
+        merged.pop()
+    return _number(denominator, tuple(merged), order)
 
 
 def neg(a: LeviCivitaNumber) -> LeviCivitaNumber:
-    return LeviCivitaNumber._from_canonical(
-        tuple((q, -c) for q, c in a.terms), a.order
-    )
+    return _number(a.denominator, tuple((n, -c) for n, c in a.pairs), a.order)
 
 
 def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
@@ -319,16 +337,19 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     truncation order; two exact factors stay exact.  Term pairs landing at
     or above the resulting order are never multiplied out.  A product with
     an exactly zero factor is exactly zero, whatever the other's tail.
-    Exponents are summed as integers on the factors' lattice (module
-    docstring).
+    Exponents are summed as integers on the lcm of the factors' lattices.
     """
     if a.is_zero or b.is_zero:
         return zero()
-    order = _min_order(
-        _order_plus(a.order, _lead_or_zero(b)), _order_plus(b.order, _lead_or_zero(a))
-    )
-    denominator, (ta, tb) = _on_lattice(a.terms, b.terms)
+    order = _min_order(*(
+        tail + (x.lead_exponent or 0)
+        for tail, x in ((a.order, b), (b.order, a))
+        if tail is not INFINITE_ORDER
+    ))
+    denominator = math.lcm(a.denominator, b.denominator)
     top = _lattice_top(order, denominator)
+    ta = [(n, _triple(c)) for n, c in _rescaled(a, denominator)]
+    tb = [(n, _triple(c)) for n, c in _rescaled(b, denominator)]
     lead_b = tb[0][0] if tb else 0
     accumulated: dict[int, tuple[int, int, int]] = {}
     for na, ca in ta:
@@ -343,27 +364,10 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
                 accumulated[n] = _sum(accumulated[n], product)
             else:
                 accumulated[n] = product
-    terms = tuple(
-        (Fraction(n, denominator), _interval(c))
-        for n, c in sorted(accumulated.items())
-        if c[0] or c[1]
+    pairs = tuple(
+        (n, _interval(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1]
     )
-    return LeviCivitaNumber._from_canonical(terms, order)
-
-
-def _on_lattice(*supports, factor: int = 1):
-    """(D, supports with each term (q, c) as (q * D, the triple of c)), D the
-    lcm of the exponent denominators times `factor`."""
-    denominator = factor * math.lcm(*(q.denominator for terms in supports for q, _ in terms))
-    return denominator, [
-        [(q.numerator * (denominator // q.denominator), _triple(c)) for q, c in terms]
-        for terms in supports
-    ]
-
-
-def _lattice_top(order, denominator: int) -> int | None:
-    """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
-    return None if order is INFINITE_ORDER else math.ceil(order * denominator)
+    return _number(denominator, pairs, order)
 
 
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
@@ -375,8 +379,7 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     exactly.
     """
     order = _as_order(order)
-    lead = a.leading
-    if lead is None or lead[1].contains_zero():
+    if not a.pairs or a.pairs[0][1].contains_zero():
         raise ZeroOrUnknownLeading(
             "cannot invert: leading coefficient is zero or of unknown sign"
         )
@@ -396,7 +399,7 @@ def _sign_possibilities(a: LeviCivitaNumber) -> tuple[set[int], Fraction | float
     """
     signs: set[int] = set()
     blocking = None
-    for q, c in a.terms:
+    for n, c in a.pairs:
         if c.lo > 0:
             signs.add(1)
             return signs, blocking
@@ -404,7 +407,7 @@ def _sign_possibilities(a: LeviCivitaNumber) -> tuple[set[int], Fraction | float
             signs.add(-1)
             return signs, blocking
         if blocking is None:
-            blocking = q
+            blocking = Fraction(n, a.denominator)
         if c.hi > 0:
             signs.add(1)
         if c.lo < 0:
@@ -439,17 +442,18 @@ def abs_value(a: LeviCivitaNumber) -> LeviCivitaNumber:
 
 def magnitude_bound(a: LeviCivitaNumber) -> LeviCivitaNumber:
     """Exact-coefficient upper bound for |x| over every member x of `a`."""
-    return LeviCivitaNumber(
-        tuple((q, Interval.point(c.mag())) for q, c in a.terms), a.order
+    return _number(
+        a.denominator, tuple((n, Interval.point(c.mag())) for n, c in a.pairs), a.order
     )
 
 
 # -- magnitude classification -------------------------------------------------------
 
-def _class_of_exponent(q: Fraction) -> Magnitude:
-    if q < 0:
+def _class_of_exponent(n: int) -> Magnitude:
+    """The class of t^(n/D), read from the sign of n."""
+    if n < 0:
         return Magnitude.INFINITE
-    if q == 0:
+    if n == 0:
         return Magnitude.APPRECIABLE
     return Magnitude.INFINITESIMAL
 
@@ -463,8 +467,8 @@ def classify_magnitude(a: LeviCivitaNumber) -> Magnitude:
     infinitesimal depending on the true coefficient).
     """
     possible: set[Magnitude] = set()
-    for q, c in a.terms:
-        possible.add(_class_of_exponent(q))
+    for n, c in a.pairs:
+        possible.add(_class_of_exponent(n))
         if not c.contains_zero():
             break
     else:
@@ -483,7 +487,7 @@ def classify_magnitude(a: LeviCivitaNumber) -> Magnitude:
 
 def is_surely_finite(a: LeviCivitaNumber) -> bool:
     """True when every member is finite: no exponent below 0 anywhere."""
-    if a.terms and a.terms[0][0] < 0:
+    if a.pairs and a.pairs[0][0] < 0:
         return False
     return a.order is INFINITE_ORDER or a.order >= 0
 
@@ -516,15 +520,16 @@ def halo_equal(a: LeviCivitaNumber, b: LeviCivitaNumber) -> Ternary:
 
 # -- series functions -----------------------------------------------------------------
 
-def _split_leading(a: LeviCivitaNumber):
+def _split_leading(a: LeviCivitaNumber, halve: bool = False):
     """a = c t^q (1 + u) with u strictly infinitesimal: (u as `_series` takes
-    it, the triple of 1/c, q D), D twice the lcm of a's exponent denominators
-    (module docstring)."""
-    denominator, (terms,) = _on_lattice(a.terms, factor=2)
-    lead, c = terms[0]
-    inverse_c = _reciprocal(c)
-    steps = [(n - lead, _reduced(_product(ci, inverse_c))) for n, ci in terms[1:]]
-    return (denominator, steps, _order_plus(a.order, -a.terms[0][0])), inverse_c, lead
+    it, the triple of 1/c, q D), on a's lattice (1/D)Z, or on twice it when
+    `halve` and q D is odd, so that q/2 is on it too."""
+    denominator = a.denominator * (2 if halve and a.pairs[0][0] % 2 else 1)
+    (lead, c), *tail = _rescaled(a, denominator)
+    inverse_c = _reciprocal(_triple(c))
+    steps = [(n - lead, _reduced(_product(_triple(ci), inverse_c))) for n, ci in tail]
+    u_order = a.order if a.order is INFINITE_ORDER else a.order - Fraction(lead, denominator)
+    return (denominator, steps, u_order), inverse_c, lead
 
 
 #: Series rules (y_0, a, b, d, source, k1), all integers:
@@ -575,16 +580,14 @@ def _series(u, order, rules, combination, shift: int) -> LeviCivitaNumber:
     parts = [(series[i], caps[i], f) for i, f in combination if f[0] or f[1]]
     cap = _min_order(*(cap for _, cap, _ in parts))
     top = _lattice_top(cap, denominator)
-    terms = []
+    pairs = []
     for e in sorted({e for y, _, _ in parts for e in y}):
         if top is not None and e >= top:
             break
         total = reduce(_sum, (_product(y[e], f) for y, _, f in parts if e in y))
         if total[0] or total[1]:
-            terms.append((Fraction(e + shift, denominator), _interval(total)))
-    return LeviCivitaNumber._from_canonical(
-        tuple(terms), _order_plus(cap, Fraction(shift, denominator))
-    )
+            pairs.append((e + shift, _interval(total)))
+    return _number(denominator, tuple(pairs), _order_plus(cap, Fraction(shift, denominator)))
 
 
 def sqrt(
@@ -598,12 +601,12 @@ def sqrt(
     to O(t^order).
     """
     order = _as_order(order)
-    lead = a.leading
-    if lead is None or lead[1].lo <= 0:
+    if not a.pairs or a.pairs[0][1].lo <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
-    (q, c), (u, _, n) = lead, _split_leading(a)
-    series_order = order if order is INFINITE_ORDER else order - q / 2
-    return _series(u, series_order, _SQRT, ((0, _triple(sqrt_interval(c, precision))),), n // 2)
+    u, _, n = _split_leading(a, halve=True)
+    root_c = _triple(sqrt_interval(a.pairs[0][1], precision))
+    series_order = order if order is INFINITE_ORDER else order - a.lead_exponent / 2
+    return _series(u, series_order, _SQRT, ((0, root_c),), n // 2)
 
 
 def sqrt_nonnegative(
@@ -618,9 +621,8 @@ def sqrt_nonnegative(
     """
     if a.is_zero:
         return zero()
-    lead = a.leading
-    if lead is None or lead[1].lo <= 0:
-        return zero((a.order if lead is None else lead[0]) / 2)
+    if not a.pairs or a.pairs[0][1].lo <= 0:
+        return zero((a.lead_exponent if a.pairs else a.order) / 2)
     return sqrt(a, order, precision)
 
 
@@ -649,15 +651,13 @@ def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
     """(cos s, sin s) as triples and u as `_series` takes it for a = s + u,
     s the standard part (NotFinite unless determined), u the positive part."""
     cos_s, sin_s = cos_sin_interval(standard_part(a), precision)
-    denominator, (steps,) = _on_lattice([(q, c) for q, c in a.terms if q > 0])
-    return _triple(cos_s), _triple(sin_s), (denominator, steps, a.order)
+    steps = [(n, _triple(c)) for n, c in a.pairs if n > 0]
+    return _triple(cos_s), _triple(sin_s), (a.denominator, steps, a.order)
 
 
 # -- rational approximation -----------------------------------------------------------
 
-def approximate_within(
-    y: LeviCivitaNumber, eps: LeviCivitaNumber
-) -> LeviCivitaNumber:
+def approximate_within(y: LeviCivitaNumber, eps: LeviCivitaNumber) -> LeviCivitaNumber:
     """An exact rational-coefficient q with |y - q| < eps, eps > 0.
 
     Copies y's coefficients (midpoints, for intervals) at every exponent up

@@ -15,7 +15,8 @@ surface: a trailing ``O(t^q)`` marks a truncation order, and
 ``3/2`` lexes as one rational, so ``1/2t`` is (1/2)*t, not 1/(2t).
 Parentheses nest at most `MAX_NESTING` deep, which keeps the recursive
 descent far inside the interpreter's recursion limit; leading signs fold
-in a loop, so any number of them parses.
+in a loop, so any number of them parses.  The products of one literal
+multiply out at most `MAX_PRODUCT_PAIRS` pairs of terms.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _TOKEN_RE = re.compile(
 #: stack frames, so 100 levels stay far below Python's default limit of 1000.
 MAX_NESTING = 100
 
+#: The most term pairs the products of one literal may multiply out: the sum
+#: of len(a) x len(b) over its ``*`` and ``/``, counted before each product.
+MAX_PRODUCT_PAIRS = 1 << 20
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -67,6 +72,7 @@ class _Parser:
         self.order = order
         self.depth = 0
         self.deepest = None  # position of the first "(" opened at MAX_NESTING
+        self.product_pairs = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -128,15 +134,21 @@ class _Parser:
     def product(self, first=None) -> LeviCivitaNumber:
         value = self.factor() if first is None else first
         while self.peek()[1] in ("*", "/"):
-            op, _, pos = self.next()[1], None, self.peek()[2]
+            _, op, op_pos = self.next()
+            pos = self.peek()[2]
             rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
+            if op == "/":
                 try:
-                    value = value * lcf.inverse(rhs, self.order)
+                    rhs = lcf.inverse(rhs, self.order)
                 except Exception as exc:
                     raise ParseError(f"cannot divide: {exc}", pos) from None
+            self.product_pairs += len(value.pairs) * len(rhs.pairs)
+            if self.product_pairs > MAX_PRODUCT_PAIRS:
+                raise ParseError(
+                    "the products of this literal multiply more than "
+                    f"{MAX_PRODUCT_PAIRS} pairs of terms", op_pos
+                )
+            value = value * rhs
         return value
 
     # factor := ("+"|"-")* atom
@@ -295,8 +307,8 @@ def _format_term(exponent: Fraction, coeff: Interval) -> str:
 def format_number(x: LeviCivitaNumber) -> str:
     """Canonical display; inverse of `parse_number` on exact values."""
     parts = []
-    for exponent, coeff in x.terms:
-        rendered = _format_term(exponent, coeff)
+    for n, coeff in x.pairs:
+        rendered = _format_term(Fraction(n, x.denominator), coeff)
         if not parts:
             parts.append(rendered)
         elif rendered.startswith("-"):

@@ -321,6 +321,23 @@ def test_lattice_above_the_bound_is_rejected_before_any_computation(capsys, monk
     assert [exponent_lcm(text) for text in ("O(t^2/4)", "t^1/0", "t^1/2 # 1")] == [4, 1, 1]
 
 
+def test_products_above_the_bound_are_parse_errors(capsys, monkeypatch):
+    from ihull import parsing
+
+    # at order Q, 1/(1-t-t^2)/(1-t/5) multiplies Q + 1 + Q^2 pairs of terms:
+    # past 2^20 at Q = 2048, where it ran 39 s before this bound
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 32 + 1 + 32 * 32)
+    code, out, err = run(capsys, "eval", "1/(1-t-t^2)/(1-t/5)", "--order", "33")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "more than 1057 pairs" in err and "position 11" in err
+    assert run(capsys, "eval", "1/(1-t-t^2)/(1-t/5)", "--order", "32")[0] == 0
+    # README's 1/(1-t/2-t^2/3), whose t^2/3 is t^(2/3), multiplies 1 + (3Q - 1)
+    # pairs: 6,144 at 2048
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 3 * 64)
+    assert run(capsys, "eval", "1/(1-t/2-t^2/3)", "--order", "64")[0] == 0
+    assert run(capsys, "eval", "1/(1-t/2-t^2/3)", "--order", "65")[0] == 2
+
+
 def test_oracle_coordinates_a_float_cannot_hold(capsys):
     too_large = "1" + "0" * 400
     code, _, err = run(capsys, "oracle", f"({too_large}, 0)", "(1, 1)", "--grid", "16")

@@ -14,7 +14,7 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import Interval, _cos_sin_rational, pi_interval, sqrt_interval
+from ihull.intervals import Interval, _cos_sin_rational, _triple, pi_interval, sqrt_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -131,12 +131,12 @@ def test_inverse_identity_up_to_order():
     rng = Random(11)
     for _ in range(40):
         a = random_exact(rng)
-        if a.leading is None or a.leading[1].contains_zero():
+        if not a.terms or a.terms[0][1].contains_zero():
             continue
         inv = lcf.inverse(a, 6)
         residue = a * inv - ONE
         assert not [q for q, _ in residue.terms if q < 6]
-        assert residue.order >= 6 - a.leading[0] or residue.order >= 6
+        assert residue.order >= 6 - a.terms[0][0] or residue.order >= 6
 
 
 def test_inverse_rejects_unknown_leading():
@@ -374,7 +374,7 @@ def reference_mul(a, b, cap=INFINITE_ORDER):
             product = ca * cb
             accumulated[q] = accumulated[q] + product if q in accumulated else product
     terms = tuple((q, c) for q, c in sorted(accumulated.items()) if not c.is_zero)
-    return LeviCivitaNumber._from_canonical(terms, order)
+    return LeviCivitaNumber(terms, order)
 
 
 def random_lattice_operand(rng):
@@ -479,9 +479,7 @@ def reference_recurrence(u, order, rules):
             if total is not None and not total.is_zero:
                 y[e] = total
     return tuple(
-        LeviCivitaNumber._from_canonical(
-            tuple((F(e, denominator), c) for e, c in y.items()), cap
-        )
+        LeviCivitaNumber(tuple((F(e, denominator), c) for e, c in y.items()), cap)
         for y, cap in zip(series, caps)
     )
 
@@ -504,9 +502,9 @@ def _refined_to_zero(u):
 
 def _each_series(u, order, rules):
     """lcf._series once per rule, each series times the exact factor 1."""
-    denominator, (steps,) = lcf._on_lattice(u.terms)
+    steps = [(n, _triple(c)) for n, c in u.pairs]
     return tuple(
-        lcf._series((denominator, steps, u.order), order, rules, ((i, (1, 1, 1)),), 0)
+        lcf._series((u.denominator, steps, u.order), order, rules, ((i, (1, 1, 1)),), 0)
         for i in range(len(rules))
     )
 
@@ -528,13 +526,13 @@ def reference_scale(a, factor):
     """lcf.scale as it ran on Interval objects."""
     if factor.is_zero:
         return lcf.zero()
-    return LeviCivitaNumber._from_canonical(tuple((q, c * factor) for q, c in a.terms), a.order)
+    return LeviCivitaNumber(tuple((q, c * factor) for q, c in a.terms), a.order)
 
 
 def reference_shift(a, delta):
     """Multiplication by t^delta, the step the fused rescale replaced."""
     terms = tuple((q + delta, c) for q, c in a.terms)
-    return LeviCivitaNumber._from_canonical(terms, lcf._order_plus(a.order, delta))
+    return LeviCivitaNumber(terms, lcf._order_plus(a.order, delta))
 
 
 def reference_cos_sin(x, precision):

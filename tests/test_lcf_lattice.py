@@ -1,0 +1,83 @@
+"""Property tests of the stored form of `lcf` numbers: each on its least
+lattice (1/D)Z, so that equal values have equal fields whatever built them."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from ihull import lcf
+from ihull.intervals import ZERO_INTERVAL
+from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber
+from ihull.parsing import format_number, parse_number
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+PROPERTY = settings(database=None, derandomize=True)
+
+#: exponents of both signs with denominators 1..6, exact coefficients (0 included)
+_exponents = st.builds(F, st.integers(-12, 24), st.integers(1, 6))
+_terms = st.lists(st.tuples(_exponents, st.builds(F, st.integers(-9, 9), st.integers(1, 4))), max_size=5)
+_orders = st.one_of(st.just(INFINITE_ORDER), st.builds(F, st.integers(-6, 30), st.integers(1, 6)))
+_exact = st.builds(LeviCivitaNumber, _terms)
+_numbers = st.builds(LeviCivitaNumber, _terms, _orders)
+
+
+def _canonical(x):
+    """x equals, field by field and in hash, the number rebuilt from its terms."""
+    rebuilt = LeviCivitaNumber(x.terms, x.order)
+    return rebuilt == x and hash(rebuilt) == hash(x)
+
+
+@PROPERTY
+@given(_numbers)
+def test_rebuilt_and_parsed_numbers_equal_the_stored_one(x):
+    assert _canonical(x)
+    assert [n for n, _ in x.pairs] == sorted({n for n, _ in x.pairs})
+    assert parse_number(format_number(x)) == x
+
+
+@PROPERTY
+@given(_numbers, _exponents)
+def test_coefficient_reads_the_term_at_any_exponent(x, q):
+    terms = dict(x.terms)
+    assert x.coefficient(q) == terms.get(q, ZERO_INTERVAL)
+    assert x.coefficient(q.numerator) == terms.get(q.numerator, ZERO_INTERVAL)
+
+
+@PROPERTY
+@given(_numbers, _numbers, _numbers)
+def test_add_and_mul_commute_and_associate(x, y, z):
+    for op in (lcf.add, lcf.mul):
+        assert op(x, y) == op(y, x) and _canonical(op(x, y))
+    assert lcf.add(lcf.add(x, y), z) == lcf.add(x, lcf.add(y, z))
+
+
+@PROPERTY
+@given(_exact, _exact, _exact)
+def test_exact_mul_associates_and_distributes(x, y, z):
+    # with unknown tails both sides are enclosures, not always the same one:
+    # (O(1) O(1)) t is O(t), O(1) (O(1) t) is O(1)
+    assert lcf.mul(lcf.mul(x, y), z) == lcf.mul(x, lcf.mul(y, z))
+    assert lcf.mul(x, lcf.add(y, z)) == lcf.add(lcf.mul(x, y), lcf.mul(x, z))
+
+
+@PROPERTY
+@given(_numbers, st.integers(1, 6))
+def test_values_equal_whatever_path_built_them(x, d):
+    # through a finer lattice and back, and a cancelling sum, land on the
+    # least lattice again
+    there = lcf.mul(lcf.mul(x, lcf.t_power(F(1, d))), lcf.t_power(F(-1, d)))
+    assert there == x and _canonical(there)
+    root = lcf.t_power(F(1, 2 * d))
+    assert lcf.mul(root, root) == lcf.t_power(F(1, d))
+    cancelled = lcf.sub(lcf.add(x, root), root)
+    assert cancelled == x and _canonical(cancelled)
+
+
+def test_equal_values_have_equal_fields():
+    half = lcf.t_power(F(1, 2))
+    assert half * half == lcf.T and (half * half).denominator == 1
+    third = parse_number("t^1/3")
+    one = (lcf.one() + third) - third
+    assert one == lcf.one() and one.denominator == 1 and one.pairs == lcf.one().pairs

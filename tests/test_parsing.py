@@ -5,12 +5,13 @@ from random import Random
 
 import pytest
 
-from ihull import lcf
+from ihull import lcf, parsing
 from ihull.errors import ParseError
 from ihull.intervals import Interval
 from ihull.parsing import (
     MAX_NESTING,
     approx_float,
+    exponent_lcm,
     format_number,
     number_to_json,
     parse_expression,
@@ -196,6 +197,55 @@ def test_sums_equal_the_left_fold():
             value = parse_expression(term, 4)
             expected = expected + value if sign == "+" else expected - value
         assert parse_expression(text, 4) == expected, text
+
+
+def test_products_of_a_literal_are_bounded(monkeypatch):
+    # len(a) x len(b) on the stored terms, summed over every * and / of the
+    # literal, parentheses and coordinates included, checked before each product
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_PAIRS", 10)
+    assert parse_number("(1 + t)*(1 + t)*(1 + t)") == parse_number("1 + 3t + 3t^2 + t^3")
+    for text, parse in (
+        ("(1 + t + t^2)*(1 + t + t^2 + t^3)", parse_number),  # 12 pairs
+        ("((1+t)*(1+t), (1+t)*(1+t)*t)", parse_point),  # 4 + 4 + 3
+        ("2/(1 - t)", lambda text: parse_expression(text, 11)),  # 1 x 11
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == max(text.rfind("*"), text.rfind("/"))
+        assert "multiply more than 10 pairs of terms" in str(info.value)
+    # a quotient counts the terms of the inverse, which its order sets
+    assert len(parse_expression("2/(1 - t)", 10).pairs) == 10
+
+
+def _random_literal(rng, depth=0):
+    """A sum of up to three terms c t^(n/d), d in 1..6, sometimes a product
+    or a quotient of two such sums, sometimes with an O(t^q) tail."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        n, d = rng.randint(-3, 8), rng.randint(1, 6)
+        terms.append(f"{rng.randint(1, 5)}t^{n}/{d}" if d > 1 else f"{rng.randint(1, 5)}t^{n}")
+    text = " + ".join(terms)
+    if depth == 0 and rng.random() < 0.5:
+        text = f"({text}){rng.choice('*/')}({_random_literal(rng, 1)})"
+    if rng.random() < 0.2:
+        text += f" + O(t^{rng.randint(1, 12)}/{rng.randint(1, 4)})"
+    return text
+
+
+def test_stored_lattice_divides_the_cli_lattice_bound():
+    # the CLI bounds the points of (1/L)Z, L = exponent_lcm(text), below the
+    # order; every parsed value, quotients at a finite order included, is
+    # stored on a lattice that (1/L)Z holds, so a split's lattice never leaks
+    rng = Random(19)
+    for _ in range(150):
+        text = f"({_random_literal(rng)}, {_random_literal(rng)})"
+        order = rng.choice([F(2), F(17, 3), F(8)])
+        try:
+            coords = parse_point(text, order)
+        except ParseError:
+            continue  # a divisor of unknown sign
+        for coord in coords:
+            assert exponent_lcm(text) % coord.denominator == 0, (text, coord)
 
 
 def test_number_to_json():
