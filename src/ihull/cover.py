@@ -229,10 +229,9 @@ def inapproachability_lower_bound(center: CoverPoint, q: CoverPoint) -> Fraction
 def origin_path_bound(a: CoverPoint) -> LeviCivitaNumber:
     """Length bound for reaching an origin representative from `a`:
     descend to r'' = t^m, unwind the angle there, for m large enough that
-    r''*|zeta| is infinitesimal.  Infinitesimal whenever a.r is."""
-    lead_r = a.r.lead_exponent
-    lead_z = a.zeta.lead_exponent
-    m = max(Fraction(0), lead_r, -(lead_z if lead_z is not None else Fraction(0))) + 1
+    r''*|zeta| is infinitesimal, read from the valuations (an exact zero
+    angle's, INFINITE_ORDER, never sets m).  Infinitesimal whenever a.r is."""
+    m = max(Fraction(0), a.r.valuation, -a.zeta.valuation) + 1
     r_mid = lcf.t_power(m)
     if lcf.sign(lcf.sub(a.r, r_mid)) <= 0:
         raise NotApplicable("intermediate radius not below the starting radius")

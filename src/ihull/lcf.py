@@ -13,6 +13,15 @@ witness), positive exponents infinitesimal ones (t is the canonical
 infinitesimal).  A value is exact when T = oo and every coefficient interval
 is a point; arithmetic on exact values is exact.
 
+Valuation.  v(a), the first stored exponent or else T (INFINITE_ORDER only
+for exact zero), is the least exponent any member can have, and the rules
+that need where members start read it.  A product's unknown tail enters at
+min(T_a + v(b), T_b + v(a)) (K. Shamseddine and M. Berz, Analysis on the
+Levi-Civita field, 2010), a series' at T + (k1 - 1) v(u) (below), and the
+root of a value with no certainly positive lead lies in O(t^(v/2)).
+`LeviCivitaNumber(terms, order)` is the pairwise sum `add_all` of
+zero(order) and the monomials of `terms`.
+
 Lattice.  A number is stored on its least lattice (1/D)Z, as integers n = q D,
 so equal numbers have equal fields.  `add` merges them after one rescale to
 lcm(D1, D2), `mul` adds them on that lcm, and a series starts on the stored
@@ -42,14 +51,14 @@ per coefficient, by recurrences for the Euler operator theta = t d/dt
 with w_0 = c_0 = 1 and s_0 = 0.  An unknown tail O(t^T) in u first reaches
 a series through its first power k1 >= 1 with a nonzero Taylor coefficient
 (k1 = 2 for cos, else 1), so it is truncated at min(order, T + (k1 - 1) L),
-L = lead(u), or T when u stores no term.  On interval coefficients the
-result is sound, each coefficient being an interval evaluation of a
-polynomial in u's coefficients, and nested under refinement: the sequence
-of interval operations depends only on u's exponents, and a coefficient
-refined to exactly 0 acts as a [0, 0] operand and can only raise L.  The
-integer core scales each product by the integer a k + b e of the rule table
-and divides the sum once by d e > 0, which is the same interval, and puts
-it in lowest terms by one gcd: the arguments above carry over unchanged.
+L = v(u).  On interval coefficients the result is sound, each coefficient
+being an interval evaluation of a polynomial in u's coefficients, and
+nested under refinement: the sequence of interval operations depends only
+on u's exponents, and a coefficient refined to exactly 0 acts as a [0, 0]
+operand and can only raise L.  The integer core scales each product by the
+integer a k + b e of the rule table and divides the sum once by d e > 0,
+which is the same interval, and puts it in lowest terms by one gcd: the
+arguments above carry over unchanged.
 """
 
 from __future__ import annotations
@@ -132,9 +141,11 @@ class LeviCivitaNumber:
     """Truncated series with interval coefficients; immutable.
 
     Stored on its least lattice (1/D)Z, D = `denominator`: `pairs` holds one
-    (n, c) per term c t^(n/D), n increasing, c not [0, 0], n/D below `order`.
-    `LeviCivitaNumber(terms, order)` merges duplicate exponents by interval
-    addition and drops zero and out-of-range terms; `terms` reads them back.
+    (n, c) per term c t^(n/D), n increasing, c not [0, 0], n/D below `order`;
+    `terms` reads them back.  `valuation` v is the least exponent a member can
+    have, and a product's tail starts at min(T_a + v(b), T_b + v(a)).
+    `LeviCivitaNumber(terms, order)` is the pairwise sum of zero(order) and
+    the monomials of `terms`: duplicates add, zero and out-of-range terms drop.
     """
 
     denominator: int
@@ -142,20 +153,7 @@ class LeviCivitaNumber:
     order: Fraction | float
 
     def __new__(cls, terms=(), order=INFINITE_ORDER):
-        order = _as_order(order)
-        merged: dict[int | Fraction, Interval] = {}
-        for exponent, coeff in terms:
-            q = _as_exponent(exponent)
-            c = _as_interval(coeff)
-            merged[q] = merged[q] + c if q in merged else c
-        kept = [
-            (q, c)
-            for q, c in sorted(merged.items())
-            if (order is INFINITE_ORDER or q < order) and not c.is_zero
-        ]
-        denominator = math.lcm(*(q.denominator for q, _ in kept))
-        pairs = tuple((q.numerator * (denominator // q.denominator), c) for q, c in kept)
-        return _number(denominator, pairs, order)
+        return add_all([zero(order), *(monomial(c, q) for q, c in terms)])
 
     # -- inspection ----------------------------------------------------------
 
@@ -173,8 +171,9 @@ class LeviCivitaNumber:
         return not self.pairs and self.order is INFINITE_ORDER
 
     @property
-    def lead_exponent(self) -> Fraction | None:
-        return Fraction(self.pairs[0][0], self.denominator) if self.pairs else None
+    def valuation(self) -> Fraction | float:
+        """v(a), the least exponent a member can have (module docstring)."""
+        return Fraction(self.pairs[0][0], self.denominator) if self.pairs else self.order
 
     def coefficient(self, exponent) -> Interval:
         n, d = _as_exponent(exponent).as_integer_ratio()
@@ -238,7 +237,7 @@ def _lattice_top(order, denominator: int) -> int | None:
 # -- constructors -------------------------------------------------------------
 
 def zero(order=INFINITE_ORDER) -> LeviCivitaNumber:
-    return LeviCivitaNumber((), order)
+    return _number(1, (), _as_order(order))
 
 
 def one() -> LeviCivitaNumber:
@@ -321,6 +320,15 @@ def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     return _number(denominator, tuple(merged), order)
 
 
+def add_all(numbers: list[LeviCivitaNumber]) -> LeviCivitaNumber:
+    """The sum of a non-empty list, added pairwise in rounds, so that each
+    term is merged about log2(n) times, not up to n times."""
+    while len(numbers) > 1:
+        odd = numbers[-1:] if len(numbers) % 2 else []
+        numbers = [add(x, y) for x, y in zip(numbers[::2], numbers[1::2])] + odd
+    return numbers[0]
+
+
 def neg(a: LeviCivitaNumber) -> LeviCivitaNumber:
     return _number(a.denominator, tuple((n, -c) for n, c in a.pairs), a.order)
 
@@ -332,17 +340,17 @@ def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
 def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     """Cauchy product.
 
-    The unknown tail of one factor meets the leading term of the other at
-    exponent T_a + lead(b) (resp. T_b + lead(a)), which caps the result's
-    truncation order; two exact factors stay exact.  Term pairs landing at
-    or above the resulting order are never multiplied out.  A product with
-    an exactly zero factor is exactly zero, whatever the other's tail.
-    Exponents are summed as integers on the lcm of the factors' lattices.
+    The unknown tail of one factor meets the members of the other from
+    exponent T_a + v(b) (resp. T_b + v(a)), which caps the result's order;
+    two exact factors stay exact.  Term pairs landing at or above the
+    resulting order are never multiplied out.  A product with an exactly
+    zero factor is exactly zero, whatever the other's tail.  Exponents are
+    summed as integers on the lcm of the factors' lattices.
     """
     if a.is_zero or b.is_zero:
         return zero()
     order = _min_order(*(
-        tail + (x.lead_exponent or 0)
+        tail + x.valuation
         for tail, x in ((a.order, b), (b.order, a))
         if tail is not INFINITE_ORDER
     ))
@@ -389,44 +397,27 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
 
 # -- order ------------------------------------------------------------------------
 
-def _sign_possibilities(a: LeviCivitaNumber) -> tuple[set[int], Fraction | float | None]:
-    """Signs the denoted set can take, plus the first blocking exponent.
-
-    Walks terms from the dominant (smallest) exponent; a coefficient interval
-    that excludes zero settles the sign, one that contains zero branches
-    (this coefficient could vanish, deferring to later terms).  The unknown
-    tail contributes every sign when the truncation order is finite.
-    """
-    signs: set[int] = set()
-    blocking = None
-    for n, c in a.pairs:
+def _leading_term(a: LeviCivitaNumber) -> tuple[int, int]:
+    """(i, s): pairs[i] is the first term whose coefficient excludes 0 and s its
+    sign, else (len(pairs), 0).  Each term before pairs[i] may vanish."""
+    for i, (_, c) in enumerate(a.pairs):
         if c.lo > 0:
-            signs.add(1)
-            return signs, blocking
+            return i, 1
         if c.hi < 0:
-            signs.add(-1)
-            return signs, blocking
-        if blocking is None:
-            blocking = Fraction(n, a.denominator)
-        if c.hi > 0:
-            signs.add(1)
-        if c.lo < 0:
-            signs.add(-1)
-    if a.order is INFINITE_ORDER:
-        signs.add(0)
-    else:
-        signs.update((-1, 0, 1))
-        if blocking is None:
-            blocking = a.order
-    return signs, blocking
+            return i, -1
+    return len(a.pairs), 0
 
 
 def sign(a: LeviCivitaNumber) -> int:
-    """-1, 0, or +1; raises IndeterminateComparison when undecided."""
-    signs, blocking = _sign_possibilities(a)
-    if len(signs) == 1:
-        return signs.pop()
-    raise IndeterminateComparison("sign undecidable at current precision", blocking)
+    """-1, 0, or +1; raises IndeterminateComparison when undecided, blocked at
+    the valuation (the first exponent whose coefficient contains 0, else T)."""
+    i, s = _leading_term(a)
+    # each term before pairs[i] may vanish, or take s's sign, or the other
+    if s and (not i or all(c.lo >= 0 if s > 0 else c.hi <= 0 for _, c in a.pairs[:i])):
+        return s
+    if a.is_zero:
+        return 0
+    raise IndeterminateComparison("sign undecidable at current precision", a.valuation)
 
 
 def compare(a: LeviCivitaNumber, b: LeviCivitaNumber) -> Ordering:
@@ -466,27 +457,20 @@ def classify_magnitude(a: LeviCivitaNumber) -> Magnitude:
     still decidably infinite, while [-d, d] + t is unknown (appreciable or
     infinitesimal depending on the true coefficient).
     """
-    possible: set[Magnitude] = set()
-    for n, c in a.pairs:
-        possible.add(_class_of_exponent(n))
-        if not c.contains_zero():
-            break
+    i, _ = _leading_term(a)
+    if i < len(a.pairs):
+        last = _class_of_exponent(a.pairs[i][0])
+    elif a.order is INFINITE_ORDER or a.order > 0:
+        last = Magnitude.INFINITESIMAL
     else:
-        if a.order is INFINITE_ORDER or a.order > 0:
-            possible.add(Magnitude.INFINITESIMAL)
-        elif a.order == 0:
-            possible.update((Magnitude.INFINITESIMAL, Magnitude.APPRECIABLE))
-        else:
-            possible.update(
-                (Magnitude.INFINITESIMAL, Magnitude.APPRECIABLE, Magnitude.INFINITE)
-            )
-    if len(possible) == 1:
-        return possible.pop()
-    return Magnitude.UNKNOWN
+        return Magnitude.UNKNOWN  # the tail holds members at t^order and at t
+    # the class only grows with the exponent: one class from first to last
+    first = _class_of_exponent(a.pairs[0][0]) if i else last
+    return last if first is last else Magnitude.UNKNOWN
 
 
 def is_surely_finite(a: LeviCivitaNumber) -> bool:
-    """True when every member is finite: no exponent below 0 anywhere."""
+    """True when every member is finite: v(a) >= 0, read on the integers."""
     if a.pairs and a.pairs[0][0] < 0:
         return False
     return a.order is INFINITE_ORDER or a.order >= 0
@@ -544,9 +528,11 @@ def _series(u, order, rules, combination, shift: int) -> LeviCivitaNumber:
     """One series per rule at infinitesimal u = (D, its terms (n, triple) on
     (1/D)Z, its order) (module docstring), at the lattice points n of sums of
     u's exponents below the cap; returns the sum of the series `combination`
-    names times their factor triples, every exponent raised by shift / D."""
+    names times their factor triples, every exponent raised by shift / D.
+    Every term sits at e >= 0, so an order below 0 acts as 0: the result is
+    then O(t^(shift / D)), its valuation."""
     denominator, steps, u_order = u
-    order = _as_order(order)
+    order = max(_as_order(order), 0)
     if not steps and u_order is INFINITE_ORDER:
         caps = [INFINITE_ORDER] * len(rules)  # u = 0: the exact starts
     elif order is INFINITE_ORDER and steps:
@@ -605,7 +591,7 @@ def sqrt(
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     u, _, n = _split_leading(a, halve=True)
     root_c = _triple(sqrt_interval(a.pairs[0][1], precision))
-    series_order = order if order is INFINITE_ORDER else order - a.lead_exponent / 2
+    series_order = order if order is INFINITE_ORDER else order - a.valuation / 2
     return _series(u, series_order, _SQRT, ((0, root_c),), n // 2)
 
 
@@ -614,15 +600,15 @@ def sqrt_nonnegative(
 ) -> LeviCivitaNumber:
     """Square root of a value whose every member the caller knows is >= 0.
 
-    Exact zero gives zero.  Let L be the lead exponent, or the order when no
-    term is stored.  Without a certainly positive leading coefficient every
-    member is 0 or c t^e + ... with c > 0 and e >= L, so the root is
-    O(t^(L/2)), whatever the sign of L.  Anything else goes to `sqrt`.
+    Exact zero gives zero.  Let L be the valuation.  Without a certainly
+    positive leading coefficient every member is 0 or c t^e + ... with c > 0
+    and e >= L, so the root is O(t^(L/2)), whatever the sign of L.  Anything
+    else goes to `sqrt`.
     """
     if a.is_zero:
         return zero()
     if not a.pairs or a.pairs[0][1].lo <= 0:
-        return zero((a.lead_exponent if a.pairs else a.order) / 2)
+        return zero(a.valuation / 2)
     return sqrt(a, order, precision)
 
 
@@ -661,13 +647,13 @@ def approximate_within(y: LeviCivitaNumber, eps: LeviCivitaNumber) -> LeviCivita
     """An exact rational-coefficient q with |y - q| < eps, eps > 0.
 
     Copies y's coefficients (midpoints, for intervals) at every exponent up
-    to eps's leading exponent, then certifies |y - q| < eps by two sign
+    to eps's valuation, then certifies |y - q| < eps by two sign
     scans.  When y's enclosure is wider than eps at a decisive exponent no
     certified answer exists and IndeterminateComparison is raised.
     """
     if sign(eps) <= 0:
         raise PreconditionViolated("eps must be strictly positive")
-    e = eps.lead_exponent
+    e = eps.valuation
     q = LeviCivitaNumber(
         tuple((qe, Interval.point(c.midpoint)) for qe, c in y.terms if qe <= e)
     )

@@ -123,12 +123,7 @@ class _Parser:
             op = self.next()[1]
             rhs = self.product()
             terms.append(rhs if op == "+" else lcf.neg(rhs))
-        # pairwise in rounds, so each term is merged about log2(n) times, not
-        # up to n; the coefficients are exact, so the sum is the left fold's
-        while len(terms) > 1:
-            odd = terms[-1:] if len(terms) % 2 else []
-            terms = [lcf.add(x, y) for x, y in zip(terms[::2], terms[1::2])] + odd
-        return terms[0]
+        return lcf.add_all(terms)
 
     # product := factor (("*"|"/") factor)*
     def product(self, first=None) -> LeviCivitaNumber:

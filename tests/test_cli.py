@@ -22,7 +22,13 @@ def run(capsys, *argv):
 
 
 def test_eval(capsys):
-    for expr, expected in (("(1+t)*(1-t)", "1 - t^2"), ("0*(1+O(t^3))", "0")):
+    # a termless factor's members start at its order: O(t^-1) holds t^-1
+    for expr, expected in (
+        ("(1+t)*(1-t)", "1 - t^2"),
+        ("0*(1+O(t^3))", "0"),
+        ("O(t^-1)*O(t^-1)", "O(t^-2)"),
+        ("O(t^2)*O(t^3)", "O(t^5)"),
+    ):
         code, out, _ = run(capsys, "eval", expr)
         assert code == 0 and out.strip() == expected
 
@@ -100,6 +106,9 @@ def test_flags_a_subcommand_does_not_use_are_rejected(capsys, command, flag):
 def test_dist_infinite_standard_part(capsys):
     code, out, _ = run(capsys, "dist", "rationals-line", "t^-1", "0")
     assert code == 0 and "st = (not finite)" in out
+    # (t^-1, 0) is a member of the first point, at distance t^-1
+    plane = ("euclidean-plane", "(O(t^-1), 0)", "(0, 0)")
+    assert run(capsys, "dist", *plane) == (0, "d = O(t^-1)\nst = (not finite)\n", "")
 
 
 def test_classify_magnitude(capsys):
@@ -493,9 +502,10 @@ def test_hull_dist_of_infinitely_close_points_is_zero(capsys, space, p, q):
 
 def test_dist_of_infinitely_close_points_is_a_bound(capsys):
     # no term of the squared distance is known, so the distance is the
-    # bound O(t^(L/2)) for a squared distance O(t^L)
+    # bound O(t^(L/2)) for a squared distance O(t^L): two points of
+    # 1 + O(t^3) differ by O(t^3), whose square is O(t^6)
     plane = ("euclidean-plane", "(1 + O(t^3), 0)", "(1 + O(t^3), 0)")
-    assert run(capsys, "dist", *plane) == (0, "d = O(t^3/2)\nst = 0\n", "")
+    assert run(capsys, "dist", *plane) == (0, "d = O(t^3)\nst = 0\n", "")
     cover = ("cover", "(t + O(t^3), 2)", "(t, 2)")
     assert run(capsys, "dist", *cover) == (0, "d = O(t^2)\nst = 0\n", "")
 

@@ -219,7 +219,8 @@ def test_classification_table():
 
 
 def test_origin_halo_bound_is_infinitesimal():
-    for zeta in (lcf.t_power(-2), lcf.zero(), lcf.from_rational(100), TI):
+    # O(t^-5) holds t^-5: the descent must reach below t^5 to unwind it
+    for zeta in (lcf.t_power(-2), lcf.zero(), lcf.from_rational(100), TI, lcf.zero(F(-5))):
         bound = cover.origin_path_bound(point(T, zeta))
         assert lcf.classify_magnitude(bound) is Magnitude.INFINITESIMAL
     # the bound really is a distance bound: check one case against the metric

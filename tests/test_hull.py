@@ -392,7 +392,7 @@ def test_infinitely_close_distances_bound_the_higher_orders():
             )
             if not d8.terms:
                 bounds += 1
-                assert not d16.terms or d16.lead_exponent >= d8.order, (pair, d8, d16)
+                assert not d16.terms or d16.valuation >= d8.order, (pair, d8, d16)
             for q, c in d16.terms:
                 if q < d8.order:
                     assert c.intersect(d8.coefficient(q)) is not None, (pair, d8, d16)

@@ -358,7 +358,7 @@ def reference_mul(a, b, cap=INFINITE_ORDER):
     cap = cap if cap is INFINITE_ORDER else F(cap)
     if a.is_zero or b.is_zero:
         return lcf.zero(cap)
-    lead = lambda x: x.terms[0][0] if x.terms else F(0)
+    lead = lambda x: x.terms[0][0] if x.terms else x.order  # no member starts lower
     if a.order is INFINITE_ORDER and b.order is INFINITE_ORDER:
         order = cap
     else:
@@ -443,8 +443,9 @@ def test_series_equal_sum_of_powers(name):
 
 def reference_recurrence(u, order, rules):
     """The series recurrence of lcf._series as it ran on Interval objects
-    before the integer core, each endpoint a gcd-normalised Fraction."""
-    order = lcf._as_order(order)
+    before the integer core, each endpoint a gcd-normalised Fraction.  As
+    there, an order below 0 acts as 0: every term sits at e >= 0."""
+    order = max(lcf._as_order(order), 0)
     starts = [lcf.from_rational(rule[0]) for rule in rules]
     if u.is_zero:
         return tuple(starts)
