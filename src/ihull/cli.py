@@ -28,7 +28,6 @@ from fractions import Fraction
 
 from . import cover, hull, lcf, parsing, scenarios, spaces
 from .errors import (
-    BranchIndeterminate,
     IhullError,
     IndeterminateComparison,
     NotFinite,
@@ -342,7 +341,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IndeterminateComparison, BranchIndeterminate) as exc:
+    except IndeterminateComparison as exc:
         print(f"indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (IhullError, ValueError, ZeroDivisionError, KeyError) as exc:

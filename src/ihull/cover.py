@@ -57,7 +57,9 @@ class CoverPoint:
         try:
             positive = lcf.sign(self.r) > 0
         except IndeterminateComparison as exc:
-            raise InvalidPoint(f"radial coordinate of unknown sign: {exc}") from None
+            raise IndeterminateComparison(
+                "radial coordinate of unknown sign", exc.exponent
+            ) from None
         if not positive:
             raise InvalidPoint("radial coordinate must be positive")
 

@@ -50,7 +50,7 @@ class NotFinite(IhullError):
     """A finite (galaxy) value was required but cannot be certified."""
 
 
-class BranchIndeterminate(IhullError):
+class BranchIndeterminate(IndeterminateComparison):
     """Angle gap vs. pi undecidable, so the geodesic branch cannot be chosen."""
 
 

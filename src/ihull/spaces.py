@@ -30,23 +30,26 @@ verdict is as sound as the magnitude tests on the coordinates themselves:
   is finite iff both coordinates are.  Every finite point is approachable
   and nearstandard (its standard part, coordinatewise, is the standard
   point).
-* cover / cover-completion: the path through the puncture bounds the
-  distance above, and r changes by at most the length of any path (|dr| <=
-  ds), so |r - 1| <= d((r, zeta), (1, 0)) <= r + 1 and a point is
-  finite iff r is, whatever zeta.  A surely finite r of unknown magnitude
-  is therefore finite even when its cover classification is unknown; the
-  restored origin r = 0 of the completion is finite.  Approachability and
-  nearstandardness are delegated to one cover classification per point;
-  the inapproachable verdict is backed by the separation-rectangle
-  certificate, the origin-halo verdict by the explicit short path to
-  (eps, 0).
+* cover / cover-completion: one builder registers both, the completion
+  being the cover with the origin (r exactly 0) restored, and both measure
+  with `cover.completion_distance`: the cover's distance away from the
+  origin, r to it.  The path through the puncture bounds the distance
+  above, and r changes by at most the length of any path (|dr| <= ds), so
+  |r - 1| <= d((r, zeta), (1, 0)) <= r + 1 and a point is finite iff r
+  is, whatever zeta.  A surely finite r of unknown magnitude is therefore
+  finite even when its cover classification is unknown; the restored
+  origin is finite.  Approachability and nearstandardness are delegated
+  to one cover classification per point; the inapproachable verdict is
+  backed by the separation-rectangle certificate, the origin-halo verdict
+  by the explicit short path to (eps, 0).
 """
 
 from __future__ import annotations
 
-from . import cover as cover_mod
+from functools import partial
+
 from . import lcf
-from .cover import CoverPoint, Verdict, classify_point
+from .cover import CoverPoint, Verdict, classify_point, completion_distance
 from .errors import NotFinite
 from .hull import ExtendedPoint, Location, SpaceDescriptor
 from .lcf import (
@@ -167,73 +170,39 @@ _APPROACHABLE = {
 }
 
 
-def _as_cover_point(a: ExtendedPoint) -> CoverPoint:
-    return CoverPoint(a.coords[0], a.coords[1])
+def _cover_space(space_id: str, restored: bool, order, precision) -> SpaceDescriptor:
+    """The cover, or its completion when the origin is `restored`: a point
+    with r exactly 0, the standard point of the origin halo."""
+    origin = ExtendedPoint(space_id, (lcf.zero(), lcf.zero())) if restored else None
 
+    def cover_point(a: ExtendedPoint) -> CoverPoint | None:
+        if restored and a.coords[0].is_zero:
+            return None  # the restored origin
+        return CoverPoint(*a.coords)
 
-def _as_completion_point(a: ExtendedPoint) -> CoverPoint | None:
-    r = a.coords[0]
-    if r.is_zero:
-        return None  # the restored origin
-    return CoverPoint(r, a.coords[1])
-
-
-def _cover_locate(space_id: str, origin: ExtendedPoint | None):
-    """`locate` for the cover (origin None) or its completion, which restores
-    the origin as the standard point of the origin halo."""
+    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
+        return completion_distance(cover_point(a), cover_point(b), order, precision)
 
     def locate(a: ExtendedPoint) -> Location:
-        r = a.coords[0]
-        if origin is not None and r.is_zero:
+        p = cover_point(a)
+        if p is None:
             return Location(Ternary.TRUE, Ternary.TRUE, origin)
-        classified = classify_point(_as_cover_point(a))
-        if classified.verdict is Verdict.NEARSTANDARD:
-            st_r, st_z = classified.standard_point
-            near = ExtendedPoint(
-                space_id, (lcf.from_interval(st_r), lcf.from_interval(st_z))
-            )
-        elif classified.verdict is Verdict.ORIGIN_HALO:
-            near = origin  # None: the origin is missing from the cover itself
-        else:
-            near = None
-        return Location(_finite_ternary(r), _APPROACHABLE[classified.verdict], near)
-
-    return locate
-
-
-def _cover(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
-        return cover_mod.cover_distance(
-            _as_cover_point(a), _as_cover_point(b), order, precision
-        )
+        classified = classify_point(p)
+        # the origin halo's standard point is the origin, missing from the cover
+        near = origin if classified.verdict is Verdict.ORIGIN_HALO else None
+        st = classified.standard_point  # set when nearstandard
+        if st is not None:
+            near = ExtendedPoint(space_id, tuple(map(lcf.from_interval, st)))
+        return Location(_finite_ternary(p.r), _APPROACHABLE[classified.verdict], near)
 
     return SpaceDescriptor(
-        space_id="cover",
+        space_id=space_id,
         dimension=2,
         order=order,
-        basepoint=ExtendedPoint("cover", (lcf.one(), lcf.zero())),
+        basepoint=ExtendedPoint(space_id, (lcf.one(), lcf.zero())),
         distance=distance,
-        locate=_cover_locate("cover", None),
-        is_complete=False,
-        completion_is_HB=False,
-    )
-
-
-def _cover_completion(order, precision) -> SpaceDescriptor:
-    def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
-        return cover_mod.completion_distance(
-            _as_completion_point(a), _as_completion_point(b), order, precision
-        )
-
-    origin = ExtendedPoint("cover-completion", (lcf.zero(), lcf.zero()))
-    return SpaceDescriptor(
-        space_id="cover-completion",
-        dimension=2,
-        order=order,
-        basepoint=ExtendedPoint("cover-completion", (lcf.one(), lcf.zero())),
-        distance=distance,
-        locate=_cover_locate("cover-completion", origin),
-        is_complete=True,
+        locate=locate,
+        is_complete=restored,
         completion_is_HB=False,
     )
 
@@ -241,8 +210,8 @@ def _cover_completion(order, precision) -> SpaceDescriptor:
 _BUILDERS = {
     "rationals-line": _rationals_line,
     "euclidean-plane": _euclidean_plane,
-    "cover": _cover,
-    "cover-completion": _cover_completion,
+    "cover": partial(_cover_space, "cover", False),
+    "cover-completion": partial(_cover_space, "cover-completion", True),
 }
 
 SPACE_NAMES = tuple(_BUILDERS)

@@ -9,7 +9,8 @@ command takes one, a precision from PRECISIONS, with --json on half of them.
 The literals mix exact terms, ``O(...)`` terms, products and quotients.  Each
 call prints one line: its argv as JSON, its exit code (``exc:<type>`` when
 `main` raised), and a digest of its stdout plus stderr.  The file is not
-named test_*, so pytest does not collect it.
+named test_*, so pytest does not collect it; `tests/test_cli.py` checks the
+CLI's exit-code contract on its `calls`.
 """
 
 from __future__ import annotations
@@ -103,25 +104,28 @@ def arguments(rng: random.Random) -> list[str]:
     return [command, *flags, "--", *positional]
 
 
-def run(argv: list[str]) -> str:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = str(main(argv))
-        except Exception as exc:  # a traceback is a finding, not a stop
-            code = f"exc:{type(exc).__name__}"
-    digest = hashlib.sha256((out.getvalue() + "\0" + err.getvalue()).encode()).hexdigest()
-    return f"{json.dumps(argv)} {code} {digest[:16]}"
-
-
-def sweep(seed: int, calls: int):
+def calls(seed: int, n: int):
+    """The sweep's n calls at `seed`, each run in process as (argv, exit code
+    or ``exc:<type>`` when `main` raised, stdout, stderr)."""
     rng = random.Random(seed)
-    for _ in range(calls):
-        yield run(arguments(rng))
+    for _ in range(n):
+        argv = arguments(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = str(main(argv))
+            except Exception as exc:  # a traceback is a finding, not a stop
+                code = f"exc:{type(exc).__name__}"
+        yield argv, code, out.getvalue(), err.getvalue()
+
+
+def line(argv: list[str], code: str, out: str, err: str) -> str:
+    digest = hashlib.sha256((out + "\0" + err).encode()).hexdigest()
+    return f"{json.dumps(argv)} {code} {digest[:16]}"
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit("usage: python tests/cli_sweep.py SEED N")
-    for line in sweep(int(sys.argv[1]), int(sys.argv[2])):
-        print(line, flush=True)
+    for result in calls(int(sys.argv[1]), int(sys.argv[2])):
+        print(line(*result), flush=True)

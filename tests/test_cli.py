@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import cli_sweep
 from ihull.cli import main
 from ihull.parsing import exponent_lcm, parse_number, parse_point
 
@@ -542,6 +543,26 @@ def test_indeterminate_exit_code(capsys):
     code, _, err = run(capsys, "dist", "rationals-line", "1 + O(t^2)", "1")
     assert code == 3
     assert "indeterminate" in err.lower()
+
+
+def test_radial_coordinate_of_unknown_sign_is_indeterminate(capsys):
+    # 1/(1 + t^-1) = t - t^2 + ... is O(t) at order 0: no term decides its sign
+    argv = ["dist", "--order", "0", "--", "cover", "(1/(1+t^-1), 0)", "(1, 0)"]
+    want = "indeterminate: radial coordinate of unknown sign (blocking exponent 1)\n"
+    assert run(capsys, *argv) == (3, "", want)
+    argv[2] = "1"
+    assert run(capsys, *argv) == (0, "d = 1 + O(t)\nst = 1\n", "")
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_generated_calls_keep_the_exit_code_contract(seed):
+    # 500 calls of the seeded sweep: each answers (0), is rejected (2) or is
+    # indeterminate (3) and names its blocking exponent, never raises, and
+    # reports nothing undecidable as an error
+    for argv, code, _, err in cli_sweep.calls(seed, 500):
+        assert code in ("0", "2", "3"), (argv, code, err)
+        assert code != "3" or "(blocking exponent " in err, (argv, err)
+        assert code != "2" or "undecidable" not in err, (argv, err)
 
 
 def test_wrong_dimension_rejected(capsys):

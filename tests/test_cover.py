@@ -38,7 +38,9 @@ def test_point_requires_positive_radius():
         point(0, 1)
     with pytest.raises(InvalidPoint):
         point(-1, 0)
-    with pytest.raises(InvalidPoint):
+    # r of undecided sign is indeterminate, not invalid: a higher order or
+    # precision may settle it
+    with pytest.raises(IndeterminateComparison, match=r"radial coordinate of unknown sign"):
         CoverPoint(lcf.from_interval(Interval(F(-1), F(1))), lcf.zero())
 
 
@@ -77,8 +79,9 @@ def test_distance_symmetric_and_zero_on_diagonal():
 
 def test_branch_indeterminate_near_pi():
     pi_mid = pi_interval(64).midpoint
-    with pytest.raises(BranchIndeterminate):
+    with pytest.raises(BranchIndeterminate) as raised:
         cover.cover_distance(point(1, 0), point(1, pi_mid), precision=64)
+    assert isinstance(raised.value, IndeterminateComparison)  # exit 3 in the CLI
     # decidable again at higher precision: pi_mid is below pi or above it
     d = cover.cover_distance(point(1, 0), point(1, pi_mid), precision=256)
     assert d is not None
