@@ -180,28 +180,34 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _parse_space_point(space, text: str):
-    return space.point(*parse_point(text, space.order))
+def _space_points(args):
+    space = spaces.get_space(args.space, args.order, args.precision)
+    return space, *(space.point(*parse_point(p, args.order)) for p in (args.p1, args.p2))
 
 
 def _cmd_dist(args) -> int:
-    space = spaces.get_space(args.space, args.order, args.precision)
-    a = _parse_space_point(space, args.p1)
-    b = _parse_space_point(space, args.p2)
+    space, a, b = _space_points(args)
     d = hull.extended_distance(space, a, b)
     try:
-        st = lcf.standard_part(d)
+        st, blocked = lcf.standard_part(d), None
     except NotFinite:
-        st = None
+        st = blocked = None
+    except IndeterminateComparison as exc:
+        st, blocked = None, exc.exponent
 
     def payload():
         st_json = None if st is None else {
             "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st)
         }
-        return {"space": args.space, "distance": number_to_json(d), "standard_part": st_json}
+        payload = {"space": args.space, "distance": number_to_json(d), "standard_part": st_json}
+        if blocked is not None:
+            payload["blocking_exponent"] = str(blocked)
+        return payload
 
     def lines():
-        if st is None:
+        if blocked is not None:
+            tail = f"st = (undetermined: blocking exponent {blocked})"
+        elif st is None:
             tail = "st = (not finite)"
         elif st.is_exact:
             tail = f"st = {st.lo}"
@@ -234,10 +240,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hull_dist(args) -> int:
-    space = spaces.get_space(args.space, args.order, args.precision)
-    a = _parse_space_point(space, args.p1)
-    b = _parse_space_point(space, args.p2)
-    value = hull.hull_distance(space, a, b)
+    value = hull.hull_distance(*_space_points(args))
     _emit(
         args,
         lambda: {

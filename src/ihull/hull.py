@@ -24,7 +24,6 @@ are reported, never silently counted as pass or fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import lcf
@@ -67,18 +66,17 @@ class Location:
 class SpaceDescriptor:
     """A registered metric space with its extension and its `locate` oracle.
 
-    `order` is the truncation order the space was built at, and
-    `distance(a, b)` works at it.  The distance must be symmetric,
-    nonnegative, and satisfy the triangle inequality; the test suite probes
-    these on random triples rather than trusting registrations.  `locate`
-    is space-specific: approachability has no generic decision procedure,
-    and finiteness is decided from the coordinates, never by expanding a
-    distance to the basepoint.
+    `distance(a, b)` works at the truncation order and precision the space
+    was built at.  The distance must be symmetric, nonnegative, and satisfy
+    the triangle inequality; the test suite probes these on random triples
+    rather than trusting registrations.  `locate` is space-specific:
+    approachability has no generic decision procedure, and finiteness is
+    decided from the coordinates, never by expanding a distance to the
+    basepoint.
     """
 
     space_id: str
     dimension: int
-    order: Fraction
     basepoint: ExtendedPoint
     distance: Callable[..., LeviCivitaNumber]
     locate: Callable[[ExtendedPoint], Location]
@@ -141,18 +139,17 @@ def hull_distance(s: SpaceDescriptor, a: ExtendedPoint, b: ExtendedPoint) -> Int
 
     The replacement changes no answer: d(a, st a) is infinitesimal, so by
     the triangle inequality st d(a, b) = st d(st a, b), and likewise for b.
-    The same argument makes the hull distance well-defined on halos.  At an
-    order <= 0 the representatives are kept: the space's series stop below
-    t^0 there, and st of the representatives' own distance is the answer or
-    the error.
+    The same argument makes the hull distance well-defined on halos, and
+    independent of the truncation order once both points are standard.  A
+    representative with no standard point is kept, and `lcf.standard_part`
+    answers or raises on the distance.
     """
     points = []
     for p in (a, b):
         location = locate(s, p)
         if location.finite is Ternary.FALSE:
             raise NotFinite(f"representative {p} outside the galaxy")
-        near = location.nearstandard
-        points.append(near if near is not None and s.order > 0 else p)
+        points.append(location.nearstandard or p)
     return lcf.standard_part(extended_distance(s, *points))
 
 

@@ -480,16 +480,15 @@ def standard_part(a: LeviCivitaNumber) -> Interval:
     """The real coefficient at exponent 0, as an interval; st(a) - a is
     infinitesimal.
 
-    Requires `a` certainly finite and determined at exponent 0 (truncation
-    order above 0), else NotFinite.
+    The one standard-part rule: answered when every member is finite and the
+    truncation order is above 0; NotFinite when every member is infinite;
+    otherwise IndeterminateComparison, blocked at v(a).
     """
-    if not is_surely_finite(a):
-        raise NotFinite("standard part undefined: value may be infinite")
-    if a.order is not INFINITE_ORDER and a.order <= 0:
-        raise NotFinite(
-            f"standard part undetermined: truncation order {a.order} <= 0"
-        )
-    return a.coefficient(0)
+    if is_surely_finite(a) and (a.order is INFINITE_ORDER or a.order > 0):
+        return a.coefficient(0)
+    if classify_magnitude(a) is Magnitude.INFINITE:
+        raise NotFinite("standard part undefined: value is infinite")
+    raise IndeterminateComparison("standard part undetermined", a.valuation)
 
 
 def halo_equal(a: LeviCivitaNumber, b: LeviCivitaNumber) -> Ternary:

@@ -12,9 +12,9 @@ cover           no        no           hull strictly larger than completion
 cover-completion yes      no           complete but not Heine-Borel
 ============== ========= ============ ==================================
 
-Each space is built at one truncation order, recorded as its `order`, and
-one precision; its `distance(a, b)` works at both.  The standard point that
-`locate` finds is what `hull.hull_distance` measures from: st d(a, b) =
+Each space is built at one truncation order and one precision; its
+`distance(a, b)` works at both.  `hull.hull_distance` measures from the
+standard point that `locate` finds, at every order: st d(a, b) =
 st d(st a, b) by the triangle inequality.
 
 Soundness of the oracles.  Each space's `locate` decides finiteness from
@@ -50,7 +50,7 @@ from functools import partial
 
 from . import lcf
 from .cover import CoverPoint, Verdict, classify_point, completion_distance
-from .errors import NotFinite
+from .errors import IndeterminateComparison, NotFinite
 from .hull import ExtendedPoint, Location, SpaceDescriptor
 from .lcf import (
     DEFAULT_ORDER,
@@ -83,6 +83,16 @@ def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
     return Ternary.UNKNOWN
 
 
+def _standard_point(a: ExtendedPoint) -> ExtendedPoint | None:
+    """The coordinatewise standard part of `a`, or None where a coordinate
+    has none or `lcf.standard_part` cannot decide it."""
+    try:
+        parts = [lcf.standard_part(c) for c in a.coords]
+    except (NotFinite, IndeterminateComparison):
+        return None
+    return ExtendedPoint(a.space_id, tuple(map(lcf.from_interval, parts)))
+
+
 # ---------------------------------------------------------------------------
 # rationals-line
 # ---------------------------------------------------------------------------
@@ -91,25 +101,18 @@ def _rationals_line(order, precision) -> SpaceDescriptor:
     def distance(a: ExtendedPoint, b: ExtendedPoint) -> LeviCivitaNumber:
         return lcf.abs_value(lcf.sub(a.coords[0], b.coords[0]))
 
-    def nearstandard(x: LeviCivitaNumber) -> ExtendedPoint | None:
-        try:
-            st = lcf.standard_part(x)
-        except NotFinite:
-            return None
-        if not st.is_exact:
-            return None  # irrational-valued enclosure: no rational matches
-        return ExtendedPoint("rationals-line", (lcf.from_rational(st.lo),))
-
     def locate(a: ExtendedPoint) -> Location:
         # finite => approachable: the completion of the rationals is the
         # whole real line, so standard rationals sit arbitrarily close.
         finite = _finite_ternary(a.coords[0])
-        return Location(finite, finite, nearstandard(a.coords[0]))
+        near = _standard_point(a)
+        # an irrational-valued enclosure: no rational matches
+        exact = near is not None and near.coords[0].is_exact
+        return Location(finite, finite, near if exact else None)
 
     return SpaceDescriptor(
         space_id="rationals-line",
         dimension=1,
-        order=order,
         basepoint=ExtendedPoint("rationals-line", (lcf.zero(),)),
         distance=distance,
         locate=locate,
@@ -129,26 +132,15 @@ def _euclidean_plane(order, precision) -> SpaceDescriptor:
         squared = lcf.add(lcf.mul(dx, dx), lcf.mul(dy, dy))
         return lcf.sqrt_nonnegative(squared, order, precision)
 
-    def nearstandard(a: ExtendedPoint) -> ExtendedPoint | None:
-        # The plane is complete: the coordinatewise standard part is the
-        # standard point, exact or not.
-        try:
-            parts = [lcf.standard_part(c) for c in a.coords]
-        except NotFinite:
-            return None
-        return ExtendedPoint(
-            "euclidean-plane", tuple(lcf.from_interval(p) for p in parts)
-        )
-
     def locate(a: ExtendedPoint) -> Location:
-        # every finite point is approachable: standard points are dense
+        # every finite point is approachable: standard points are dense; the
+        # plane is complete, so the standard point is one, exact or not
         finite = _finite_ternary(*a.coords)
-        return Location(finite, finite, nearstandard(a))
+        return Location(finite, finite, _standard_point(a))
 
     return SpaceDescriptor(
         space_id="euclidean-plane",
         dimension=2,
-        order=order,
         basepoint=ExtendedPoint("euclidean-plane", (lcf.zero(), lcf.zero())),
         distance=distance,
         locate=locate,
@@ -198,7 +190,6 @@ def _cover_space(space_id: str, restored: bool, order, precision) -> SpaceDescri
     return SpaceDescriptor(
         space_id=space_id,
         dimension=2,
-        order=order,
         basepoint=ExtendedPoint(space_id, (lcf.one(), lcf.zero())),
         distance=distance,
         locate=locate,

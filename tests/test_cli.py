@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -107,9 +108,15 @@ def test_flags_a_subcommand_does_not_use_are_rejected(capsys, command, flag):
 def test_dist_infinite_standard_part(capsys):
     code, out, _ = run(capsys, "dist", "rationals-line", "t^-1", "0")
     assert code == 0 and "st = (not finite)" in out
-    # (t^-1, 0) is a member of the first point, at distance t^-1
+    # (t^-1, 0) and (0, 0) are both members of the first point, at distances
+    # t^-1 and 0: st is undetermined, not certainly infinite
     plane = ("euclidean-plane", "(O(t^-1), 0)", "(0, 0)")
-    assert run(capsys, "dist", *plane) == (0, "d = O(t^-1)\nst = (not finite)\n", "")
+    want = "d = O(t^-1)\nst = (undetermined: blocking exponent -1)\n"
+    assert run(capsys, "dist", *plane) == (0, want, "")
+    payload = json.loads(run(capsys, "dist", *plane, "--json")[1])
+    assert payload["standard_part"] is None and payload["blocking_exponent"] == "-1"
+    payload = json.loads(run(capsys, "dist", "rationals-line", "t^-1", "0", "--json")[1])
+    assert payload["standard_part"] is None and "blocking_exponent" not in payload
 
 
 def test_classify_magnitude(capsys):
@@ -130,12 +137,15 @@ def test_hull_dist(capsys):
 
 
 def test_hull_dist_order_caps_the_first_attempt(capsys):
-    # at --order 0 the one distance, on the representatives, has no standard
-    # part, whatever order the coordinates alone would allow
-    code, _, err = run(
-        capsys, "hull-dist", "cover", "(1+t, 0)", "(2, 1)", "--order", "0"
-    )
-    assert code == 2 and "standard part undetermined" in err
+    # the distance is measured from the standard points (1, 0) and (2, 1) at
+    # every order, so --order 0, whose series stop below t^0, answers as
+    # --order 8 does
+    argv = ["hull-dist", "cover", "(1+t, 0)", "(2, 1)", "--order"]
+    answer = run(capsys, *argv, "8")
+    assert answer[0] == 0 and run(capsys, *argv, "0") == answer
+    # the representatives' own distance at --order 0 has no standard part
+    code, out, _ = run(capsys, "dist", *argv[1:], "0")
+    assert code == 0 and "st = (undetermined: blocking exponent 0)" in out
 
 
 def test_verify_scenarios_pass(capsys):
@@ -209,9 +219,11 @@ def test_oracle_closed_form_at_the_exact_input(capsys):
     )
     assert code == 0
     assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e9, rel=1e-12)
-    # a pair closer than --precision resolves is a domain error, as in dist
+    # a pair closer than --precision resolves is indeterminate, its
+    # distance's standard part blocked at t^0
     close = ("(1, 0)", "(1, 1/3000000000000000000000000)", "--grid", "16")
-    assert run(capsys, "oracle", *close)[0] == 2
+    code, _, err = run(capsys, "oracle", *close)
+    assert code == 3 and "(blocking exponent 0)" in err
     code, out, _ = run(capsys, "oracle", *close, "--precision", "256", "--json")
     assert code == 0
     assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e24, rel=1e-12)
@@ -384,7 +396,7 @@ def test_values_beyond_the_float_range_print(capsys, argv, shown):
 def test_integers_past_the_digit_limit_print(capsys):
     # 6,001-digit products and a distance whose JSON endpoints pass 4,300
     # digits: the output prints whole, and the limit is restored after it
-    from ihull import hull, spaces
+    from ihull import hull, lcf, spaces
 
     limit = sys.get_int_max_str_digits()
     big = "1" + "0" * 3000
@@ -401,7 +413,8 @@ def test_integers_past_the_digit_limit_print(capsys):
     assert code == 0 and err == ""
     assert sys.get_int_max_str_digits() == limit
     space = spaces.get_space("euclidean-plane")
-    d = hull.extended_distance(space, *(space.point(*parse_point(p, space.order)) for p in (far, "(0, 1)")))
+    points = (space.point(*parse_point(p, lcf.DEFAULT_ORDER)) for p in (far, "(0, 1)"))
+    d = hull.extended_distance(space, *points)
     payload = json.loads(out)
     terms = payload["distance"]["terms"]
     assert max(len(t[end]) for t in terms for end in ("lo", "hi")) > 4300
@@ -512,8 +525,9 @@ def test_dist_of_infinitely_close_points_is_a_bound(capsys):
 
 
 def test_dist_at_order_0_is_a_bound_on_the_cover_as_on_the_plane(capsys):
-    # the squared chord has no term below its order 0, so the distance is O(1)
-    want = (0, "d = O(1)\nst = (not finite)\n", "")
+    # the squared chord has no term below its order 0, so the distance is
+    # O(1), whose standard part is blocked at t^0
+    want = (0, "d = O(1)\nst = (undetermined: blocking exponent 0)\n", "")
     cover = ("cover", "(4, 1/2 + t^2)", "(1 + t, -2/3)")
     assert run(capsys, "dist", "--order", "0", "--", *cover) == want
     plane = ("euclidean-plane", "(1 + t, 0)", "(2, 0)")
@@ -558,11 +572,17 @@ def test_radial_coordinate_of_unknown_sign_is_indeterminate(capsys):
 def test_generated_calls_keep_the_exit_code_contract(seed):
     # 500 calls of the seeded sweep: each answers (0), is rejected (2) or is
     # indeterminate (3) and names its blocking exponent, never raises, and
-    # reports nothing undecidable as an error
-    for argv, code, _, err in cli_sweep.calls(seed, 500):
+    # reports nothing undecided as an error; an undetermined standard part
+    # names its blocking exponent too
+    for argv, code, out, err in cli_sweep.calls(seed, 500):
         assert code in ("0", "2", "3"), (argv, code, err)
         assert code != "3" or "(blocking exponent " in err, (argv, err)
-        assert code != "2" or "undecidable" not in err, (argv, err)
+        undecided = ("undecidable", "undetermined", "may be infinite")
+        assert code != "2" or not any(word in err for word in undecided), (argv, err)
+        for line in out.splitlines():
+            assert not line.startswith("st = (undetermined") or re.fullmatch(
+                r"st = \(undetermined: blocking exponent -?\d+(/\d+)?\)", line
+            ), (argv, line)
 
 
 def test_wrong_dimension_rejected(capsys):

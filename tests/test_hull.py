@@ -169,17 +169,16 @@ def test_hull_distance_computes_one_distance():
     st = hull_distance(counting, halo(counting, p), halo(counting, q))
     assert st == Interval.point(0)
     assert calls == [(q, q)]
-    # configured order 0: the representatives are kept, and their distance
-    # has no standard part
+    # configured order 0: the standard points are measured as at every
+    # order, although the representatives' own distance has no standard part
     plane = spaces.get_space("euclidean-plane", F(0))
     counting, calls = _counting(plane)
     p, q = counting.point(ONE + T, 0), counting.point(2, 0)
-    with pytest.raises(NotFinite) as direct:
+    with pytest.raises(IndeterminateComparison):
         lcf.standard_part(extended_distance(plane, p, q))
-    with pytest.raises(NotFinite) as hulled:
-        hull_distance(counting, halo(counting, p), halo(counting, q))
-    assert str(hulled.value) == str(direct.value)
-    assert calls == [(p, q)]
+    st = hull_distance(counting, halo(counting, p), halo(counting, q))
+    assert st == Interval.point(1)
+    assert calls == [(counting.point(1, 0), q)]
 
 
 def _moved(point, rng):
@@ -195,14 +194,12 @@ def _moved(point, rng):
 
 def _check_one_call(space, a, b):
     """Check that hull_distance makes one distance call, on the standard
-    points where the order is positive and the representatives have them,
-    and answers as st of that distance (the same interval, or the same
-    exception type and message); where the representatives' own distance
-    has a standard part too, the two intervals meet."""
+    points where the representatives have them, and answers as st of that
+    distance (the same interval, or the same exception type and message);
+    where the representatives' own distance has a standard part too, the
+    two intervals meet."""
     near = [hull.locate(space, p).nearstandard for p in (a, b)]
-    points = tuple(
-        p if n is None or space.order <= 0 else n for p, n in zip((a, b), near)
-    )
+    points = tuple(p if n is None else n for p, n in zip((a, b), near))
     counting, calls = _counting(space)
     got = _outcome(hull_distance, counting, halo(counting, a), halo(counting, b))
     assert calls == [points]
@@ -232,7 +229,7 @@ def test_hull_distance_same_as_configured_order(order):
             _check_one_call(space, _moved(a, rng), a)
 
 
-def _representatives_hull_distance(s, a, b, precision):
+def _representatives_hull_distance(s, a, b, order, precision):
     """The hull distance computed on the representatives alone, as before
     standard points answered: the distance at the smallest positive exponent
     (capped at the space's order), then at the space's order."""
@@ -240,7 +237,7 @@ def _representatives_hull_distance(s, a, b, precision):
         if in_galaxy(s, p) is Ternary.FALSE:
             raise NotFinite(f"representative {p} outside the galaxy")
     exponents = [q for p in (a, b) for c in p.coords for q, _ in c.terms if q > 0]
-    first = min(min(exponents, default=F(1)), s.order)
+    first = min(min(exponents, default=F(1)), order)
     try:
         return lcf.standard_part(
             extended_distance(spaces.get_space(s.space_id, first, precision), a, b)
@@ -248,7 +245,7 @@ def _representatives_hull_distance(s, a, b, precision):
     except BranchIndeterminate:
         raise
     except IhullError:
-        if first == s.order:
+        if first == order:
             raise
     return lcf.standard_part(extended_distance(s, a, b))
 
@@ -298,16 +295,18 @@ def _sweep_point(space, rng):
 def test_hull_distance_same_as_the_representatives_alone():
     """A seeded sweep of over 2,000 pairs on every space at orders 0, 1/2 and
     8 and precisions 8 and 64: the same interval, or the same exception type
-    and message, as the representatives alone give, with two kinds of
+    and message, as the representatives alone give, with three kinds of
     difference, each of which occurs.  Where both standard points are one
-    point, an error becomes the answer 0.  On the completion, an origin-halo
+    point, an error becomes the answer 0.  At order 0, where the
+    representatives' own distance stops below t^0, the standard points
+    answer as at order 8.  On the completion, an origin-halo
     representative's standard point is the restored origin, whose distance
     to a point is that point's r: so the hull distance to a nearstandard
     point is st r.  To an r of unknown finiteness both give NotFinite."""
     rng = Random(2024)
     unknown_r = lcf.LeviCivitaNumber(((-1, Interval(F(0), F(1))), (0, 1)))
     answered = raised = 0
-    kinds = dict.fromkeys(("same standard point", "from origin"), 0)
+    kinds = dict.fromkeys(("same standard point", "order 0", "from origin"), 0)
     for order in (F(0), F(1, 2), F(8)):
         for precision in (8, 64):
             for name in spaces.SPACE_NAMES:
@@ -329,17 +328,25 @@ def test_hull_distance_same_as_the_representatives_alone():
                     pairs.append(tuple(space.point(lcf.add(ONE, lcf.zero(k))) for k in (2, 3)))
                 for a, b in pairs:
                     got = _outcome(hull_distance, space, a, b)
-                    expected = _outcome(_representatives_hull_distance, space, a, b, precision)
+                    expected = _outcome(
+                        _representatives_hull_distance, space, a, b, order, precision
+                    )
                     answered += isinstance(got, Interval)
                     raised += not isinstance(got, Interval)
                     located = [_outcome(hull.locate, space, p) for p in (a, b)]
                     near = [getattr(v, "nearstandard", None) for v in located]
-                    if got == expected or order <= 0:
-                        assert got == expected, (name, order, precision, a, b)
-                    elif near[0] == near[1] is not None:
+                    if got == expected:
+                        continue
+                    if near[0] == near[1] is not None:
                         assert got == Interval.point(0), (a, b, got)
                         assert not isinstance(expected, Interval)
                         kinds["same standard point"] += 1
+                    elif order <= 0:
+                        assert None not in near, (a, b)
+                        assert expected[0] is IndeterminateComparison, (a, b, expected)
+                        at_8 = spaces.get_space(name, F(8), precision)
+                        assert got == hull_distance(at_8, a, b), (a, b, got)
+                        kinds["order 0"] += 1
                     else:
                         assert origin is not None and near.count(origin) == 1, (a, b)
                         assert None not in near, (a, b)
@@ -380,15 +387,16 @@ def test_infinitely_close_distances_bound_the_higher_orders():
     every coefficient the two share meets."""
     rng = Random(271)
     for name in ("euclidean-plane", "cover"):
-        low, high = (spaces.get_space(name, order) for order in (F(8), F(16)))
+        orders = (F(8), F(16))
+        low, high = (spaces.get_space(name, order) for order in orders)
         bounds = 0
         for _ in range(40):
             pair = _close_pair(low, rng)
             d8, d16 = (
                 extended_distance(s, *(
-                    s.point(*(lcf.add(c, lcf.zero(s.order)) for c in p)) for p in pair
+                    s.point(*(lcf.add(c, lcf.zero(order)) for c in p)) for p in pair
                 ))
-                for s in (low, high)
+                for s, order in zip((low, high), orders)
             )
             if not d8.terms:
                 bounds += 1
@@ -645,16 +653,7 @@ def test_unknown_verdicts_reported_not_failed():
             return dataclasses.replace(where, approachable=Ternary.UNKNOWN)
         return where
 
-    foggy = hull.SpaceDescriptor(
-        space_id="rationals-line",
-        dimension=1,
-        order=LINE.order,
-        basepoint=LINE.basepoint,
-        distance=LINE.distance,
-        locate=undecided,
-        is_complete=True,
-        completion_is_HB=True,
-    )
+    foggy = dataclasses.replace(LINE, locate=undecided, is_complete=True)
     report = check_proposition_a(foggy, [marked, LINE.point(1)])
     assert report.unknown_count == 1
     assert report.passed  # the unknown probe is not counted as a violation

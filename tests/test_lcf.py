@@ -755,8 +755,13 @@ def test_standard_part_examples():
     assert lcf.standard_part(num("t - t^2")) == Interval.point(0)
     with pytest.raises(NotFinite):
         lcf.standard_part(TI)
-    with pytest.raises(NotFinite):
-        lcf.standard_part(lcf.zero(F(0)))
+    # members of O(1) are infinitesimal or appreciable, of O(t^-1) finite or
+    # infinite, of [-1, 1] t^-1 + 1 too: undecided, not infinite
+    wide = lcf.monomial(Interval(F(-1), F(1)), -1) + ONE
+    for undecided, exponent in ((lcf.zero(F(0)), 0), (lcf.zero(F(-1)), -1), (wide, -1)):
+        with pytest.raises(IndeterminateComparison) as blocked:
+            lcf.standard_part(undecided)
+        assert blocked.value.exponent == exponent
 
 
 def test_halo_equal_examples():

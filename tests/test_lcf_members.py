@@ -4,15 +4,15 @@ point) plus a finite tail on lattice exponents at or above the order.  Each
 operation's result must hold the members' result below its order, every
 exponent's coefficient inside its interval (a missing term counting as
 [0, 0]); a series operation's members are expanded at a higher order and
-precision.  Sign, comparison and magnitude queries must agree with every
-member they answer for."""
+precision.  Sign, comparison, magnitude and standard-part queries must agree
+with every member they answer for."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from ihull import cover, lcf
-from ihull.errors import IndeterminateComparison
+from ihull.errors import IndeterminateComparison, NotFinite
 from ihull.intervals import Interval
 from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber, Magnitude
 
@@ -173,3 +173,9 @@ def test_queries_agree_with_every_member(x, y, data):
     assert ordering is None or lcf.compare(mx, my) is ordering
     magnitude = lcf.classify_magnitude(x)
     assert magnitude is Magnitude.UNKNOWN or lcf.classify_magnitude(mx) is magnitude
+    try:
+        part = _answer(lcf.standard_part, x)
+    except NotFinite:  # every member has a nonzero term below t^0
+        assert mx.pairs and mx.pairs[0][0] < 0, (x, mx)
+    else:
+        assert part is None or mx.coefficient(0).lo in part, (x, mx, part)

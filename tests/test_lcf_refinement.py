@@ -7,7 +7,8 @@ one's, and below it each coefficient contains the finer coefficient, a
 missing term counting as [0, 0].  A draw whose coarse call raises is
 skipped.  The hull distance of two representatives and the standard part of
 their own distance enclose the same number, so they must intersect whenever
-both answer."""
+both answer; once both representatives have standard points, the hull
+distance is measured from them, and the truncation order changes nothing."""
 
 from fractions import Fraction as F
 
@@ -107,3 +108,15 @@ def test_hull_distance_meets_the_standard_part_of_the_distance(name, data, order
     except IhullError:
         return
     assert max(near.lo, own.lo) <= min(near.hi, own.hi), (a, b, near, own)
+
+
+@pytest.mark.parametrize("name", spaces.SPACE_NAMES)
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_hull_distance_of_standard_points_is_the_same_at_every_order(name, data):
+    at = {q: spaces.get_space(name, q, PRECISION) for q in (-1, 0, F(1, 2), 8)}
+    a, b = data.draw(_representatives(at[8])), data.draw(_representatives(at[8]))
+    if None in (hull.locate(at[8], p).nearstandard for p in (a, b)):
+        return
+    answers = {q: hull.hull_distance(s, a, b) for q, s in at.items()}
+    assert len(set(answers.values())) == 1, (a, b, answers)
