@@ -25,8 +25,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from . import cover, hull, lcf, parsing, scenarios, spaces
+from . import lcf, parsing  # the other modules load in the commands that run them
 from .errors import (
     IhullError,
     IndeterminateComparison,
@@ -100,6 +101,17 @@ _SHARED_FLAGS = {
 }
 
 
+class _Names:
+    """A registry's names, read when argparse checks (`in` iterates) or prints one, so
+    only its subcommand loads it; set as `choices` after add_argument, which reads them."""
+
+    def __init__(self, module: str, names: str):
+        self.module, self.names = module, names
+
+    def __iter__(self):
+        return iter(getattr(import_module(self.module, __package__), self.names))
+
+
 def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
     """Add the named shared flags, those the subcommand acts on, and --json."""
     for name in names:
@@ -116,13 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "punctured-plane universal cover",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    space_names = _Names(".spaces", "SPACE_NAMES")
 
     p_eval = sub.add_parser("eval", help="evaluate an arithmetic expression")
     p_eval.add_argument("expr")
     _flags(p_eval, "order")
 
     p_dist = sub.add_parser("dist", help="extended distance between two points")
-    p_dist.add_argument("space", choices=spaces.SPACE_NAMES)
+    p_dist.add_argument("space").choices = space_names
     p_dist.add_argument("p1")
     p_dist.add_argument("p2")
     _flags(p_dist, "order", "precision")
@@ -134,13 +147,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _flags(p_cls, "order")
 
     p_hd = sub.add_parser("hull-dist", help="hull distance (standard part) of halos")
-    p_hd.add_argument("space", choices=spaces.SPACE_NAMES)
+    p_hd.add_argument("space").choices = space_names
     p_hd.add_argument("p1")
     p_hd.add_argument("p2")
     _flags(p_hd, "order", "precision")
 
     p_ver = sub.add_parser("verify", help="run a named verification scenario")
-    p_ver.add_argument("scenario", choices=scenarios.SCENARIO_NAMES)
+    p_ver.add_argument("scenario").choices = _Names(".scenarios", "SCENARIO_NAMES")
     _flags(p_ver, "seed")
 
     p_or = sub.add_parser("oracle", help="grid-oracle vs closed-form distance")
@@ -181,11 +194,13 @@ def _cmd_eval(args) -> int:
 
 
 def _space_points(args):
+    from . import spaces
     space = spaces.get_space(args.space, args.order, args.precision)
     return space, *(space.point(*parse_point(p, args.order)) for p in (args.p1, args.p2))
 
 
 def _cmd_dist(args) -> int:
+    from . import hull
     space, a, b = _space_points(args)
     d = hull.extended_distance(space, a, b)
     try:
@@ -227,6 +242,7 @@ def _cmd_classify(args) -> int:
         return EXIT_OK
     if len(coords) != 2:
         raise ParseError("expected a number or a pair", 0)
+    from . import cover
     classified = cover.classify_point(cover.CoverPoint(coords[0], coords[1]))
 
     def payload():
@@ -240,6 +256,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hull_dist(args) -> int:
+    from . import hull
     value = hull.hull_distance(*_space_points(args))
     _emit(
         args,
@@ -254,6 +271,7 @@ def _cmd_hull_dist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import scenarios
     report = scenarios.run_scenario(args.scenario, args.seed)
     lines = [f"scenario: {report['scenario']}"]
     for check in report["checks"]:
@@ -278,8 +296,7 @@ def _grid_coordinate(value: Fraction) -> float:
 
 
 def _cmd_oracle(args) -> int:
-    from . import gridoracle  # scipy: loaded only by the one command using it
-
+    from . import cover, gridoracle, spaces  # scipy: loaded only by this command
     space = spaces.get_space("cover", precision=args.precision)
     coords = [space.point(*parse_point(p)).coords for p in (args.p1, args.p2)]
     a, b = (tuple(_grid_coordinate(cover.exact_standard_value(c)) for c in p) for p in coords)
@@ -307,6 +324,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_net(args) -> int:
+    from . import cover
     net = cover.separated_net(args.n)
     rendered = [str(p) for p in net]
     _emit(args, lambda: {"points": rendered}, lambda: rendered)

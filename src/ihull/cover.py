@@ -23,7 +23,6 @@ length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ from .errors import (
     NotStandard,
     PreconditionViolated,
 )
-from .intervals import Interval
+from .intervals import Record
 from .lcf import (
     DEFAULT_ORDER,
     DEFAULT_PRECISION,
@@ -46,22 +45,22 @@ from .lcf import (
 )
 
 
-@dataclass(frozen=True)
-class CoverPoint:
+class CoverPoint(Record):
     """A point (r, zeta) of the cover; r > 0 must be decidable."""
 
-    r: LeviCivitaNumber
-    zeta: LeviCivitaNumber
+    __slots__ = ("r", "zeta")
 
-    def __post_init__(self):
+    def __init__(self, r: LeviCivitaNumber, zeta: LeviCivitaNumber):
         try:
-            positive = lcf.sign(self.r) > 0
+            positive = lcf.sign(r) > 0
         except IndeterminateComparison as exc:
             raise IndeterminateComparison(
                 "radial coordinate of unknown sign", exc.exponent
             ) from None
         if not positive:
             raise InvalidPoint("radial coordinate must be positive")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "zeta", zeta)
 
     def __str__(self) -> str:
         from .parsing import format_point
@@ -83,11 +82,10 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class CoverClassification:
-    verdict: Verdict
-    #: (st r, st zeta) when the verdict is NEARSTANDARD, else None.
-    standard_point: tuple[Interval, Interval] | None = None
+class CoverClassification(Record):
+    """A verdict, and the standard point (st r, st zeta) when it is NEARSTANDARD, else None."""
+
+    __slots__ = ("verdict", "standard_point")
 
     def __str__(self) -> str:
         if self.verdict is Verdict.NEARSTANDARD:
@@ -96,8 +94,7 @@ class CoverClassification:
         return self.verdict.value
 
 
-@dataclass(frozen=True)
-class SeparationCertificate:
+class SeparationCertificate(Record):
     """A rectangle around `center` that every path to a finite-angle point
     must exit, plus the resulting metric-ball radius.
 
@@ -106,11 +103,7 @@ class SeparationCertificate:
     min(radial margins, r_lo * halfwidth) >= ball_radius.
     """
 
-    center: CoverPoint
-    r_lo: Fraction
-    r_hi: Fraction
-    zeta_halfwidth: Fraction
-    ball_radius: Fraction
+    __slots__ = ("center", "r_lo", "r_hi", "zeta_halfwidth", "ball_radius")  # a CoverPoint, 4 Fractions
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +199,7 @@ def separation_certificate(center: CoverPoint) -> SeparationCertificate:
     rho = st_r.lo
     if rho <= 0:
         raise NotApplicable("radial standard part not certainly positive")
-    return SeparationCertificate(
-        center=center,
-        r_lo=rho / 2,
-        r_hi=2 * st_r.hi,
-        zeta_halfwidth=Fraction(1),
-        ball_radius=rho / 2,
-    )
+    return SeparationCertificate(center, rho / 2, 2 * st_r.hi, Fraction(1), rho / 2)
 
 
 def inapproachability_lower_bound(center: CoverPoint, q: CoverPoint) -> Fraction:
@@ -255,9 +242,9 @@ def classify_point(a: CoverPoint) -> CoverClassification:
     """
     mr = lcf.classify_magnitude(a.r)
     if mr is Magnitude.INFINITE:
-        return CoverClassification(Verdict.OUTSIDE_GALAXY)
+        return CoverClassification(Verdict.OUTSIDE_GALAXY, None)
     if mr is Magnitude.INFINITESIMAL:
-        return CoverClassification(Verdict.ORIGIN_HALO)
+        return CoverClassification(Verdict.ORIGIN_HALO, None)
     if mr is Magnitude.APPRECIABLE:
         mz = lcf.classify_magnitude(a.zeta)
         if mz in (Magnitude.INFINITESIMAL, Magnitude.APPRECIABLE):
@@ -266,8 +253,8 @@ def classify_point(a: CoverPoint) -> CoverClassification:
                 (lcf.standard_part(a.r), lcf.standard_part(a.zeta)),
             )
         if mz is Magnitude.INFINITE:
-            return CoverClassification(Verdict.FINITE_INAPPROACHABLE)
-    return CoverClassification(Verdict.UNKNOWN)
+            return CoverClassification(Verdict.FINITE_INAPPROACHABLE, None)
+    return CoverClassification(Verdict.UNKNOWN, None)
 
 
 # ---------------------------------------------------------------------------

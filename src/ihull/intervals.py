@@ -44,9 +44,9 @@ within v +- 11g_p/4, which O_p contains.  s = 0 stays exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import NotPositive
 
@@ -54,20 +54,54 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Record:
+    """An immutable record that compares, hashes, prints, pickles and copies as a frozen
+    dataclass does, without importing `dataclasses`; a subclass names its fields in __slots__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)  # the tuple of field values
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__  # as a dataclass: no tuple is equal
+        return self._fields(self) == other._fields(other) if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        values = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in values)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # rebuilt without running a subclass's __new__ or __init__
+        return object.__new__, (type(self),), self._fields(self)
+
+    def __setstate__(self, values):
+        Record.__init__(self, *values)
+
+
+class Interval(Record):
     """Closed rational interval [lo, hi]; invariant lo <= hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo = lo if isinstance(lo, Fraction) else Fraction(lo)
+        hi = hi if isinstance(hi, Fraction) else Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def point(value) -> "Interval":

@@ -64,7 +64,6 @@ arguments above carry over unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -80,6 +79,7 @@ from .intervals import (
     Interval,
     ONE_INTERVAL,
     ZERO_INTERVAL,
+    Record,
     _interval,
     _product,
     _reciprocal,
@@ -136,8 +136,7 @@ def _as_interval(value) -> Interval:
     return value if isinstance(value, Interval) else Interval.point(value)
 
 
-@dataclass(frozen=True, init=False)
-class LeviCivitaNumber:
+class LeviCivitaNumber(Record):
     """Truncated series with interval coefficients; immutable.
 
     Stored on its least lattice (1/D)Z, D = `denominator`: `pairs` holds one
@@ -148,9 +147,8 @@ class LeviCivitaNumber:
     the monomials of `terms`: duplicates add, zero and out-of-range terms drop.
     """
 
-    denominator: int
-    pairs: tuple[tuple[int, Interval], ...]
-    order: Fraction | float
+    __slots__ = ("denominator", "pairs", "order")  # int, ((int, Interval), ...), Fraction | inf
+    __init__ = object.__init__  # __new__ returns the number built
 
     def __new__(cls, terms=(), order=INFINITE_ORDER):
         return add_all([zero(order), *(monomial(c, q) for q, c in terms)])

@@ -27,7 +27,7 @@ import re
 from fractions import Fraction
 
 from . import lcf
-from .errors import ParseError
+from .errors import IndeterminateComparison, ParseError, ZeroOrUnknownLeading
 from .intervals import Interval
 from .lcf import DEFAULT_ORDER, INFINITE_ORDER, LeviCivitaNumber
 
@@ -136,6 +136,9 @@ class _Parser:
                 try:
                     rhs = lcf.inverse(rhs, self.order)
                 except Exception as exc:
+                    # an exact 0 is a malformed divisor, O(t^3) an undecided one
+                    if isinstance(exc, ZeroOrUnknownLeading) and not rhs.is_zero:
+                        raise IndeterminateComparison(f"cannot divide: {exc}", rhs.valuation) from None
                     raise ParseError(f"cannot divide: {exc}", pos) from None
             self.product_pairs += len(value.pairs) * len(rhs.pairs)
             if self.product_pairs > MAX_PRODUCT_PAIRS:

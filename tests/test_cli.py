@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -585,13 +586,25 @@ def test_generated_calls_keep_the_exit_code_contract(seed):
             ), (argv, line)
 
 
+def test_a_divisor_of_undecided_lead_is_indeterminate(capsys):
+    # O(t^3) holds members that vanish and members that do not: whether the
+    # quotient exists is undecided at t^3, while dividing by an exact 0 is malformed
+    want = (
+        "indeterminate: cannot divide: cannot invert: leading coefficient is zero or of "
+        "unknown sign (blocking exponent 3)\n"
+    )
+    assert run(capsys, "eval", "--order", "2", "--", "O(t^-2)/O(t^3)") == (3, "", want)
+    code, _, err = run(capsys, "eval", "--", "1/(t - t)")
+    assert code == 2 and err.startswith("parse error: cannot divide")
+
+
 def test_wrong_dimension_rejected(capsys):
     code, _, err = run(capsys, "dist", "cover", "1", "2")
     assert code == 2 and "coordinates" in err
 
 
 def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
-    from ihull import cli
+    from ihull import scenarios
 
     def fake_scenario(name, seed=0):
         return {
@@ -599,7 +612,7 @@ def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
             "checks": [{"name": "x", "verdict": fake_scenario.verdict, "details": ""}],
         }
 
-    monkeypatch.setattr(cli.scenarios, "run_scenario", fake_scenario)
+    monkeypatch.setattr(scenarios, "run_scenario", fake_scenario)
     fake_scenario.verdict = "fail"
     assert main(["verify", "hb-failure"]) == 1
     capsys.readouterr()
@@ -608,12 +621,84 @@ def test_verify_exit_codes_for_fail_and_unknown(capsys, monkeypatch):
     capsys.readouterr()
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Runs `ihull.cli.main(ARGS)` and prints the exit code and the loaded modules
+#: of the package, `dataclasses` and `scipy` (python -c LOADS SRC ARGS...).
+LOADS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from ihull.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+names = ("ihull", "dataclasses", "scipy")
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in names)]))
+"""
+
+
 def test_import_leaves_scipy_unloaded():
-    # only `oracle` uses the grid oracle; no other command pays for scipy
-    check = "import sys; sys.path.insert(0, sys.argv[1]); import ihull.cli; sys.exit('scipy' in sys.modules)"
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-c", check, str(src)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    # each command loads the modules it runs, in a fresh interpreter: the
+    # arithmetic for eval, + cover for classify and net, + spaces and hull for
+    # dist and hull-dist, everything but scipy for verify, scipy for oracle
+    arithmetic = {"ihull", "ihull.cli", "ihull.errors", "ihull.intervals", "ihull.lcf",
+                  "ihull.parsing"}
+    loaded = {}
+    for argv in (
+        ["eval", "1/(1 - t)"],
+        ["classify", "(1, t^-1)"],
+        ["net", "3"],
+        ["dist", "cover", "(1, t^-1)", "(t, 0)"],
+        ["hull-dist", "cover", "(1, t^-1)", "(t, 0)"],
+        ["verify", "hb-failure"],
+        ["oracle", "(1, 0)", "(1, 1)", "--grid", "16"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADS, str(SRC), *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, argv
+        loaded[argv[0]] = set(modules)
+    assert loaded["eval"] == arithmetic
+    assert loaded["classify"] == loaded["net"] == arithmetic | {"ihull.cover"}
+    for command in ("dist", "hull-dist"):
+        assert not loaded[command] & {"ihull.scenarios", "ihull.probes"}, command
+    assert {"ihull.scenarios", "ihull.probes", "dataclasses"} <= loaded["verify"]
+    assert [c for c, modules in loaded.items() if "scipy" in modules] == ["oracle"]
+
+
+#: The calls whose usage and help text `tests/golden/cli-usage.txt` pins:
+#: their choices print from the registries, which load when argparse reads them.
+USAGE_CALLS = (
+    ["--help"],
+    ["dist", "--help"],
+    ["hull-dist", "--help"],
+    ["verify", "--help"],
+    ["dist", "nope", "(1, 0)", "(1, 0)"],
+    ["verify", "nope"],
+)
+
+
+def usage_transcript(src: Path = SRC) -> str:
+    """`$ ihull ARGS`, the exit code, stdout and stderr of each of USAGE_CALLS,
+    each in a fresh `python -m ihull.cli` on `src` at 80 columns."""
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    parts = []
+    for argv in USAGE_CALLS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ihull.cli", *argv], capture_output=True, text=True, env=env
+        )
+        parts.append(
+            f"$ ihull {shlex.join(argv)}\nexit {proc.returncode}\n"
+            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        )
+    return "".join(parts)
+
+
+def test_usage_and_help_text_match_golden():
+    # regenerate: python -c "import sys; sys.path[:0] = ['tests', 'src']; import
+    #   test_cli; print(test_cli.usage_transcript(), end='')" > tests/golden/cli-usage.txt
+    assert usage_transcript() == (GOLDEN / "cli-usage.txt").read_text()
 
 
 def _readme_examples():

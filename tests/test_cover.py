@@ -23,6 +23,7 @@ from ihull.intervals import (
 )
 from ihull.lcf import IndeterminateComparison, Magnitude, Ordering, Ternary
 from ihull.parsing import parse_number
+from test_intervals import assert_value_record
 
 T = lcf.T
 TI = lcf.T_INVERSE
@@ -181,6 +182,34 @@ def test_sandwich_pins_standard_part():
     assert lcf.compare(d, upper) is not Ordering.GT
     assert lcf.standard_part(lower) == Interval.point(1)
     assert lcf.standard_part(upper) == Interval.point(1)
+
+
+def test_cover_records_are_value_records():
+    center = point(ONE, TI)
+    assert_value_record(
+        center, point(1, parse_number("t^-1")), point(2, TI), ("r", "zeta"),
+        "CoverPoint(r=LeviCivitaNumber(1), zeta=LeviCivitaNumber(t^-1))",
+    )
+    near = classify_point(point(2, 1))
+    assert_value_record(
+        near, classify_point(point(2, 1)), classify_point(center), ("verdict", "standard_point"),
+        "CoverClassification(verdict=<Verdict.NEARSTANDARD: 'nearstandard'>, standard_point="
+        "(Interval(lo=Fraction(2, 1), hi=Fraction(2, 1)), "
+        "Interval(lo=Fraction(1, 1), hi=Fraction(1, 1))))",
+    )
+    assert repr(classify_point(center)) == (
+        "CoverClassification(verdict=<Verdict.FINITE_INAPPROACHABLE: "
+        "'finite_inapproachable'>, standard_point=None)"
+    )
+    fields = ("center", "r_lo", "r_hi", "zeta_halfwidth", "ball_radius")
+    assert_value_record(
+        cover.separation_certificate(center),
+        cover.separation_certificate(point(1, parse_number("t^-1"))),
+        cover.separation_certificate(point(3, TI)), fields,
+        "SeparationCertificate(center=CoverPoint(r=LeviCivitaNumber(1), "
+        "zeta=LeviCivitaNumber(t^-1)), r_lo=Fraction(1, 2), r_hi=Fraction(2, 1), "
+        "zeta_halfwidth=Fraction(1, 1), ball_radius=Fraction(1, 2))",
+    )
 
 
 def test_separation_certificate_fields():

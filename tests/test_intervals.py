@@ -1,5 +1,7 @@
 """Rational interval arithmetic and the rigorous enclosures."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from random import Random
 
@@ -16,12 +18,42 @@ from ihull.intervals import (
     sqrt_interval,
     two_pi_interval,
 )
+from ihull.parsing import parse_number
 
 # reference digits, frozen from an independent high-precision evaluation
 SQRT2 = F(14142135623730950488016887242096980785696, 10**40)
 PI = F(31415926535897932384626433832795028841971, 10**40)
 COS1 = F(5403023058681397174009366074429766037323, 10**40)
 SIN1 = F(8414709848078965066525023216302989996225, 10**40)
+
+
+def assert_value_record(value, same, other, fields, text):
+    """`value` behaves as the frozen dataclass it was: `same` is an equal
+    record built apart, `other` an unequal one, `fields` its field names and
+    `text` the dataclass's repr of it."""
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value is not same and value == same and hash(value) == hash(same)
+    assert value != other
+    assert value != tuple(getattr(value, name) for name in fields)
+    assert repr(value) == text
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value and copy.copy(value) == value
+
+
+def test_interval_and_number_are_value_records():
+    assert_value_record(
+        Interval(1, 2), Interval(F(1), F(2)), Interval(1, 3), ("lo", "hi"),
+        "Interval(lo=Fraction(1, 1), hi=Fraction(2, 1))",
+    )
+    x = parse_number("1 + 2t^1/2 + O(t^3)")
+    assert_value_record(
+        x, parse_number("2t^1/2 + 1 + O(t^3)"), parse_number("1 + O(t^3)"),
+        ("denominator", "pairs", "order"), "LeviCivitaNumber(1 + 2t^1/2 + O(t^3))",
+    )
 
 
 def test_interval_invariant():
