@@ -196,9 +196,9 @@ def separation_certificate(center: CoverPoint) -> SeparationCertificate:
     if lcf.classify_magnitude(center.r) is not Magnitude.APPRECIABLE:
         raise NotApplicable("certificate requires an appreciable radial coordinate")
     st_r = lcf.standard_part(center.r)
-    rho = st_r.lo
-    if rho <= 0:
+    if st_r.lo_num <= 0:
         raise NotApplicable("radial standard part not certainly positive")
+    rho = st_r.lo
     return SeparationCertificate(center, rho / 2, 2 * st_r.hi, Fraction(1), rho / 2)
 
 

@@ -1,20 +1,20 @@
 """Exact rational intervals and rigorous enclosures of sqrt, pi, cos, sin.
 
-All endpoints are `fractions.Fraction`, so interval arithmetic here is exact:
-no rounding ever happens, and an operation's result interval contains every
-possible value of the operation over the input intervals.  An exact number is
-the degenerate interval with `lo == hi`.
+Endpoints are rationals, so interval arithmetic here is exact: no rounding
+ever happens, and an operation's result interval contains every possible
+value of the operation over the input intervals (R. E. Moore's inclusion
+property).  An exact number is the degenerate interval with `lo == hi`.
 
-Sum, product and reciprocal run on one integer-endpoint core, which the
-series of `lcf` run on too.  An interval becomes a triple (L, H, E) with
-E > 0 standing for [L/E, H/E], E the lcm of the endpoint denominators.  A
-product of triples is the interval product of their endpoints over the
-product of the E, a sum goes over the lcm of the E, and the reciprocal of a
-triple with L H > 0 is (E L, E H, L H).  `_reduced` puts a triple over its
-least E by one gcd, and `_interval` turns it back with one Fraction per
-endpoint (one for both when L == H).  The operations are exact, so a chain
-of them on triples gives the rationals the same chain on intervals gives;
-it saves the gcd that Fraction runs after each operation.
+An interval is stored as its reduced integer triple (L, H, E), meaning
+[L/E, H/E] with E > 0 and gcd(L, H, E) = 1: a canonical form, so equal
+intervals have equal fields.  `lo` and `hi` build a Fraction each when read,
+for JSON, checks and callers; arithmetic and every test of sign,
+exactness or containment read the integers (exact is L == H, certainly
+positive L > 0).  Sum, product and reciprocal run on triples, as the series
+of `lcf` do: `_triple` reads the fields, and `_interval` stores a triple over
+its least E by one gcd.  A chain of exact operations on triples gives the
+rationals the same chain on Fractions gives, without a gcd after each
+(Brent and Zimmermann, Modern Computer Arithmetic, ch. 1).
 
 Enclosures are *nested under refinement*: calling any function here but
 `reduce_angle` with a larger `precision` returns an interval contained in the
@@ -49,9 +49,6 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .errors import NotPositive
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Record:
@@ -91,67 +88,56 @@ class Record:
 
 
 class Interval(Record):
-    """Closed rational interval [lo, hi]; invariant lo <= hi."""
+    """Closed rational interval [lo, hi], lo <= hi, stored as its reduced
+    integer triple (L, H, E) (module docstring)."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("lo_num", "hi_num", "den")
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        lo = lo if isinstance(lo, Fraction) else Fraction(lo)
-        hi = hi if isinstance(hi, Fraction) else Fraction(hi)
-        if lo > hi:
+        (a, b), (c, d) = _ratio(lo), _ratio(hi)
+        den = math.lcm(b, d)  # over the lcm, the triple is reduced
+        lo_num, hi_num = a * (den // b), c * (den // d)
+        if lo_num > hi_num:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        Record.__init__(self, lo_num, hi_num, den)
 
     @staticmethod
     def point(value) -> "Interval":
         """Degenerate (exact) interval."""
-        q = Fraction(value)
-        return Interval._unchecked(q, q)
-
-    @classmethod
-    def _unchecked(cls, lo: Fraction, hi: Fraction) -> "Interval":
-        """Internal constructor for endpoints already known valid."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "lo", lo)
-        object.__setattr__(obj, "hi", hi)
-        return obj
+        n, d = _ratio(value)
+        return _interval((n, n, d))
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_exact(self) -> bool:
-        # identity, else numerator and denominator: no Fraction comparison
-        lo, hi = self.lo, self.hi
-        return lo is hi or (lo.numerator == hi.numerator and lo.denominator == hi.denominator)
+        return self.lo_num == self.hi_num
 
     @property
     def is_zero(self) -> bool:
-        return not (self.lo or self.hi)
+        return not (self.lo_num or self.hi_num)
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.lo_num <= 0 <= self.hi_num
 
     def __contains__(self, value) -> bool:
-        q = Fraction(value)
-        return self.lo <= q <= self.hi
+        n, d = _ratio(value)
+        return self.lo_num * d <= n * self.den <= self.hi_num * d
 
     def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        (l1, h1, e1), (l2, h2, e2) = _triple(self), _triple(other)
+        return l1 * e2 <= l2 * e1 and h2 * e1 <= h1 * e2
 
-    # -- measures -----------------------------------------------------------
+    # -- endpoints and measures: Fractions, built when read ------------------
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    lo = property(lambda self: Fraction(self.lo_num, self.den))
+    hi = property(lambda self: Fraction(self.hi_num, self.den))
+    width = property(lambda self: Fraction(self.hi_num - self.lo_num, self.den))
+    midpoint = property(lambda self: Fraction(self.lo_num + self.hi_num, 2 * self.den))
 
     def mag(self) -> Fraction:
         """max |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
+        return Fraction(max(-self.lo_num, self.hi_num), self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -162,7 +148,7 @@ class Interval(Record):
         return self + (-other)
 
     def __neg__(self) -> "Interval":
-        return Interval._unchecked(-self.hi, -self.lo)
+        return _interval((-self.hi_num, -self.lo_num, self.den))
 
     def __mul__(self, other: "Interval") -> "Interval":
         return _interval(_product(_triple(self), _triple(other)))
@@ -179,31 +165,34 @@ class Interval(Record):
 
     # -- display ------------------------------------------------------------
 
+    def __repr__(self) -> str:
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
+
     def __str__(self) -> str:
         if self.is_exact:
             return str(self.lo)
         return f"[{self.lo}, {self.hi}]"
 
 
-ZERO_INTERVAL = Interval(_ZERO, _ZERO)
-ONE_INTERVAL = Interval(_ONE, _ONE)
-
-
 # ---------------------------------------------------------------------------
 # integer-endpoint core (module docstring)
 # ---------------------------------------------------------------------------
 
-def _triple(c: Interval) -> tuple[int, int, int]:
-    """(L, H, E) with [L/E, H/E] = c, E the lcm of the endpoint denominators."""
-    b, d = c.lo.denominator, c.hi.denominator
-    lcm = b if b == d else b // math.gcd(b, d) * d
-    return c.lo.numerator * (lcm // b), c.hi.numerator * (lcm // d), lcm
+def _ratio(value) -> tuple[int, int]:
+    """(n, d) with n/d = value in lowest terms, d > 0."""
+    return (value if isinstance(value, (int, Fraction)) else Fraction(value)).as_integer_ratio()
+
+
+#: (L, H, E) of an interval: its three fields, read at once
+_triple = Interval._fields
 
 
 def _interval(c: tuple[int, int, int]) -> Interval:
-    lo_num, hi_num, d = c
-    lo = Fraction(lo_num, d)
-    return Interval._unchecked(lo, lo if lo_num == hi_num else Fraction(hi_num, d))
+    """The interval of a triple with L <= H and E > 0, put over its least E
+    by one gcd; no check of __init__ runs."""
+    interval = object.__new__(Interval)
+    Record.__init__(interval, *_reduced(c))
+    return interval
 
 
 def _product(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -241,39 +230,42 @@ def _reciprocal(x: tuple[int, int, int]) -> tuple[int, int, int]:
     return _reduced((d * lo, d * hi, lo * hi))
 
 
+ZERO_INTERVAL = _interval((0, 0, 1))
+ONE_INTERVAL = _interval((1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # square roots
 # ---------------------------------------------------------------------------
 
 def sqrt_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds lo <= sqrt(x) <= hi with hi - lo <= 2^-precision.
-
-    Scales to an integer square root: sqrt(n/d) = isqrt(n*d*4^p) / (d*2^p),
-    up to one unit in the last place.  Exact when x is a perfect rational
-    square.  Bounds at precision p+1 are nested inside those at p.
-    """
-    if x < 0:
-        raise NotPositive(f"sqrt of negative rational {x}")
-    if x == 0:
-        return _ZERO, _ZERO
-    n, d = x.numerator, x.denominator
-    shift = 1 << precision
-    target = n * d * shift * shift
-    root = math.isqrt(target)
-    denom = d * shift
-    if root * root == target:
-        exact = Fraction(root, denom)
-        return exact, exact
-    return Fraction(root, denom), Fraction(root + 1, denom)
+    """Rational bounds lo <= sqrt(x) <= hi with hi - lo <= 2^-precision: the
+    endpoints of `sqrt_interval` at the point x."""
+    root = sqrt_interval(Interval.point(x), precision)
+    return root.lo, root.hi
 
 
 def sqrt_interval(x: Interval, precision: int) -> Interval:
-    """Enclosure of sqrt over the interval; requires x.lo >= 0."""
-    if x.lo < 0:
+    """Enclosure of sqrt over the interval; requires x.lo >= 0.  At each
+    endpoint n/d in lowest terms, sqrt(n/d) = isqrt(n*d*4^p) / (d*2^p) up to
+    one unit in the last place (an unreduced n/d gives another rational);
+    exact at perfect rational squares.  Bounds at p + 1 nest inside those at p."""
+    lo_num, hi_num, den = _triple(x)
+    if lo_num < 0:
         raise NotPositive(f"sqrt of interval {x} reaching below 0")
-    lo, _ = sqrt_bounds(x.lo, precision)
-    _, hi = sqrt_bounds(x.hi, precision)
-    return Interval(lo, hi)
+    (lo, _, d1), (_, hi, d2) = (_root_bounds(n, den, precision) for n in (lo_num, hi_num))
+    return _interval((lo * d2, hi * d1, d1 * d2))
+
+
+def _root_bounds(n: int, e: int, precision: int) -> tuple[int, int, int]:
+    """(r, r', d 2^p) with r/(d 2^p) <= sqrt(n/e) <= r'/(d 2^p), d the
+    denominator of n/e in lowest terms."""
+    g = math.gcd(n, e)
+    n, d = n // g, e // g
+    shift = 1 << precision
+    target = n * d * shift * shift
+    root = math.isqrt(target)
+    return root, root if root * root == target else root + 1, d * shift
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +282,7 @@ def _arctan_inv_bounds(x: int, target: Fraction) -> Interval:
     x2 = x * x
     power = x  # x^(2k+1)
     k = 0
-    total = _ZERO
+    total = Fraction(0)
     while True:
         term = Fraction(1, (2 * k + 1) * power)
         if term <= target:
@@ -360,7 +352,8 @@ def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
     if not s:
         return ONE_INTERVAL, ZERO_INTERVAL
     bits = precision + _COS_SIN_EXTRA_BITS
-    angle = Interval.point(s) if abs(s) < _REDUCE_ABOVE else reduce_angle(s, bits + 8)
+    n, d = s.as_integer_ratio()
+    angle = _interval((n, n, d)) if abs(n) < _REDUCE_ABOVE * d else reduce_angle(s, bits + 8)
     raw = _fixed_cos_sin(angle, bits + _COS_SIN_GUARD_BITS, bits)
     if raw is None:
         raise AssertionError(f"cos/sin of {s}: raw enclosure wider than 2g")
@@ -373,22 +366,22 @@ def _around(twice_mid: int, bits: int) -> Interval:
     bits, rounded to the nearest multiple of g/2, g = 2^-bits."""
     m = (twice_mid + (1 << (_COS_SIN_GUARD_BITS - 1))) >> _COS_SIN_GUARD_BITS
     unit = 1 << (bits + 1)
-    return Interval._unchecked(Fraction(m - 8, unit), Fraction(m + 8, unit))
+    return _interval((m - 8, m + 8, unit))
 
 
 def _fixed_cos_sin(x: Interval, w: int, bits: int):
     """Raw integer enclosures ((L, H), (L', H')) of 2^w cos x and 2^w sin x
     for every x in the interval, by Taylor sums on w-bit fixed point, or None
     when either is wider than 2 * 2^(w - bits)."""
-    if x.lo >= 0:
-        a_lo, a_hi, sin_sign = x.lo, x.hi, 1
-    elif x.hi <= 0:
-        a_lo, a_hi, sin_sign = -x.hi, -x.lo, -1
+    if x.lo_num >= 0:
+        a_lo, a_hi, sin_sign = x.lo_num, x.hi_num, 1
+    elif x.hi_num <= 0:
+        a_lo, a_hi, sin_sign = -x.hi_num, -x.lo_num, -1
     else:
-        a_lo, a_hi, sin_sign = _ZERO, max(-x.lo, x.hi), 0
+        a_lo, a_hi, sin_sign = 0, max(-x.lo_num, x.hi_num), 0
     one = 1 << w
-    x_lo = a_lo.numerator * one // a_lo.denominator
-    x_hi = -(-a_hi.numerator * one // a_hi.denominator)
+    x_lo = a_lo * one // x.den
+    x_hi = -(-a_hi * one // x.den)
     sq_lo = x_lo * x_lo >> w
     sq_hi = -(-x_hi * x_hi >> w)
     limit = 1 << (w - bits)  # g in units of 2^-w
@@ -433,15 +426,15 @@ def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:
     (|cos'|, |sin'| <= 1), then clamps to [-1, 1].  An exact point is its
     own midpoint and needs no pad, and an enclosure within [-1, 1] no clamp.
     """
-    exact = x.is_exact
-    c, s = _cos_sin_rational(x.lo if exact else x.midpoint, precision)
-    if not exact:
-        pad = x.width / 2
-        c, s = Interval(c.lo - pad, c.hi + pad), Interval(s.lo - pad, s.hi + pad)
+    c, s = _cos_sin_rational(x.midpoint, precision)
+    lo, hi, den = _triple(x)
+    if lo != hi:
+        pad = (lo - hi, hi - lo, 2 * den)  # [-w/2, w/2], w the width
+        c, s = _interval(_sum(_triple(c), pad)), _interval(_sum(_triple(s), pad))
     return _clamp(c), _clamp(s)
 
 
 def _clamp(enc: Interval) -> Interval:
-    if -1 <= enc.lo and enc.hi <= 1:
+    if -enc.den <= enc.lo_num and enc.hi_num <= enc.den:
         return enc
-    return enc.intersect(Interval(Fraction(-1), _ONE)) or enc
+    return enc.intersect(_interval((-1, 1, 1))) or enc

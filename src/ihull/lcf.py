@@ -29,12 +29,12 @@ lattice (twice it in a sqrt whose leading n is odd, so that q/2 is on it);
 each result goes onto its least lattice by one gcd.  n/D < T exactly when
 n < ceil(T D).  INFINITE_ORDER (the float inf) is tested by identity before
 any arithmetic, so an exact operand never meets a Fraction-float comparison.
-Inside `mul` and the series each coefficient becomes, once, a triple of the
-integer-endpoint core of `intervals`, and each result coefficient an
-`Interval` once.  A series function stays on triples from the split
-a = c t^q (1 + u), whose u is the tail times 1/c reduced by one gcd, to the
-rescale by 1/c or sqrt(c), or the angle addition with cos s and sin s, of
-each result coefficient.
+A coefficient is an `Interval` stored as its reduced integer triple
+(`intervals`): signs are read from its integers, and `mul` and the series
+read it by `_triple` and store each result by `_interval`, one gcd, with no
+Fraction built.  A series function stays on triples from the split a = c t^q
+(1 + u), whose u is the tail times 1/c reduced by one gcd, to the rescale by
+1/c or sqrt(c), or the angle addition with cos s and sin s, of each result.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -399,9 +399,9 @@ def _leading_term(a: LeviCivitaNumber) -> tuple[int, int]:
     """(i, s): pairs[i] is the first term whose coefficient excludes 0 and s its
     sign, else (len(pairs), 0).  Each term before pairs[i] may vanish."""
     for i, (_, c) in enumerate(a.pairs):
-        if c.lo > 0:
+        if c.lo_num > 0:
             return i, 1
-        if c.hi < 0:
+        if c.hi_num < 0:
             return i, -1
     return len(a.pairs), 0
 
@@ -411,7 +411,7 @@ def sign(a: LeviCivitaNumber) -> int:
     the valuation (the first exponent whose coefficient contains 0, else T)."""
     i, s = _leading_term(a)
     # each term before pairs[i] may vanish, or take s's sign, or the other
-    if s and (not i or all(c.lo >= 0 if s > 0 else c.hi <= 0 for _, c in a.pairs[:i])):
+    if s and (not i or all(c.lo_num >= 0 if s > 0 else c.hi_num <= 0 for _, c in a.pairs[:i])):
         return s
     if a.is_zero:
         return 0
@@ -584,7 +584,7 @@ def sqrt(
     to O(t^order).
     """
     order = _as_order(order)
-    if not a.pairs or a.pairs[0][1].lo <= 0:
+    if not a.pairs or a.pairs[0][1].lo_num <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     u, _, n = _split_leading(a, halve=True)
     root_c = _triple(sqrt_interval(a.pairs[0][1], precision))
@@ -604,7 +604,7 @@ def sqrt_nonnegative(
     """
     if a.is_zero:
         return zero()
-    if not a.pairs or a.pairs[0][1].lo <= 0:
+    if not a.pairs or a.pairs[0][1].lo_num <= 0:
         return zero(a.valuation / 2)
     return sqrt(a, order, precision)
 

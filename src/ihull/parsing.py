@@ -16,7 +16,8 @@ surface: a trailing ``O(t^q)`` marks a truncation order, and
 Parentheses nest at most `MAX_NESTING` deep, which keeps the recursive
 descent far inside the interpreter's recursion limit; leading signs fold
 in a loop, so any number of them parses.  The products of one literal
-multiply out at most `MAX_PRODUCT_PAIRS` pairs of terms.
+multiply out at most `MAX_PRODUCT_PAIRS` pairs of terms, of at most
+`MAX_PRODUCT_BITS` bits in all.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ MAX_NESTING = 100
 #: of len(a) x len(b) over its ``*`` and ``/``, counted before each product.
 MAX_PRODUCT_PAIRS = 1 << 20
 
+#: The most bits the products of one literal may reach: the sum of
+#: len(b) x size(a) + len(a) x size(b) over its ``*`` and ``/``, counted before
+#: each product, size(x) the bits of its coefficients (`_size`).  A product of
+#: two terms has at most the sum of their sizes, so this bounds the bits that
+#: the pairs produce, where `MAX_PRODUCT_PAIRS` bounds their number.
+MAX_PRODUCT_BITS = 1 << 28
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -73,6 +81,7 @@ class _Parser:
         self.depth = 0
         self.deepest = None  # position of the first "(" opened at MAX_NESTING
         self.product_pairs = 0
+        self.product_bits = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -141,10 +150,15 @@ class _Parser:
                         raise IndeterminateComparison(f"cannot divide: {exc}", rhs.valuation) from None
                     raise ParseError(f"cannot divide: {exc}", pos) from None
             self.product_pairs += len(value.pairs) * len(rhs.pairs)
+            self.product_bits += len(rhs.pairs) * _size(value) + len(value.pairs) * _size(rhs)
             if self.product_pairs > MAX_PRODUCT_PAIRS:
                 raise ParseError(
                     "the products of this literal multiply more than "
                     f"{MAX_PRODUCT_PAIRS} pairs of terms", op_pos
+                )
+            if self.product_bits > MAX_PRODUCT_BITS:
+                raise ParseError(
+                    f"the products of this literal reach more than {MAX_PRODUCT_BITS} bits", op_pos
                 )
             value = value * rhs
         return value
@@ -212,6 +226,12 @@ class _Parser:
             raise ParseError("zero denominator in rational literal", pos) from None
 
 
+def _size(x: LeviCivitaNumber) -> int:
+    """The bit lengths of max(|L|, |H|) and of E, summed over the coefficient
+    triples (L, H, E) of x's terms."""
+    return sum(max(-c.lo_num, c.hi_num).bit_length() + c.den.bit_length() for _, c in x.pairs)
+
+
 def exponent_lcm(text: str) -> int:
     """The lcm of the exponent denominators (after ``^`` or ``^-``) as written
     in `text`, read from its tokens; 1 when it does not tokenize, as the parser
@@ -257,11 +277,10 @@ def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]
 
 def approx_float(value: Interval) -> float | None:
     """The float nearest the midpoint of `value`, for display; None beyond
-    the float range.  The midpoint (n1 d2 + n2 d1) / (2 d1 d2) of n1/d1 and
-    n2/d2 is rounded once, by int true division, without a Fraction."""
-    (n1, d1), (n2, d2) = value.lo.as_integer_ratio(), value.hi.as_integer_ratio()
+    the float range.  The midpoint (L + H) / 2E of its triple is rounded
+    once, by int true division, without a Fraction."""
     try:
-        return (n1 * d2 + n2 * d1) / (2 * d1 * d2)
+        return (value.lo_num + value.hi_num) / (2 * value.den)
     except OverflowError:
         return None
 
@@ -288,14 +307,14 @@ def _format_t_power(exponent: Fraction) -> str:
 
 def _format_term(exponent: Fraction, coeff: Interval) -> str:
     tpart = _format_t_power(exponent)
-    if coeff.is_exact:
-        c = coeff.lo
+    if coeff.is_exact:  # L/E is in lowest terms when L == H
+        n, d = coeff.lo_num, coeff.den
+        c = str(n) if d == 1 else f"{n}/{d}"
         if not tpart:
-            return str(c)
-        ratio = c.as_integer_ratio()
-        if ratio == (1, 1):
+            return c
+        if (n, d) == (1, 1):
             return tpart
-        if ratio == (-1, 1):
+        if (n, d) == (-1, 1):
             return f"-{tpart}"
         return f"{c}{tpart}"
     approx = f"~{approx_text(coeff, 17)}"

@@ -361,6 +361,33 @@ def test_products_above_the_bound_are_parse_errors(capsys, monkeypatch):
     assert run(capsys, "eval", "1/(1-t/2-t^2/3)", "--order", "65")[0] == 2
 
 
+def test_product_bits_above_the_bound_are_parse_errors(capsys, monkeypatch):
+    from ihull import lcf, parsing
+
+    # a product the bound refuses never runs: one of more than 2^16 pairs fails
+    mul = lcf.mul
+
+    def guarded(a, b):
+        assert len(a.pairs) * len(b.pairs) <= 1 << 16, "a refused product ran"
+        return mul(a, b)
+
+    monkeypatch.setattr(lcf, "mul", guarded)
+    # at order 1023 the product of the two inverses reaches about 6.4e9 bits;
+    # it ran 20 s before this bound (228 s with 997/991 and 983/977)
+    literal = "1/(1-t/3-(t^2)/7)/(1-t/5-(t^2)/11)"
+    code, out, err = run(capsys, "eval", literal, "--order", "1023")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and "position 17" in err
+    assert f"more than {parsing.MAX_PRODUCT_BITS} bits" in err
+    # (1 + 2t)(3/4 + t^2) counts 2 x (2 + 3) + 2 x (5 + 2) bits: a term's size is
+    # the bit lengths of max(|L|, |H|) and of E, here 1 + 1, 2 + 1, 2 + 3, 1 + 1
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_BITS", 24)
+    assert run(capsys, "eval", "(1 + 2t)*(3/4 + t^2)")[:2] == (0, "3/4 + 3/2t + t^2 + 2t^3\n")
+    monkeypatch.setattr(parsing, "MAX_PRODUCT_BITS", 23)
+    code, _, err = run(capsys, "eval", "(1 + 2t)*(3/4 + t^2)")
+    assert code == 2 and "more than 23 bits" in err and "position 8" in err
+
+
 def test_oracle_coordinates_a_float_cannot_hold(capsys):
     too_large = "1" + "0" * 400
     code, _, err = run(capsys, "oracle", f"({too_large}, 0)", "(1, 1)", "--grid", "16")

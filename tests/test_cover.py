@@ -72,6 +72,29 @@ def test_chord_enclosure():
     assert enc.width <= F(1, 2**60)
 
 
+def test_distances_of_constant_points_build_few_fractions(monkeypatch):
+    # coefficients stay integer triples from the coordinates to the distance:
+    # what Fractions remain are exponents and orders, and one midpoint for cos
+    pairs = [((F(3, 7), F(1, 5)), (F(11, 13), F(-2, 3))), ((F(10**9 + 7, 3), 0), (F(5, 4), F(-1, 9)))]
+    points = [(point(*a), point(*b)) for a, b in pairs] + [(point(1, 0), point(1, 4))]
+    want = [cover.cover_distance(a, b) for a, b in points]  # pi enclosed outside the count
+    calls, new = [], F.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls[-1] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    got = []
+    for a, b in points:
+        calls.append(0)
+        got.append(cover.cover_distance(a, b))
+    monkeypatch.undo()
+    assert got == want
+    # chord, chord, through the origin: 43, 43 and 13 when endpoints were Fractions
+    assert all(n <= bound for n, bound in zip(calls, (6, 6, 0), strict=True))
+
+
 def test_distance_symmetric_and_zero_on_diagonal():
     a, b = point(F(3, 2), F(1, 3)), point(F(1, 2), 2)
     assert cover.cover_distance(a, b) == cover.cover_distance(b, a)

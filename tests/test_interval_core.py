@@ -1,10 +1,11 @@
 """Property tests of the integer-endpoint core under `Interval` arithmetic."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from ihull.intervals import Interval, _interval, _reduced, _triple
+from ihull.intervals import ONE_INTERVAL, ZERO_INTERVAL, Interval, _interval, _reduced, _triple
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -66,3 +67,38 @@ def test_members_land_inside_the_results(x, y, s, u):
 def test_reduced_is_the_triple_of_its_interval(lo, width, denominator):
     x = (lo, lo + width, denominator)
     assert _reduced(x) == _triple(_interval(x))
+
+
+@PROPERTY
+@given(_rationals, _rationals)
+def test_an_interval_stores_its_reduced_triple(a, b):
+    lo, hi = min(a, b), max(a, b)
+    x = Interval(lo, hi)
+    low, high, den = _triple(x)
+    assert den > 0 and math.gcd(low, high, den) == 1
+    assert (x.lo, x.hi) == (lo, hi) and (F(low, den), F(high, den)) == (lo, hi)
+
+
+@PROPERTY
+@given(_intervals, _intervals, st.integers(1, 1 << 40))
+def test_one_value_by_any_route_is_one_record(x, y, k):
+    routes = [
+        Interval(x.lo, x.hi),
+        _interval(tuple(k * n for n in _triple(x))),
+        x + ZERO_INTERVAL,
+        x * ONE_INTERVAL,
+    ]
+    assert all(r == x and hash(r) == hash(x) for r in routes)
+    total = Interval(x.lo + y.lo, x.hi + y.hi)
+    assert x + y == total and hash(x + y) == hash(total)
+    ends = [a * b for a in (x.lo, x.hi) for b in (y.lo, y.hi)]
+    product = Interval(min(ends), max(ends))
+    assert x * y == product and hash(x * y) == hash(product)
+
+
+@PROPERTY
+@given(_intervals)
+def test_measures_equal_their_fraction_definitions(x):
+    assert ((-x).lo, (-x).hi) == (-x.hi, -x.lo)
+    assert x.width == x.hi - x.lo and x.midpoint == (x.lo + x.hi) / 2
+    assert x.mag() == max(abs(x.lo), abs(x.hi))

@@ -110,10 +110,10 @@ def _reference_arithmetic(x, y):
 
 
 def test_exactness_is_decided_without_fraction_equality(monkeypatch):
-    # points with one endpoint object, equal endpoints held in distinct
-    # Fraction objects, zeros, intervals straddling, touching and avoiding 0
+    # points, equal endpoints given as distinct Fraction objects, zeros,
+    # intervals straddling, touching and avoiding 0
     rng = Random(29)
-    cases = [Interval.point(F(3, 4)), Interval._unchecked(F(3, 4), F(6, 8)), Interval(F(0), F(0))]
+    cases = [Interval.point(F(3, 4)), Interval(F(3, 4), F(6, 8)), Interval(F(0), F(0))]
     for _ in range(30):
         n, d = rng.randint(-9, 9), rng.randint(1, 9)
         lo = F(n, d)
@@ -135,8 +135,8 @@ def test_exactness_is_decided_without_fraction_equality(monkeypatch):
     monkeypatch.undo()
     assert calls == 0
     assert [[(e, [(r.lo, r.hi) for r in rs]) for e, rs in row] for row in got] == want
-    # an exact result holds one endpoint object, any other result two
-    assert all((r.lo is r.hi) == (r.lo == r.hi) for row in got for _, rs in row for r in rs)
+    # an exact result stores L == H in its triple, any other result L < H
+    assert all((r.lo_num == r.hi_num) == (r.lo == r.hi) for row in got for _, rs in row for r in rs)
 
 
 def test_sqrt_bounds_enclose_and_width():
