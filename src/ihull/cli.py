@@ -52,8 +52,8 @@ MAX_ORDER = 2048
 MAX_DISTANCE_ORDER = 64
 #: The most such points for eval and classify (README: its 1/(1-t/2-t^2/3)).
 MAX_LATTICE_POINTS = 3 * MAX_ORDER
-#: The largest denominator of --order, which does not set the series lattice
-#: (the exponents of the operands do): it keeps the order a short literal.
+#: The largest denominator of --order: it keeps the order a short literal.  It
+#: joins a value's stored lattice, not the points a series computes.
 MAX_ORDER_DENOMINATOR = 1000
 #: The largest `net n`: about 0.1 ms a point.
 MAX_NET_POINTS = 10_000

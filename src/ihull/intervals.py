@@ -238,13 +238,6 @@ ONE_INTERVAL = _interval((1, 1, 1))
 # square roots
 # ---------------------------------------------------------------------------
 
-def sqrt_bounds(x: Fraction, precision: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds lo <= sqrt(x) <= hi with hi - lo <= 2^-precision: the
-    endpoints of `sqrt_interval` at the point x."""
-    root = sqrt_interval(Interval.point(x), precision)
-    return root.lo, root.hi
-
-
 def sqrt_interval(x: Interval, precision: int) -> Interval:
     """Enclosure of sqrt over the interval; requires x.lo >= 0.  At each
     endpoint n/d in lowest terms, sqrt(n/d) = isqrt(n*d*4^p) / (d*2^p) up to

@@ -22,13 +22,15 @@ root of a value with no certainly positive lead lies in O(t^(v/2)).
 `LeviCivitaNumber(terms, order)` is the pairwise sum `add_all` of
 zero(order) and the monomials of `terms`.
 
-Lattice.  A number is stored on its least lattice (1/D)Z, as integers n = q D,
-so equal numbers have equal fields.  `add` merges them after one rescale to
-lcm(D1, D2), `mul` adds them on that lcm, and a series starts on the stored
-lattice (twice it in a sqrt whose leading n is odd, so that q/2 is on it);
-each result goes onto its least lattice by one gcd.  n/D < T exactly when
-n < ceil(T D).  INFINITE_ORDER (the float inf) is tested by identity before
-any arithmetic, so an exact operand never meets a Fraction-float comparison.
+Lattice.  A number is stored on its least lattice (1/D)Z, the least that
+holds both its exponents and its order, as integers n = q D and top = T D
+(INFINITE_ORDER, the float inf, when exact), so equal numbers have equal
+fields.  `add` merges them after one rescale to lcm(D1, D2), `mul` adds them
+on that lcm, and a series starts on the stored lattice joined with the
+denominator of the order asked for (and doubled in a sqrt whose leading n is
+odd, so that q/2 is on it); each result goes onto its least lattice by one
+gcd.  An int compares and adds exactly with inf, so a term is kept when
+n < top and orders combine by + and min, with no case for an exact operand.
 A coefficient is an `Interval` stored as its reduced integer triple
 (`intervals`): signs are read from its integers, and `mul` and the series
 read it by `_triple` and store each result by `_interval`, one gcd, with no
@@ -82,6 +84,7 @@ from .intervals import (
     Record,
     _interval,
     _product,
+    _ratio,
     _reciprocal,
     _reduced,
     _sum,
@@ -120,16 +123,9 @@ class Ternary(Enum):
     UNKNOWN = "unknown"
 
 
-def _as_exponent(value) -> int | Fraction:
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
-
-
-def _as_order(value):
-    if value is INFINITE_ORDER or isinstance(value, Fraction):
-        return value
-    if value == math.inf:
-        return INFINITE_ORDER
-    return Fraction(value)
+def _order_ratio(order) -> tuple:
+    """(top, D) with order = top / D in lowest terms; (inf, 1) at INFINITE_ORDER."""
+    return (order, 1) if order == INFINITE_ORDER else _ratio(order)
 
 
 def _as_interval(value) -> Interval:
@@ -139,15 +135,16 @@ def _as_interval(value) -> Interval:
 class LeviCivitaNumber(Record):
     """Truncated series with interval coefficients; immutable.
 
-    Stored on its least lattice (1/D)Z, D = `denominator`: `pairs` holds one
-    (n, c) per term c t^(n/D), n increasing, c not [0, 0], n/D below `order`;
-    `terms` reads them back.  `valuation` v is the least exponent a member can
-    have, and a product's tail starts at min(T_a + v(b), T_b + v(a)).
+    Stored on its least lattice (1/D)Z, D = `denominator`, with its order T
+    as `top` = T D: `pairs` holds one (n, c) per term c t^(n/D), n increasing,
+    c not [0, 0], n < top; `terms` and `order` read them back as Fractions.
+    `valuation` v is the least exponent a member can have, and a product's
+    tail starts at min(T_a + v(b), T_b + v(a)).
     `LeviCivitaNumber(terms, order)` is the pairwise sum of zero(order) and
     the monomials of `terms`: duplicates add, zero and out-of-range terms drop.
     """
 
-    __slots__ = ("denominator", "pairs", "order")  # int, ((int, Interval), ...), Fraction | inf
+    __slots__ = ("denominator", "pairs", "top")  # int, ((int, Interval), ...), int | inf
     __init__ = object.__init__  # __new__ returns the number built
 
     def __new__(cls, terms=(), order=INFINITE_ORDER):
@@ -160,13 +157,18 @@ class LeviCivitaNumber(Record):
         return tuple((Fraction(n, self.denominator), c) for n, c in self.pairs)
 
     @property
+    def order(self) -> Fraction | float:
+        """T, the truncation order: exponents at or above it are unknown."""
+        return INFINITE_ORDER if self.top == INFINITE_ORDER else Fraction(self.top, self.denominator)
+
+    @property
     def is_exact(self) -> bool:
-        return self.order is INFINITE_ORDER and all(c.is_exact for _, c in self.pairs)
+        return self.top == INFINITE_ORDER and all(c.is_exact for _, c in self.pairs)
 
     @property
     def is_zero(self) -> bool:
         """Exactly zero (not merely indistinguishable from it)."""
-        return not self.pairs and self.order is INFINITE_ORDER
+        return not self.pairs and self.top == INFINITE_ORDER
 
     @property
     def valuation(self) -> Fraction | float:
@@ -174,7 +176,7 @@ class LeviCivitaNumber(Record):
         return Fraction(self.pairs[0][0], self.denominator) if self.pairs else self.order
 
     def coefficient(self, exponent) -> Interval:
-        n, d = _as_exponent(exponent).as_integer_ratio()
+        n, d = _ratio(exponent)
         if self.denominator % d == 0:
             n *= self.denominator // d
             for m, c in self.pairs:
@@ -207,35 +209,36 @@ class LeviCivitaNumber(Record):
 
 # -- the stored lattice ----------------------------------------------------------
 
-def _number(denominator: int, pairs, order) -> LeviCivitaNumber:
-    """The number of canonical `pairs` on (1/D)Z, moved to its least lattice."""
+def _number(denominator: int, pairs, top) -> LeviCivitaNumber:
+    """The number of canonical `pairs` and order top / D on (1/D)Z, moved to
+    its least lattice."""
     if denominator != 1:
-        divisor = math.gcd(denominator, *(n for n, _ in pairs))
+        exact = top == INFINITE_ORDER
+        divisor = math.gcd(denominator, 0 if exact else top, *(n for n, _ in pairs))
         if divisor != 1:
             denominator //= divisor
             pairs = tuple((n // divisor, c) for n, c in pairs)
+            top = top if exact else top // divisor
     number = object.__new__(LeviCivitaNumber)
     object.__setattr__(number, "denominator", denominator)
     object.__setattr__(number, "pairs", pairs)
-    object.__setattr__(number, "order", order)
+    object.__setattr__(number, "top", top)
     return number
 
 
 def _rescaled(a: LeviCivitaNumber, denominator: int):
-    """a's pairs on (1/denominator)Z, a lattice that holds a's."""
+    """a's pairs and top on (1/denominator)Z, a lattice that holds a's."""
     factor = denominator // a.denominator
-    return a.pairs if factor == 1 else [(n * factor, c) for n, c in a.pairs]
-
-
-def _lattice_top(order, denominator: int) -> int | None:
-    """ceil(order * D): n / D < order exactly when n < this; None at INFINITE_ORDER."""
-    return None if order is INFINITE_ORDER else math.ceil(order * denominator)
+    if factor == 1:
+        return a.pairs, a.top
+    return [(n * factor, c) for n, c in a.pairs], a.top * factor
 
 
 # -- constructors -------------------------------------------------------------
 
 def zero(order=INFINITE_ORDER) -> LeviCivitaNumber:
-    return _number(1, (), _as_order(order))
+    top, denominator = _order_ratio(order)
+    return _number(denominator, (), top)
 
 
 def one() -> LeviCivitaNumber:
@@ -254,7 +257,7 @@ def monomial(coeff, exponent) -> LeviCivitaNumber:
     c = _as_interval(coeff)
     if c.is_zero:
         return zero()
-    n, d = _as_exponent(exponent).as_integer_ratio()
+    n, d = _ratio(exponent)
     return _number(d, ((n, c),), INFINITE_ORDER)
 
 
@@ -274,26 +277,15 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     f = _as_interval(factor)
     if f.is_zero:
         return zero()  # an exact zero factor leaves no unknown tail
-    return _number(a.denominator, tuple((n, c * f) for n, c in a.pairs), a.order)
-
-
-def _order_plus(order, delta):
-    """order + delta; INFINITE_ORDER stays itself, with no float arithmetic."""
-    return order if order is INFINITE_ORDER else order + delta
-
-
-def _min_order(*orders):
-    """The least order, compared without ever meeting the float INFINITE_ORDER."""
-    finite = [o for o in orders if o is not INFINITE_ORDER]
-    return min(finite) if finite else INFINITE_ORDER
+    return _number(a.denominator, tuple((n, c * f) for n, c in a.pairs), a.top)
 
 
 # -- ring operations ------------------------------------------------------------
 
 def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
-    order = _min_order(a.order, b.order)
     denominator = math.lcm(a.denominator, b.denominator)
-    ta, tb = _rescaled(a, denominator), _rescaled(b, denominator)
+    (ta, top_a), (tb, top_b) = _rescaled(a, denominator), _rescaled(b, denominator)
+    top = min(top_a, top_b)
     merged = []
     i = j = 0
     while i < len(ta) and j < len(tb):
@@ -312,10 +304,9 @@ def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
             j += 1
     merged.extend(ta[i:])
     merged.extend(tb[j:])
-    top = _lattice_top(order, denominator)
-    while top is not None and merged and merged[-1][0] >= top:
+    while merged and merged[-1][0] >= top:
         merged.pop()
-    return _number(denominator, tuple(merged), order)
+    return _number(denominator, tuple(merged), top)
 
 
 def add_all(numbers: list[LeviCivitaNumber]) -> LeviCivitaNumber:
@@ -328,7 +319,7 @@ def add_all(numbers: list[LeviCivitaNumber]) -> LeviCivitaNumber:
 
 
 def neg(a: LeviCivitaNumber) -> LeviCivitaNumber:
-    return _number(a.denominator, tuple((n, -c) for n, c in a.pairs), a.order)
+    return _number(a.denominator, tuple((n, -c) for n, c in a.pairs), a.top)
 
 
 def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
@@ -347,23 +338,19 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     """
     if a.is_zero or b.is_zero:
         return zero()
-    order = _min_order(*(
-        tail + x.valuation
-        for tail, x in ((a.order, b), (b.order, a))
-        if tail is not INFINITE_ORDER
-    ))
     denominator = math.lcm(a.denominator, b.denominator)
-    top = _lattice_top(order, denominator)
-    ta = [(n, _triple(c)) for n, c in _rescaled(a, denominator)]
-    tb = [(n, _triple(c)) for n, c in _rescaled(b, denominator)]
-    lead_b = tb[0][0] if tb else 0
+    (ta, top_a), (tb, top_b) = _rescaled(a, denominator), _rescaled(b, denominator)
+    v_a, v_b = ta[0][0] if ta else top_a, tb[0][0] if tb else top_b
+    top = min(top_a + v_b, top_b + v_a)
+    ta = [(n, _triple(c)) for n, c in ta]
+    tb = [(n, _triple(c)) for n, c in tb]
     accumulated: dict[int, tuple[int, int, int]] = {}
     for na, ca in ta:
-        if top is not None and na + lead_b >= top:
+        if na + v_b >= top:
             break  # b's exponents only grow from its lead
         for nb, cb in tb:
             n = na + nb
-            if top is not None and n >= top:
+            if n >= top:
                 break
             product = _product(ca, cb)
             if n in accumulated:
@@ -373,7 +360,7 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     pairs = tuple(
         (n, _interval(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1]
     )
-    return _number(denominator, pairs, order)
+    return _number(denominator, pairs, top)
 
 
 def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
@@ -384,7 +371,6 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     mul(a, inverse(a, order)) = 1 + O(t^order).  Exact monomials invert
     exactly.
     """
-    order = _as_order(order)
     if not a.pairs or a.pairs[0][1].contains_zero():
         raise ZeroOrUnknownLeading(
             "cannot invert: leading coefficient is zero or of unknown sign"
@@ -432,7 +418,7 @@ def abs_value(a: LeviCivitaNumber) -> LeviCivitaNumber:
 def magnitude_bound(a: LeviCivitaNumber) -> LeviCivitaNumber:
     """Exact-coefficient upper bound for |x| over every member x of `a`."""
     return _number(
-        a.denominator, tuple((n, Interval.point(c.mag())) for n, c in a.pairs), a.order
+        a.denominator, tuple((n, Interval.point(c.mag())) for n, c in a.pairs), a.top
     )
 
 
@@ -458,7 +444,7 @@ def classify_magnitude(a: LeviCivitaNumber) -> Magnitude:
     i, _ = _leading_term(a)
     if i < len(a.pairs):
         last = _class_of_exponent(a.pairs[i][0])
-    elif a.order is INFINITE_ORDER or a.order > 0:
+    elif a.top > 0:
         last = Magnitude.INFINITESIMAL
     else:
         return Magnitude.UNKNOWN  # the tail holds members at t^order and at t
@@ -471,7 +457,7 @@ def is_surely_finite(a: LeviCivitaNumber) -> bool:
     """True when every member is finite: v(a) >= 0, read on the integers."""
     if a.pairs and a.pairs[0][0] < 0:
         return False
-    return a.order is INFINITE_ORDER or a.order >= 0
+    return a.top >= 0
 
 
 def standard_part(a: LeviCivitaNumber) -> Interval:
@@ -482,7 +468,7 @@ def standard_part(a: LeviCivitaNumber) -> Interval:
     truncation order is above 0; NotFinite when every member is infinite;
     otherwise IndeterminateComparison, blocked at v(a).
     """
-    if is_surely_finite(a) and (a.order is INFINITE_ORDER or a.order > 0):
+    if is_surely_finite(a) and a.top > 0:
         return a.coefficient(0)
     if classify_magnitude(a) is Magnitude.INFINITE:
         raise NotFinite("standard part undefined: value is infinite")
@@ -506,11 +492,10 @@ def _split_leading(a: LeviCivitaNumber, halve: bool = False):
     it, the triple of 1/c, q D), on a's lattice (1/D)Z, or on twice it when
     `halve` and q D is odd, so that q/2 is on it too."""
     denominator = a.denominator * (2 if halve and a.pairs[0][0] % 2 else 1)
-    (lead, c), *tail = _rescaled(a, denominator)
+    ((lead, c), *tail), top = _rescaled(a, denominator)
     inverse_c = _reciprocal(_triple(c))
     steps = [(n - lead, _reduced(_product(_triple(ci), inverse_c))) for n, ci in tail]
-    u_order = a.order if a.order is INFINITE_ORDER else a.order - Fraction(lead, denominator)
-    return (denominator, steps, u_order), inverse_c, lead
+    return (denominator, steps, top - lead), inverse_c, lead
 
 
 #: Series rules (y_0, a, b, d, source, k1), all integers:
@@ -521,35 +506,41 @@ _SQRT = ((1, 3, -2, 2, 0, 1),)
 _COS_SIN = ((1, -1, 0, 1, 1, 2), (0, 1, 0, 1, 0, 1))
 
 
-def _series(u, order, rules, combination, shift: int) -> LeviCivitaNumber:
+def _series(u, order, rules, combination, shift: int, offset: int = 0) -> LeviCivitaNumber:
     """One series per rule at infinitesimal u = (D, its terms (n, triple) on
-    (1/D)Z, its order) (module docstring), at the lattice points n of sums of
+    (1/D)Z, its top) (module docstring), at the lattice points n of sums of
     u's exponents below the cap; returns the sum of the series `combination`
     names times their factor triples, every exponent raised by shift / D.
-    Every term sits at e >= 0, so an order below 0 acts as 0: the result is
-    then O(t^(shift / D)), its valuation."""
-    denominator, steps, u_order = u
-    order = max(_as_order(order), 0)
-    if not steps and u_order is INFINITE_ORDER:
+    `order` caps (n + offset) / D, and the caps are integers on D joined with
+    its denominator.  Every term sits at n >= 0, so an order below offset / D
+    acts as it: the result is then O(t^(shift / D)), its valuation."""
+    denominator, steps, u_top = u
+    order_top, order_denominator = _order_ratio(order)
+    factor = order_denominator // math.gcd(denominator, order_denominator)
+    if factor != 1:
+        denominator *= factor
+        steps = [(k * factor, c) for k, c in steps]
+        u_top, shift, offset = u_top * factor, shift * factor, offset * factor
+    order_top = max(order_top * (denominator // order_denominator) - offset, 0)
+    if not steps and u_top == INFINITE_ORDER:
         caps = [INFINITE_ORDER] * len(rules)  # u = 0: the exact starts
-    elif order is INFINITE_ORDER and steps:
+    elif order_top == INFINITE_ORDER and steps:
         raise ValueError("series does not terminate at infinite truncation order")
     else:
-        lead = Fraction(steps[0][0], denominator) if steps else u_order
-        caps = [_min_order(order, _order_plus(u_order, (k1 - 1) * lead)) for *_, k1 in rules]
-    tops = [_lattice_top(cap, denominator) for cap in caps]
+        lead = steps[0][0] if steps else u_top
+        caps = [min(order_top, u_top + (k1 - 1) * lead) for *_, k1 in rules]
     series = [{0: (y0, y0, 1)} if y0 else {} for y0, *_ in rules]
-    top = max(tops) if steps else 0
+    top = max(caps) if steps else 0
     steps = [(k, c) for k, c in steps if k < top]
     reached, frontier = {0}, {0}
     while steps and frontier:
         frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached
         reached |= frontier
     for e in sorted(reached)[1:]:
-        for y, top_y, (_, a, b, d, source, _) in zip(series, tops, rules):
+        for y, cap, (_, a, b, d, source, _) in zip(series, caps, rules):
             total = None
             for k, c in steps:
-                if k > e or e >= top_y:
+                if k > e or e >= cap:
                     break
                 w = series[source].get(e - k)
                 if w is not None:
@@ -561,16 +552,15 @@ def _series(u, order, rules, combination, shift: int) -> LeviCivitaNumber:
                 y[e] = _reduced((total[0], total[1], total[2] * d * e))
     # the rescale and angle addition: one product per term, one sum per exponent
     parts = [(series[i], caps[i], f) for i, f in combination if f[0] or f[1]]
-    cap = _min_order(*(cap for _, cap, _ in parts))
-    top = _lattice_top(cap, denominator)
+    top = min(cap for _, cap, _ in parts)
     pairs = []
     for e in sorted({e for y, _, _ in parts for e in y}):
-        if top is not None and e >= top:
+        if e >= top:
             break
         total = reduce(_sum, (_product(y[e], f) for y, _, f in parts if e in y))
         if total[0] or total[1]:
             pairs.append((e + shift, _interval(total)))
-    return _number(denominator, tuple(pairs), _order_plus(cap, Fraction(shift, denominator)))
+    return _number(denominator, tuple(pairs), top + shift)
 
 
 def sqrt(
@@ -583,13 +573,11 @@ def sqrt(
     (exactly, for perfect squares).  Squaring the result re-encloses `a` up
     to O(t^order).
     """
-    order = _as_order(order)
     if not a.pairs or a.pairs[0][1].lo_num <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     u, _, n = _split_leading(a, halve=True)
     root_c = _triple(sqrt_interval(a.pairs[0][1], precision))
-    series_order = order if order is INFINITE_ORDER else order - a.valuation / 2
-    return _series(u, series_order, _SQRT, ((0, root_c),), n // 2)
+    return _series(u, order, _SQRT, ((0, root_c),), n // 2, n // 2)
 
 
 def sqrt_nonnegative(
@@ -604,8 +592,8 @@ def sqrt_nonnegative(
     """
     if a.is_zero:
         return zero()
-    if not a.pairs or a.pairs[0][1].lo_num <= 0:
-        return zero(a.valuation / 2)
+    if not a.pairs or a.pairs[0][1].lo_num <= 0:  # O(t^(L/2)), on twice a's lattice
+        return _number(2 * a.denominator, (), a.pairs[0][0] if a.pairs else a.top)
     return sqrt(a, order, precision)
 
 
@@ -635,7 +623,7 @@ def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
     s the standard part (NotFinite unless determined), u the positive part."""
     cos_s, sin_s = cos_sin_interval(standard_part(a), precision)
     steps = [(n, _triple(c)) for n, c in a.pairs if n > 0]
-    return _triple(cos_s), _triple(sin_s), (a.denominator, steps, a.order)
+    return _triple(cos_s), _triple(sin_s), (a.denominator, steps, a.top)
 
 
 # -- rational approximation -----------------------------------------------------------

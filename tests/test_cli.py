@@ -601,8 +601,16 @@ def test_generated_calls_keep_the_exit_code_contract(seed):
     # 500 calls of the seeded sweep: each answers (0), is rejected (2) or is
     # indeterminate (3) and names its blocking exponent, never raises, and
     # reports nothing undecided as an error; an undetermined standard part
-    # names its blocking exponent too
-    for argv, code, out, err in cli_sweep.calls(seed, 500):
+    # names its blocking exponent too.  Each call's exit code and output digest
+    # equal the "seed code digest" lines of tests/golden/cli-sweep.txt, written by
+    #   for s in 5 7; do PYTHONPATH=src python tests/cli_sweep.py $s 500 |
+    #     awk -v s=$s '{print s, $(NF-1), $NF}'; done > tests/golden/cli-sweep.txt
+    # and rewritten only by a change that means to change the CLI's output
+    lines = (GOLDEN / "cli-sweep.txt").read_text().splitlines()
+    golden = [line.split(" ", 1)[1] for line in lines if line.startswith(f"{seed} ")]
+    assert len(golden) == 500
+    for (argv, code, out, err), want in zip(cli_sweep.calls(seed, 500), golden):
+        assert cli_sweep.line(argv, code, out, err).endswith(" " + want), (argv, code, out, err)
         assert code in ("0", "2", "3"), (argv, code, err)
         assert code != "3" or "(blocking exponent " in err, (argv, err)
         undecided = ("undecidable", "undetermined", "may be infinite")

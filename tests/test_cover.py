@@ -73,8 +73,9 @@ def test_chord_enclosure():
 
 
 def test_distances_of_constant_points_build_few_fractions(monkeypatch):
-    # coefficients stay integer triples from the coordinates to the distance:
-    # what Fractions remain are exponents and orders, and one midpoint for cos
+    # coefficients stay integer triples and exponents and orders integers on
+    # their lattice from the coordinates to the distance: the one Fraction
+    # left is the midpoint of the cos argument
     pairs = [((F(3, 7), F(1, 5)), (F(11, 13), F(-2, 3))), ((F(10**9 + 7, 3), 0), (F(5, 4), F(-1, 9)))]
     points = [(point(*a), point(*b)) for a, b in pairs] + [(point(1, 0), point(1, 4))]
     want = [cover.cover_distance(a, b) for a, b in points]  # pi enclosed outside the count
@@ -91,8 +92,9 @@ def test_distances_of_constant_points_build_few_fractions(monkeypatch):
         got.append(cover.cover_distance(a, b))
     monkeypatch.undo()
     assert got == want
-    # chord, chord, through the origin: 43, 43 and 13 when endpoints were Fractions
-    assert all(n <= bound for n, bound in zip(calls, (6, 6, 0), strict=True))
+    # chord, chord, through the origin: 43, 43 and 13 when endpoints were
+    # Fractions, 6, 6 and 0 when orders were
+    assert all(n <= bound for n, bound in zip(calls, (1, 1, 0), strict=True)), calls
 
 
 def test_distance_symmetric_and_zero_on_diagonal():

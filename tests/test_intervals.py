@@ -14,7 +14,6 @@ from ihull.intervals import (
     cos_sin_interval,
     pi_interval,
     reduce_angle,
-    sqrt_bounds,
     sqrt_interval,
     two_pi_interval,
 )
@@ -140,21 +139,21 @@ def test_exactness_is_decided_without_fraction_equality(monkeypatch):
 
 
 def test_sqrt_bounds_enclose_and_width():
-    lo, hi = sqrt_bounds(F(2), 64)
-    assert lo < SQRT2 < hi
-    assert hi - lo <= F(1, 2**64)
+    root = sqrt_interval(Interval.point(F(2)), 64)
+    assert root.lo < SQRT2 < root.hi
+    assert root.hi - root.lo <= F(1, 2**64)
 
 
 def test_sqrt_bounds_exact_on_perfect_squares():
-    assert sqrt_bounds(F(4), 16) == (F(2), F(2))
-    assert sqrt_bounds(F(9, 4), 16) == (F(3, 2), F(3, 2))
-    assert sqrt_bounds(F(0), 16) == (F(0), F(0))
+    for x, p in ((F(4), F(2)), (F(9, 4), F(3, 2)), (F(0), F(0))):
+        root = sqrt_interval(Interval.point(x), 16)
+        assert (root.lo, root.hi) == (p, p)
 
 
 def test_sqrt_refinement_nested():
-    outer = sqrt_bounds(F(2), 8)
-    inner = sqrt_bounds(F(2), 80)
-    assert outer[0] <= inner[0] and inner[1] <= outer[1]
+    outer = sqrt_interval(Interval.point(F(2)), 8)
+    inner = sqrt_interval(Interval.point(F(2)), 80)
+    assert outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_sqrt_interval_requires_nonnegative():

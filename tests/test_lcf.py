@@ -444,24 +444,22 @@ def test_series_equal_sum_of_powers(name):
 def reference_recurrence(u, order, rules):
     """The series recurrence of lcf._series as it ran on Interval objects
     before the integer core, each endpoint a gcd-normalised Fraction.  As
-    there, an order below 0 acts as 0: every term sits at e >= 0."""
-    order = max(lcf._as_order(order), 0)
+    there, an order below 0 acts as 0: every term sits at e >= 0.  An order
+    is a Fraction or the float inf, which min, max and + meet exactly."""
+    order = max(order, 0)
     starts = [lcf.from_rational(rule[0]) for rule in rules]
     if u.is_zero:
         return tuple(starts)
-    if order is INFINITE_ORDER and u.terms:
+    if order == INFINITE_ORDER and u.terms:
         raise ValueError("series does not terminate at infinite truncation order")
     lead = u.terms[0][0] if u.terms else u.order
-    caps = [
-        lcf._min_order(order, lcf._order_plus(u.order, (k1 - 1) * lead))
-        for *_, k1 in rules
-    ]
+    caps = [min(order, u.order + (k1 - 1) * lead) for *_, k1 in rules]
     steps = [(q, c) for q, c in u.terms if q < max(caps)]
     if not steps:
         return tuple(truncate(start, cap) for start, cap in zip(starts, caps))
     denominator = math.lcm(*(q.denominator for q, _ in steps))
     steps = [(q.numerator * (denominator // q.denominator), c) for q, c in steps]
-    tops = [lcf._lattice_top(cap, denominator) for cap in caps]
+    tops = [math.ceil(cap * denominator) for cap in caps]  # u has terms: every cap is finite
     top, reached, frontier = max(tops), {0}, {0}
     while frontier:
         frontier = {e + k for e in frontier for k, _ in steps if e + k < top} - reached
@@ -505,7 +503,7 @@ def _each_series(u, order, rules):
     """lcf._series once per rule, each series times the exact factor 1."""
     steps = [(n, _triple(c)) for n, c in u.pairs]
     return tuple(
-        lcf._series((u.denominator, steps, u.order), order, rules, ((i, (1, 1, 1)),), 0)
+        lcf._series((u.denominator, steps, u.top), order, rules, ((i, (1, 1, 1)),), 0)
         for i in range(len(rules))
     )
 
@@ -533,7 +531,7 @@ def reference_scale(a, factor):
 def reference_shift(a, delta):
     """Multiplication by t^delta, the step the fused rescale replaced."""
     terms = tuple((q + delta, c) for q, c in a.terms)
-    return LeviCivitaNumber(terms, lcf._order_plus(a.order, delta))
+    return LeviCivitaNumber(terms, a.order + delta)  # inf + delta is inf
 
 
 def reference_cos_sin(x, precision):
@@ -551,7 +549,6 @@ def reference_function(name, a, order, precision):
     fused rescale: the Interval-based split a = c t^q (1 + u),
     reference_recurrence, then shift(scale(series, f), delta), or for cos
     and sin the add/sub of the series scaled by cos s and sin s."""
-    order = lcf._as_order(order)
     if name in ("inverse", "sqrt"):
         q, c = a.terms[0]
         tail = LeviCivitaNumber(a.terms[1:], a.order)
@@ -559,8 +556,7 @@ def reference_function(name, a, order, precision):
         if name == "inverse":
             (series,) = reference_recurrence(u, order, lcf._INVERSE)
             return reference_shift(reference_scale(series, c.reciprocal()), -q)
-        series_order = order if order is INFINITE_ORDER else order - q / 2
-        (series,) = reference_recurrence(u, series_order, lcf._SQRT)
+        (series,) = reference_recurrence(u, order - q / 2, lcf._SQRT)
         return reference_shift(reference_scale(series, sqrt_interval(c, precision)), q / 2)
     cos_s, sin_s = reference_cos_sin(lcf.standard_part(a), precision)
     u = LeviCivitaNumber(tuple((q, c) for q, c in a.terms if q > 0), a.order)

@@ -1,6 +1,8 @@
 """Property tests of the stored form of `lcf` numbers: each on its least
-lattice (1/D)Z, so that equal values have equal fields whatever built them."""
+lattice (1/D)Z, that of its exponents and its order, so that equal values
+have equal fields whatever built them."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -24,9 +26,13 @@ _numbers = st.builds(LeviCivitaNumber, _terms, _orders)
 
 
 def _canonical(x):
-    """x equals, field by field and in hash, the number rebuilt from its terms."""
+    """x is on its least lattice, gcd(D, top, every n) = 1 (top left out when
+    the order is infinite), and equals, field by field and in hash, the
+    number rebuilt from its terms."""
+    tops = () if x.top == INFINITE_ORDER else (x.top,)
+    least = math.gcd(x.denominator, *tops, *(n for n, _ in x.pairs)) == 1
     rebuilt = LeviCivitaNumber(x.terms, x.order)
-    return rebuilt == x and hash(rebuilt) == hash(x)
+    return least and rebuilt == x and hash(rebuilt) == hash(x)
 
 
 @PROPERTY
@@ -34,6 +40,7 @@ def _canonical(x):
 def test_rebuilt_and_parsed_numbers_equal_the_stored_one(x):
     assert _canonical(x)
     assert [n for n, _ in x.pairs] == sorted({n for n, _ in x.pairs})
+    assert x.order == INFINITE_ORDER or x.order == F(x.top, x.denominator)
     assert parse_number(format_number(x)) == x
 
 
@@ -81,3 +88,11 @@ def test_equal_values_have_equal_fields():
     third = parse_number("t^1/3")
     one = (lcf.one() + third) - third
     assert one == lcf.one() and one.denominator == 1 and one.pairs == lcf.one().pairs
+
+
+def test_the_order_denominator_does_not_lengthen_a_series():
+    # at order 17/3 the inverse is stored on (1/3)Z, yet its series reaches
+    # only sums of u's exponents: the 6 terms below t^6, as at order 6
+    x = lcf.inverse(lcf.one() - lcf.T, F(17, 3))
+    assert x.terms == lcf.inverse(lcf.one() - lcf.T, 6).terms and len(x.terms) == 6
+    assert x.order == F(17, 3) and x.denominator == 3

@@ -1,5 +1,6 @@
 """Literal grammar, expression evaluation, and round-tripping."""
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -235,7 +236,9 @@ def _random_literal(rng, depth=0):
 def test_stored_lattice_divides_the_cli_lattice_bound():
     # the CLI bounds the points of (1/L)Z, L = exponent_lcm(text), below the
     # order; every parsed value, quotients at a finite order included, is
-    # stored on a lattice that (1/L)Z holds, so a split's lattice never leaks
+    # stored on the least lattice of its exponents and its order, which
+    # (1/M)Z holds, M = lcm(L, the order's denominator), so a split's lattice
+    # never leaks
     rng = Random(19)
     for _ in range(150):
         text = f"({_random_literal(rng)}, {_random_literal(rng)})"
@@ -244,8 +247,9 @@ def test_stored_lattice_divides_the_cli_lattice_bound():
             coords = parse_point(text, order)
         except (ParseError, IndeterminateComparison):
             continue  # a divisor that is 0 (parse error) or of unknown sign
+        bound = math.lcm(exponent_lcm(text), order.denominator)
         for coord in coords:
-            assert exponent_lcm(text) % coord.denominator == 0, (text, coord)
+            assert bound % coord.denominator == 0, (text, coord)
 
 
 def test_number_to_json():
