@@ -296,7 +296,13 @@ def _grid_coordinate(value: Fraction) -> float:
 
 
 def _cmd_oracle(args) -> int:
-    from . import cover, gridoracle, spaces  # scipy: loaded only by this command
+    from . import cover, spaces
+    try:
+        from . import gridoracle  # numpy and scipy: loaded only by this command
+    except ModuleNotFoundError as exc:
+        if exc.name.partition(".")[0] not in ("numpy", "scipy"):
+            raise
+        raise IhullError("the grid oracle needs numpy and scipy (pip install 'ihull[oracle]')") from None
     space = spaces.get_space("cover", precision=args.precision)
     coords = [space.point(*parse_point(p)).coords for p in (args.p1, args.p2)]
     a, b = (tuple(_grid_coordinate(cover.exact_standard_value(c)) for c in p) for p in coords)

@@ -10,11 +10,12 @@ An interval is stored as its reduced integer triple (L, H, E), meaning
 intervals have equal fields.  `lo` and `hi` build a Fraction each when read,
 for JSON, checks and callers; arithmetic and every test of sign,
 exactness or containment read the integers (exact is L == H, certainly
-positive L > 0).  Sum, product and reciprocal run on triples, as the series
-of `lcf` do: `_triple` reads the fields, and `_interval` stores a triple over
-its least E by one gcd.  A chain of exact operations on triples gives the
-rationals the same chain on Fractions gives, without a gcd after each
-(Brent and Zimmermann, Modern Computer Arithmetic, ch. 1).
+positive L > 0).  Sum, product and reciprocal run on triples, the form `lcf`
+stores coefficients in: `_triple` reads the fields, `_reduced` puts a triple
+over its least E by one gcd and `_interval` builds its interval.  A chain of
+exact operations on triples gives the rationals the same chain on Fractions
+gives, without a gcd after each (Brent and Zimmermann, Modern Computer
+Arithmetic, ch. 1).
 
 Enclosures are *nested under refinement*: calling any function here but
 `reduce_angle` with a larger `precision` returns an interval contained in the

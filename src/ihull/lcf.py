@@ -31,12 +31,12 @@ denominator of the order asked for (and doubled in a sqrt whose leading n is
 odd, so that q/2 is on it); each result goes onto its least lattice by one
 gcd.  An int compares and adds exactly with inf, so a term is kept when
 n < top and orders combine by + and min, with no case for an exact operand.
-A coefficient is an `Interval` stored as its reduced integer triple
-(`intervals`): signs are read from its integers, and `mul` and the series
-read it by `_triple` and store each result by `_interval`, one gcd, with no
-Fraction built.  A series function stays on triples from the split a = c t^q
-(1 + u), whose u is the tail times 1/c reduced by one gcd, to the rescale by
-1/c or sqrt(c), or the angle addition with cos s and sin s, of each result.
+A coefficient [L/E, H/E] is stored as the reduced triple (L, H, E) an
+`Interval` stores (E > 0, L <= H, gcd 1), never (0, 0), so equal coefficients
+are equal tuples.  Operations run on triples (`intervals`' `_sum`, `_product`,
+`_reciprocal`) and store each result by `_reduced`, one gcd; `neg` needs none.
+An `Interval` is built only where a coefficient leaves (`coefficient`, `terms`,
+sqrt's c) and read only where one enters (`monomial`, sqrt c, cos, sin, pi).
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -79,7 +79,6 @@ from .errors import (
 )
 from .intervals import (
     Interval,
-    ONE_INTERVAL,
     ZERO_INTERVAL,
     Record,
     _interval,
@@ -128,8 +127,11 @@ def _order_ratio(order) -> tuple:
     return (order, 1) if order == INFINITE_ORDER else _ratio(order)
 
 
-def _as_interval(value) -> Interval:
-    return value if isinstance(value, Interval) else Interval.point(value)
+def _as_triple(value) -> tuple[int, int, int]:
+    if isinstance(value, Interval):
+        return _triple(value)
+    n, d = _ratio(value)
+    return n, n, d
 
 
 class LeviCivitaNumber(Record):
@@ -137,14 +139,15 @@ class LeviCivitaNumber(Record):
 
     Stored on its least lattice (1/D)Z, D = `denominator`, with its order T
     as `top` = T D: `pairs` holds one (n, c) per term c t^(n/D), n increasing,
-    c not [0, 0], n < top; `terms` and `order` read them back as Fractions.
+    n < top, c a reduced triple (L, H, E) not (0, 0) (module docstring);
+    `terms` and `order` read them back as Fractions and Intervals.
     `valuation` v is the least exponent a member can have, and a product's
     tail starts at min(T_a + v(b), T_b + v(a)).
     `LeviCivitaNumber(terms, order)` is the pairwise sum of zero(order) and
     the monomials of `terms`: duplicates add, zero and out-of-range terms drop.
     """
 
-    __slots__ = ("denominator", "pairs", "top")  # int, ((int, Interval), ...), int | inf
+    __slots__ = ("denominator", "pairs", "top")  # int, ((int, (L, H, E)), ...), int | inf
     __init__ = object.__init__  # __new__ returns the number built
 
     def __new__(cls, terms=(), order=INFINITE_ORDER):
@@ -154,7 +157,7 @@ class LeviCivitaNumber(Record):
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Interval], ...]:
-        return tuple((Fraction(n, self.denominator), c) for n, c in self.pairs)
+        return tuple((Fraction(n, self.denominator), _interval(c)) for n, c in self.pairs)
 
     @property
     def order(self) -> Fraction | float:
@@ -163,7 +166,7 @@ class LeviCivitaNumber(Record):
 
     @property
     def is_exact(self) -> bool:
-        return self.top == INFINITE_ORDER and all(c.is_exact for _, c in self.pairs)
+        return self.top == INFINITE_ORDER and all(c[0] == c[1] for _, c in self.pairs)
 
     @property
     def is_zero(self) -> bool:
@@ -181,7 +184,7 @@ class LeviCivitaNumber(Record):
             n *= self.denominator // d
             for m, c in self.pairs:
                 if m == n:
-                    return c
+                    return _interval(c)
         return ZERO_INTERVAL
 
     # -- operators ------------------------------------------------------------
@@ -242,7 +245,7 @@ def zero(order=INFINITE_ORDER) -> LeviCivitaNumber:
 
 
 def one() -> LeviCivitaNumber:
-    return monomial(ONE_INTERVAL, 0)
+    return monomial(1, 0)
 
 
 def from_rational(value) -> LeviCivitaNumber:
@@ -254,8 +257,8 @@ def from_interval(value: Interval) -> LeviCivitaNumber:
 
 
 def monomial(coeff, exponent) -> LeviCivitaNumber:
-    c = _as_interval(coeff)
-    if c.is_zero:
+    c = _as_triple(coeff)
+    if not (c[0] or c[1]):
         return zero()
     n, d = _ratio(exponent)
     return _number(d, ((n, c),), INFINITE_ORDER)
@@ -274,10 +277,10 @@ T_INVERSE = t_power(-1)
 
 def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
     """Multiply by a scalar rational or interval (exponents unchanged)."""
-    f = _as_interval(factor)
-    if f.is_zero:
+    f = _as_triple(factor)
+    if not (f[0] or f[1]):
         return zero()  # an exact zero factor leaves no unknown tail
-    return _number(a.denominator, tuple((n, c * f) for n, c in a.pairs), a.top)
+    return _number(a.denominator, tuple((n, _reduced(_product(c, f))) for n, c in a.pairs), a.top)
 
 
 # -- ring operations ------------------------------------------------------------
@@ -297,9 +300,9 @@ def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
             merged.append(tb[j])
             j += 1
         else:
-            coeff = ta[i][1] + tb[j][1]
-            if not coeff.is_zero:
-                merged.append((na, coeff))
+            coeff = _sum(ta[i][1], tb[j][1])
+            if coeff[0] or coeff[1]:
+                merged.append((na, _reduced(coeff)))
             i += 1
             j += 1
     merged.extend(ta[i:])
@@ -319,7 +322,7 @@ def add_all(numbers: list[LeviCivitaNumber]) -> LeviCivitaNumber:
 
 
 def neg(a: LeviCivitaNumber) -> LeviCivitaNumber:
-    return _number(a.denominator, tuple((n, -c) for n, c in a.pairs), a.top)
+    return _number(a.denominator, tuple((n, (-h, -l, e)) for n, (l, h, e) in a.pairs), a.top)
 
 
 def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
@@ -342,8 +345,6 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
     (ta, top_a), (tb, top_b) = _rescaled(a, denominator), _rescaled(b, denominator)
     v_a, v_b = ta[0][0] if ta else top_a, tb[0][0] if tb else top_b
     top = min(top_a + v_b, top_b + v_a)
-    ta = [(n, _triple(c)) for n, c in ta]
-    tb = [(n, _triple(c)) for n, c in tb]
     accumulated: dict[int, tuple[int, int, int]] = {}
     for na, ca in ta:
         if na + v_b >= top:
@@ -358,7 +359,7 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
             else:
                 accumulated[n] = product
     pairs = tuple(
-        (n, _interval(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1]
+        (n, _reduced(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1]
     )
     return _number(denominator, pairs, top)
 
@@ -371,7 +372,7 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     mul(a, inverse(a, order)) = 1 + O(t^order).  Exact monomials invert
     exactly.
     """
-    if not a.pairs or a.pairs[0][1].contains_zero():
+    if not a.pairs or a.pairs[0][1][0] <= 0 <= a.pairs[0][1][1]:
         raise ZeroOrUnknownLeading(
             "cannot invert: leading coefficient is zero or of unknown sign"
         )
@@ -384,10 +385,10 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
 def _leading_term(a: LeviCivitaNumber) -> tuple[int, int]:
     """(i, s): pairs[i] is the first term whose coefficient excludes 0 and s its
     sign, else (len(pairs), 0).  Each term before pairs[i] may vanish."""
-    for i, (_, c) in enumerate(a.pairs):
-        if c.lo_num > 0:
+    for i, (_, (lo, hi, _)) in enumerate(a.pairs):
+        if lo > 0:
             return i, 1
-        if c.hi_num < 0:
+        if hi < 0:
             return i, -1
     return len(a.pairs), 0
 
@@ -397,7 +398,7 @@ def sign(a: LeviCivitaNumber) -> int:
     the valuation (the first exponent whose coefficient contains 0, else T)."""
     i, s = _leading_term(a)
     # each term before pairs[i] may vanish, or take s's sign, or the other
-    if s and (not i or all(c.lo_num >= 0 if s > 0 else c.hi_num <= 0 for _, c in a.pairs[:i])):
+    if s and (not i or all(c[0] >= 0 if s > 0 else c[1] <= 0 for _, c in a.pairs[:i])):
         return s
     if a.is_zero:
         return 0
@@ -417,9 +418,8 @@ def abs_value(a: LeviCivitaNumber) -> LeviCivitaNumber:
 
 def magnitude_bound(a: LeviCivitaNumber) -> LeviCivitaNumber:
     """Exact-coefficient upper bound for |x| over every member x of `a`."""
-    return _number(
-        a.denominator, tuple((n, Interval.point(c.mag())) for n, c in a.pairs), a.top
-    )
+    bounds = ((n, max(-lo, hi), e) for n, (lo, hi, e) in a.pairs)
+    return _number(a.denominator, tuple((n, _reduced((m, m, e))) for n, m, e in bounds), a.top)
 
 
 # -- magnitude classification -------------------------------------------------------
@@ -493,8 +493,8 @@ def _split_leading(a: LeviCivitaNumber, halve: bool = False):
     `halve` and q D is odd, so that q/2 is on it too."""
     denominator = a.denominator * (2 if halve and a.pairs[0][0] % 2 else 1)
     ((lead, c), *tail), top = _rescaled(a, denominator)
-    inverse_c = _reciprocal(_triple(c))
-    steps = [(n - lead, _reduced(_product(_triple(ci), inverse_c))) for n, ci in tail]
+    inverse_c = _reciprocal(c)
+    steps = [(n - lead, _reduced(_product(ci, inverse_c))) for n, ci in tail]
     return (denominator, steps, top - lead), inverse_c, lead
 
 
@@ -559,7 +559,7 @@ def _series(u, order, rules, combination, shift: int, offset: int = 0) -> LeviCi
             break
         total = reduce(_sum, (_product(y[e], f) for y, _, f in parts if e in y))
         if total[0] or total[1]:
-            pairs.append((e + shift, _interval(total)))
+            pairs.append((e + shift, _reduced(total)))
     return _number(denominator, tuple(pairs), top + shift)
 
 
@@ -573,10 +573,10 @@ def sqrt(
     (exactly, for perfect squares).  Squaring the result re-encloses `a` up
     to O(t^order).
     """
-    if not a.pairs or a.pairs[0][1].lo_num <= 0:
+    if not a.pairs or a.pairs[0][1][0] <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     u, _, n = _split_leading(a, halve=True)
-    root_c = _triple(sqrt_interval(a.pairs[0][1], precision))
+    root_c = _triple(sqrt_interval(_interval(a.pairs[0][1]), precision))
     return _series(u, order, _SQRT, ((0, root_c),), n // 2, n // 2)
 
 
@@ -592,7 +592,7 @@ def sqrt_nonnegative(
     """
     if a.is_zero:
         return zero()
-    if not a.pairs or a.pairs[0][1].lo_num <= 0:  # O(t^(L/2)), on twice a's lattice
+    if not a.pairs or a.pairs[0][1][0] <= 0:  # O(t^(L/2)), on twice a's lattice
         return _number(2 * a.denominator, (), a.pairs[0][0] if a.pairs else a.top)
     return sqrt(a, order, precision)
 
@@ -606,24 +606,24 @@ def cos_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """cos of a finite value: cos(s)cos(u) - sin(s)sin(u) with s = st-part."""
-    cos_s, (lo, hi, den), u = _angle_addition_parts(a, precision)
-    return _series(u, order, _COS_SIN, ((0, cos_s), (1, (-hi, -lo, den))), 0)
+    (cos_s, sin_s), u = _angle_addition_parts(a, precision)
+    lo, hi, den = _triple(sin_s)
+    return _series(u, order, _COS_SIN, ((0, _triple(cos_s)), (1, (-hi, -lo, den))), 0)
 
 
 def sin_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """sin of a finite value, by the same angle-addition split as cos."""
-    cos_s, sin_s, u = _angle_addition_parts(a, precision)
-    return _series(u, order, _COS_SIN, ((1, cos_s), (0, sin_s)), 0)
+    (cos_s, sin_s), u = _angle_addition_parts(a, precision)
+    return _series(u, order, _COS_SIN, ((1, _triple(cos_s)), (0, _triple(sin_s))), 0)
 
 
 def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
-    """(cos s, sin s) as triples and u as `_series` takes it for a = s + u,
-    s the standard part (NotFinite unless determined), u the positive part."""
-    cos_s, sin_s = cos_sin_interval(standard_part(a), precision)
-    steps = [(n, _triple(c)) for n, c in a.pairs if n > 0]
-    return _triple(cos_s), _triple(sin_s), (a.denominator, steps, a.top)
+    """(cos s, sin s) and u as `_series` takes it for a = s + u, s the
+    standard part (NotFinite unless determined), u the positive part."""
+    u = (a.denominator, [(n, c) for n, c in a.pairs if n > 0], a.top)
+    return cos_sin_interval(standard_part(a), precision), u
 
 
 # -- rational approximation -----------------------------------------------------------
@@ -640,7 +640,7 @@ def approximate_within(y: LeviCivitaNumber, eps: LeviCivitaNumber) -> LeviCivita
         raise PreconditionViolated("eps must be strictly positive")
     e = eps.valuation
     q = LeviCivitaNumber(
-        tuple((qe, Interval.point(c.midpoint)) for qe, c in y.terms if qe <= e)
+        tuple((qe, c.midpoint) for qe, c in y.terms if qe <= e)
     )
     d = sub(y, q)
     if sign(sub(eps, d)) > 0 and sign(add(eps, d)) > 0:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import lcf
 from .errors import IndeterminateComparison, ParseError, ZeroOrUnknownLeading
-from .intervals import Interval
+from .intervals import Interval, _interval
 from .lcf import DEFAULT_ORDER, INFINITE_ORDER, LeviCivitaNumber
 
 _TOKEN_RE = re.compile(
@@ -229,7 +229,7 @@ class _Parser:
 def _size(x: LeviCivitaNumber) -> int:
     """The bit lengths of max(|L|, |H|) and of E, summed over the coefficient
     triples (L, H, E) of x's terms."""
-    return sum(max(-c.lo_num, c.hi_num).bit_length() + c.den.bit_length() for _, c in x.pairs)
+    return sum(max(-lo, hi).bit_length() + den.bit_length() for _, (lo, hi, den) in x.pairs)
 
 
 def exponent_lcm(text: str) -> int:
@@ -305,10 +305,10 @@ def _format_t_power(exponent: Fraction) -> str:
     return f"t^{exponent}"
 
 
-def _format_term(exponent: Fraction, coeff: Interval) -> str:
+def _format_term(exponent: Fraction, coeff: tuple[int, int, int]) -> str:
     tpart = _format_t_power(exponent)
-    if coeff.is_exact:  # L/E is in lowest terms when L == H
-        n, d = coeff.lo_num, coeff.den
+    n, hi, d = coeff
+    if n == hi:  # L/E is in lowest terms when L == H
         c = str(n) if d == 1 else f"{n}/{d}"
         if not tpart:
             return c
@@ -317,7 +317,7 @@ def _format_term(exponent: Fraction, coeff: Interval) -> str:
         if (n, d) == (-1, 1):
             return f"-{tpart}"
         return f"{c}{tpart}"
-    approx = f"~{approx_text(coeff, 17)}"
+    approx = f"~{approx_text(_interval(coeff), 17)}"
     return f"{approx}{tpart}" if tpart else approx
 
 

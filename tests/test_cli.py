@@ -702,6 +702,21 @@ def test_import_leaves_scipy_unloaded():
     assert [c for c, modules in loaded.items() if "scipy" in modules] == ["oracle"]
 
 
+@pytest.mark.parametrize("blocked", ["numpy", "scipy"])
+def test_oracle_without_numpy_or_scipy_exits_2(blocked):
+    # a fresh interpreter in which the import fails, as it does where the
+    # oracle extra is not installed; nothing is uninstalled
+    script = f"import sys; sys.modules[{blocked!r}] = None\n" + LOADS
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(SRC), "oracle", "(1, 0)", "(1, 1)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)[0] == 2, proc.stderr
+    assert proc.stderr == (
+        "error: the grid oracle needs numpy and scipy (pip install 'ihull[oracle]')\n"
+    )
+
+
 #: The calls whose usage and help text `tests/golden/cli-usage.txt` pins:
 #: their choices print from the registries, which load when argparse reads them.
 USAGE_CALLS = (

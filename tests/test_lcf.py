@@ -14,7 +14,7 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import Interval, _cos_sin_rational, _triple, pi_interval, sqrt_interval
+from ihull.intervals import Interval, _cos_sin_rational, pi_interval, sqrt_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -501,9 +501,8 @@ def _refined_to_zero(u):
 
 def _each_series(u, order, rules):
     """lcf._series once per rule, each series times the exact factor 1."""
-    steps = [(n, _triple(c)) for n, c in u.pairs]
     return tuple(
-        lcf._series((u.denominator, steps, u.top), order, rules, ((i, (1, 1, 1)),), 0)
+        lcf._series((u.denominator, u.pairs, u.top), order, rules, ((i, (1, 1, 1)),), 0)
         for i in range(len(rules))
     )
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from ihull import lcf
-from ihull.intervals import ZERO_INTERVAL
+from ihull.intervals import ZERO_INTERVAL, Interval
 from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber
 from ihull.parsing import format_number, parse_number
 
@@ -17,26 +17,43 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(database=None, derandomize=True)
 
-#: exponents of both signs with denominators 1..6, exact coefficients (0 included)
+#: exponents of both signs with denominators 1..6; exact coefficients (0
+#: included), and coefficients that are points or intervals of either sign
 _exponents = st.builds(F, st.integers(-12, 24), st.integers(1, 6))
-_terms = st.lists(st.tuples(_exponents, st.builds(F, st.integers(-9, 9), st.integers(1, 4))), max_size=5)
+_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+_widths = st.builds(F, st.integers(1, 9), st.integers(1, 6))
+_coefficients = st.one_of(_rationals, st.builds(lambda lo, w: Interval(lo, lo + w), _rationals, _widths))
+_terms = st.lists(st.tuples(_exponents, _rationals), max_size=5)
+_interval_terms = st.lists(st.tuples(_exponents, _coefficients), max_size=5)
 _orders = st.one_of(st.just(INFINITE_ORDER), st.builds(F, st.integers(-6, 30), st.integers(1, 6)))
 _exact = st.builds(LeviCivitaNumber, _terms)
-_numbers = st.builds(LeviCivitaNumber, _terms, _orders)
+_rational_numbers = st.builds(LeviCivitaNumber, _terms, _orders)
+_numbers = st.builds(LeviCivitaNumber, _interval_terms, _orders)
+#: infinitesimals u with point or interval coefficients: [1, 2] + u has a
+#: certainly positive lead
+_infinitesimals = st.builds(
+    LeviCivitaNumber,
+    st.lists(st.tuples(st.builds(F, st.integers(1, 12), st.integers(1, 6)), _coefficients), max_size=4),
+    st.one_of(st.just(INFINITE_ORDER), st.builds(F, st.integers(1, 30), st.integers(1, 6))),
+)
 
 
 def _canonical(x):
     """x is on its least lattice, gcd(D, top, every n) = 1 (top left out when
-    the order is infinite), and equals, field by field and in hash, the
-    number rebuilt from its terms."""
+    the order is infinite), stores every coefficient as a reduced triple
+    (L, H, E): gcd 1, E > 0, L <= H and not (0, 0), and equals, field by
+    field and in hash, the number rebuilt from its terms."""
     tops = () if x.top == INFINITE_ORDER else (x.top,)
     least = math.gcd(x.denominator, *tops, *(n for n, _ in x.pairs)) == 1
+    reduced = all(
+        math.gcd(lo, hi, e) == 1 and e > 0 and lo <= hi and (lo or hi) for _, (lo, hi, e) in x.pairs
+    )
     rebuilt = LeviCivitaNumber(x.terms, x.order)
-    return least and rebuilt == x and hash(rebuilt) == hash(x)
+    return least and reduced and rebuilt == x and hash(rebuilt) == hash(x)
 
 
 @PROPERTY
-@given(_numbers)
+@given(_rational_numbers)  # the text of an interval coefficient is approximate
 def test_rebuilt_and_parsed_numbers_equal_the_stored_one(x):
     assert _canonical(x)
     assert [n for n, _ in x.pairs] == sorted({n for n, _ in x.pairs})
@@ -80,6 +97,18 @@ def test_values_equal_whatever_path_built_them(x, d):
     assert lcf.mul(root, root) == lcf.t_power(F(1, d))
     cancelled = lcf.sub(lcf.add(x, root), root)
     assert cancelled == x and _canonical(cancelled)
+
+
+@PROPERTY
+@given(_numbers, _coefficients, _infinitesimals, st.integers(1, 6))
+def test_every_operation_stores_reduced_triples(x, c, u, order):
+    # neg, scale, add and mul of any numbers, and the inverse, sqrt, cos and
+    # sin series of a number with an interval lead
+    for y in (lcf.neg(x), lcf.scale(x, c), lcf.add(x, u), lcf.mul(x, u), lcf.magnitude_bound(x)):
+        assert _canonical(y)
+    a = lcf.add(lcf.from_interval(Interval(1, 2)), u)
+    for f in (lcf.inverse, lcf.sqrt, lcf.cos_enclosure, lcf.sin_enclosure):
+        assert _canonical(f(a, order))
 
 
 def test_equal_values_have_equal_fields():

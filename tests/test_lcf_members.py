@@ -107,7 +107,7 @@ def _expanded(op, x, mx, order):
 @given(_numbers(), _orders, st.data())
 def test_inverse_and_roots_hold_their_members(x, order, data):
     mx = data.draw(_members(x))
-    leading = x.pairs[0][1] if x.pairs else None
+    leading = x.terms[0][1] if x.pairs else None
     if leading is not None and not leading.contains_zero():
         _holds(*_expanded(lcf.inverse, x, mx, order))
     if leading is not None and leading.lo > 0:
