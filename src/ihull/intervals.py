@@ -12,10 +12,10 @@ for JSON, checks and callers; arithmetic and every test of sign,
 exactness or containment read the integers (exact is L == H, certainly
 positive L > 0).  Sum, product and reciprocal run on triples, the form `lcf`
 stores coefficients in: `_triple` reads the fields, `_reduced` puts a triple
-over its least E by one gcd and `_interval` builds its interval.  A chain of
-exact operations on triples gives the rationals the same chain on Fractions
-gives, without a gcd after each (Brent and Zimmermann, Modern Computer
-Arithmetic, ch. 1).
+over its least E by one gcd and `_interval` boxes a reduced triple as it is.
+A chain of exact operations on triples gives the rationals the same chain on
+Fractions gives, without a gcd after each (Brent and Zimmermann, Modern
+Computer Arithmetic, ch. 1).
 
 Enclosures are *nested under refinement*: calling any function here but
 `reduce_angle` with a larger `precision` returns an interval contained in the
@@ -143,7 +143,7 @@ class Interval(Record):
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Interval") -> "Interval":
-        return _interval(_sum(_triple(self), _triple(other)))
+        return _interval(_reduced(_sum(_triple(self), _triple(other))))
 
     def __sub__(self, other: "Interval") -> "Interval":
         return self + (-other)
@@ -152,7 +152,7 @@ class Interval(Record):
         return _interval((-self.hi_num, -self.lo_num, self.den))
 
     def __mul__(self, other: "Interval") -> "Interval":
-        return _interval(_product(_triple(self), _triple(other)))
+        return _interval(_reduced(_product(_triple(self), _triple(other))))
 
     def reciprocal(self) -> "Interval":
         if self.contains_zero():
@@ -189,10 +189,10 @@ _triple = Interval._fields
 
 
 def _interval(c: tuple[int, int, int]) -> Interval:
-    """The interval of a triple with L <= H and E > 0, put over its least E
-    by one gcd; no check of __init__ runs."""
+    """The interval of a reduced triple (L <= H, E > 0, gcd 1), boxed as it
+    is: no gcd and no check of __init__ runs."""
     interval = object.__new__(Interval)
-    Record.__init__(interval, *_reduced(c))
+    Record.__init__(interval, *c)
     return interval
 
 
@@ -248,7 +248,7 @@ def sqrt_interval(x: Interval, precision: int) -> Interval:
     if lo_num < 0:
         raise NotPositive(f"sqrt of interval {x} reaching below 0")
     (lo, _, d1), (_, hi, d2) = (_root_bounds(n, den, precision) for n in (lo_num, hi_num))
-    return _interval((lo * d2, hi * d1, d1 * d2))
+    return _interval(_reduced((lo * d2, hi * d1, d1 * d2)))
 
 
 def _root_bounds(n: int, e: int, precision: int) -> tuple[int, int, int]:
@@ -360,7 +360,7 @@ def _around(twice_mid: int, bits: int) -> Interval:
     bits, rounded to the nearest multiple of g/2, g = 2^-bits."""
     m = (twice_mid + (1 << (_COS_SIN_GUARD_BITS - 1))) >> _COS_SIN_GUARD_BITS
     unit = 1 << (bits + 1)
-    return _interval((m - 8, m + 8, unit))
+    return _interval(_reduced((m - 8, m + 8, unit)))
 
 
 def _fixed_cos_sin(x: Interval, w: int, bits: int):
@@ -424,7 +424,7 @@ def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:
     lo, hi, den = _triple(x)
     if lo != hi:
         pad = (lo - hi, hi - lo, 2 * den)  # [-w/2, w/2], w the width
-        c, s = _interval(_sum(_triple(c), pad)), _interval(_sum(_triple(s), pad))
+        c, s = (_interval(_reduced(_sum(_triple(e), pad))) for e in (c, s))
     return _clamp(c), _clamp(s)
 
 

@@ -13,11 +13,11 @@ surface: a trailing ``O(t^q)`` marks a truncation order, and
 `parse_expression` additionally understands ``*``, ``/`` and parentheses.
 
 ``3/2`` lexes as one rational, so ``1/2t`` is (1/2)*t, not 1/(2t).
-Parentheses nest at most `MAX_NESTING` deep, which keeps the recursive
-descent far inside the interpreter's recursion limit; leading signs fold
-in a loop, so any number of them parses.  The products of one literal
-multiply out at most `MAX_PRODUCT_PAIRS` pairs of terms, of at most
-`MAX_PRODUCT_BITS` bits in all.
+Parentheses nest at most `MAX_NESTING` deep, a point's own not counted,
+which keeps the recursive descent far inside the interpreter's recursion
+limit; leading signs fold in a loop, so any number of them parses.  The
+products of one literal multiply out at most `MAX_PRODUCT_PAIRS` pairs of
+terms, of at most `MAX_PRODUCT_BITS` bits in all.
 """
 
 from __future__ import annotations
@@ -74,12 +74,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, order):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.order = order
         self.depth = 0
-        self.deepest = None  # position of the first "(" opened at MAX_NESTING
         self.product_pairs = 0
         self.product_bits = 0
 
@@ -101,23 +99,24 @@ class _Parser:
 
     # point := "(" expression ("," expression)+ ")" | expression
     def point(self) -> tuple[LeviCivitaNumber, ...]:
-        if self.peek()[1] == "(":
+        if not self._opens_tuple():
+            return (self.parse(),)
+        self.next()  # the point's own "(", which nests nothing
+        coords = [self.expression()]
+        while self.peek()[1] == ",":
             self.next()
-            coords = [self.expression()]
-            while self.peek()[1] == ",":
-                self.next()
-                coords.append(self.expression())
-            if len(coords) > 1:
-                self.expect(")")
-                return self._at_end(tuple(coords))
-            # no comma: the parenthesis opened the first atom of an expression
-            # such as "(1)*5"; as an atom it nests what it holds one level
-            # deeper, so a parenthesis that reached MAX_NESTING is one too deep
-            if self.deepest is not None:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", self.deepest)
-            self.expect(")")
-            return (self._at_end(self.expression(coords[0])),)
-        return (self.parse(),)
+            coords.append(self.expression())
+        self.expect(")")
+        return self._at_end(tuple(coords))
+
+    def _opens_tuple(self) -> bool:
+        """Whether the first token is a "(" whose group holds a "," at its own depth."""
+        depth = 0
+        for _, text, _ in self.tokens:
+            depth += (text == "(") - (text == ")")
+            if depth < 1 or text == "," and depth == 1:
+                return depth == 1
+        return False
 
     def _at_end(self, value):
         kind, text, pos = self.peek()
@@ -125,9 +124,9 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         return value
 
-    # expression := product (("+"|"-") product)*, from its first atom's value if given
-    def expression(self, first=None) -> LeviCivitaNumber:
-        terms = [self.product(first)]
+    # expression := product (("+"|"-") product)*
+    def expression(self) -> LeviCivitaNumber:
+        terms = [self.product()]
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
             rhs = self.product()
@@ -135,8 +134,8 @@ class _Parser:
         return lcf.add_all(terms)
 
     # product := factor (("*"|"/") factor)*
-    def product(self, first=None) -> LeviCivitaNumber:
-        value = self.factor() if first is None else first
+    def product(self) -> LeviCivitaNumber:
+        value = self.factor()
         while self.peek()[1] in ("*", "/"):
             _, op, op_pos = self.next()
             pos = self.peek()[2]
@@ -144,7 +143,7 @@ class _Parser:
             if op == "/":
                 try:
                     rhs = lcf.inverse(rhs, self.order)
-                except Exception as exc:
+                except (ZeroOrUnknownLeading, ValueError) as exc:  # what inverse raises
                     # an exact 0 is a malformed divisor, O(t^3) an undecided one
                     if isinstance(exc, ZeroOrUnknownLeading) and not rhs.is_zero:
                         raise IndeterminateComparison(f"cannot divide: {exc}", rhs.valuation) from None
@@ -177,8 +176,6 @@ class _Parser:
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.depth += 1
-            if self.depth == MAX_NESTING and self.deepest is None:
-                self.deepest = pos
             value = self.expression()
             self.depth -= 1
             self.expect(")")
@@ -264,9 +261,9 @@ def parse_expression(
 
 
 def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]:
-    """Parse ``(EXPR, EXPR, ...)``, or one EXPR for one-dimensional spaces.
-
-    Positions in a ParseError count from the start of `text`.
+    """Parse ``(EXPR, EXPR, ...)``, a "," at the depth of a first "(", or else
+    one EXPR as `parse_expression` does, errors included (one-dimensional
+    spaces).  Positions in a ParseError count from the start of `text`.
     """
     return _Parser(text, order).point()
 

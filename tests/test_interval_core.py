@@ -5,7 +5,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from ihull.intervals import ONE_INTERVAL, ZERO_INTERVAL, Interval, _interval, _reduced, _triple
+from ihull.intervals import (
+    ONE_INTERVAL,
+    ZERO_INTERVAL,
+    Interval,
+    _interval,
+    _reduced,
+    _triple,
+    cos_sin_interval,
+    sqrt_interval,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -66,7 +75,7 @@ def test_members_land_inside_the_results(x, y, s, u):
 @given(st.integers(-(1 << 80), 1 << 80), st.integers(0, 1 << 80), st.integers(1, 1 << 80))
 def test_reduced_is_the_triple_of_its_interval(lo, width, denominator):
     x = (lo, lo + width, denominator)
-    assert _reduced(x) == _triple(_interval(x))
+    assert _reduced(x) == _triple(Interval(F(lo, denominator), F(lo + width, denominator)))
 
 
 @PROPERTY
@@ -84,7 +93,7 @@ def test_an_interval_stores_its_reduced_triple(a, b):
 def test_one_value_by_any_route_is_one_record(x, y, k):
     routes = [
         Interval(x.lo, x.hi),
-        _interval(tuple(k * n for n in _triple(x))),
+        _interval(_reduced(tuple(k * n for n in _triple(x)))),
         x + ZERO_INTERVAL,
         x * ONE_INTERVAL,
     ]
@@ -102,3 +111,17 @@ def test_measures_equal_their_fraction_definitions(x):
     assert ((-x).lo, (-x).hi) == (-x.hi, -x.lo)
     assert x.width == x.hi - x.lo and x.midpoint == (x.lo + x.hi) / 2
     assert x.mag() == max(abs(x.lo), abs(x.hi))
+
+
+@PROPERTY
+@given(_intervals, _intervals, st.integers(1, 80))
+def test_every_producer_boxes_a_reduced_triple(x, y, precision):
+    # `_interval` boxes what it is given, so each result must arrive reduced
+    results = [x + y, x - y, x * y, -x, *cos_sin_interval(x, precision)]
+    if x.lo_num >= 0:
+        results.append(sqrt_interval(x, precision))
+    if not x.contains_zero():
+        results.append(x.reciprocal())
+    for r in results:
+        low, high, den = _triple(r)
+        assert den > 0 and low <= high and math.gcd(low, high, den) == 1, r

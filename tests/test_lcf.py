@@ -80,6 +80,20 @@ def test_constructors_equal_the_public_constructor():
 # add / mul / inverse
 # ---------------------------------------------------------------------------
 
+def test_reading_stored_coefficients_runs_no_gcd(monkeypatch):
+    # a number stores reduced triples, so boxing one as an Interval, for a
+    # coefficient, its terms or an approximate term's display, needs no gcd
+    from ihull import intervals, parsing
+
+    values = [num("3/2 - 2t + 5/6t^3/2 + O(t^4)"), lcf.sqrt(num("2 + t"), 4, 64)]
+    expected = [(x.coefficient(0), x.terms, parsing.format_number(x)) for x in values]
+    calls = []
+    reduced = intervals._reduced
+    monkeypatch.setattr(intervals, "_reduced", lambda c: calls.append(c) or reduced(c))
+    assert [(x.coefficient(0), x.terms, parsing.format_number(x)) for x in values] == expected
+    assert calls == []
+
+
 def test_add_cancellation():
     assert (ONE + T) + (ONE - T) == lcf.from_rational(2)
 

@@ -145,10 +145,36 @@ def test_parenthesised_literal_keeps_the_nesting_bound():
         with pytest.raises(ParseError) as info:
             parse_point(text)
         assert info.value.position == MAX_NESTING and "nested deeper" in str(info.value)
-    # an error inside the first coordinate comes first, wherever it lies
+    # without a comma the text is one expression, so its errors come in the
+    # order `parse_expression` meets them: the nesting before a later 1/0
     with pytest.raises(ParseError) as info:
         parse_point(f"({deep} + 1/0)")
-    assert info.value.position == len(deep) + 4 and "zero denominator" in str(info.value)
+    assert info.value.position == MAX_NESTING and "nested deeper" in str(info.value)
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING + 1, MAX_NESTING + 2, MAX_NESTING + 3])
+def test_a_point_too_deep_fails_as_its_expression_does(levels):
+    # a literal without a comma in its first group's own depth is no tuple:
+    # parse_point reports the first parenthesis one level too deep, as
+    # parse_expression does, before a later 1/0 or a deeper ","
+    for inner, tail in (("1", ""), ("1", " + 1/0"), ("1, 2", "")):
+        text = "(" * levels + inner + ")" * (levels - 1) + tail + ")"
+        for parse in (parse_point, parse_expression):
+            with pytest.raises(ParseError) as info:
+                parse(text, 4)
+            assert info.value.position == MAX_NESTING and "nested deeper" in str(info.value)
+
+
+def test_division_lets_faults_other_than_a_bad_divisor_through(monkeypatch):
+    # "cannot divide" names what inverse raises on its input, not any fault inside it
+    def broken(a, order):
+        raise RuntimeError("a fault inside the series")
+
+    monkeypatch.setattr(lcf, "inverse", broken)
+    with pytest.raises(RuntimeError, match="a fault inside the series"):
+        parse_expression("1/(1 - t)", 4)
+    with pytest.raises(RuntimeError):
+        parse_point("(1, 2/(1 + t))", 4)
 
 
 def test_format_number_makes_no_fraction_comparison(monkeypatch):
