@@ -44,7 +44,7 @@ EXIT_INDETERMINATE = 3
 #: The largest --precision accepted: enclosing pi alone grows like p^2.4,
 #: about 0.1 s at 4,000 bits and 3 s at 16,000.
 MAX_PRECISION = 4096
-#: The largest |--order| (README: eval about 0.9 s at it).
+#: The largest |--order| (README's `--order` paragraph: the worst eval found takes ~37 s).
 MAX_ORDER = 2048
 #: The most points of the literals' exponent lattice (1/D)Z in [0, |--order|)
 #: for dist and hull-dist, whose series run on enclosures; as ceil(|Q| D) >= |Q|,

@@ -50,7 +50,9 @@ per coefficient, by recurrences for the Euler operator theta = t d/dt
     (1 + u)^alpha, alpha = -1, 1/2:  e w_e = sum_k ((alpha+1) k - e) u_k w_(e-k)
     (cos u, sin u):  e c_e = -sum_k k u_k s_(e-k),  e s_e = sum_k k u_k c_(e-k)
 
-with w_0 = c_0 = 1 and s_0 = 0.  An unknown tail O(t^T) in u first reaches
+with w_0 = c_0 = 1 and s_0 = 0, so a series in u = 0 is its start, exact,
+and runs no recurrence (`inverse` of an exact monomial, `cos` of an exact
+constant).  An unknown tail O(t^T) in u first reaches
 a series through its first power k1 >= 1 with a nonzero Taylor coefficient
 (k1 = 2 for cos, else 1), so it is truncated at min(order, T + (k1 - 1) L),
 L = v(u).  On interval coefficients the result is sound, each coefficient
@@ -193,7 +195,7 @@ class LeviCivitaNumber(Record):
         return add(self, other)
 
     def __sub__(self, other: "LeviCivitaNumber") -> "LeviCivitaNumber":
-        return add(self, neg(other))
+        return sub(self, other)
 
     def __neg__(self) -> "LeviCivitaNumber":
         return neg(self)
@@ -285,9 +287,11 @@ def scale(a: LeviCivitaNumber, factor) -> LeviCivitaNumber:
 
 # -- ring operations ------------------------------------------------------------
 
-def add(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
+def add(a: LeviCivitaNumber, b: LeviCivitaNumber, negate: bool = False) -> LeviCivitaNumber:
+    """a + b, or a - b when `negate`: one merge, b's triples negated as read."""
     denominator = math.lcm(a.denominator, b.denominator)
     (ta, top_a), (tb, top_b) = _rescaled(a, denominator), _rescaled(b, denominator)
+    tb = [(n, (-h, -l, e)) for n, (l, h, e) in tb] if negate else tb
     top = min(top_a, top_b)
     merged = []
     i = j = 0
@@ -326,7 +330,7 @@ def neg(a: LeviCivitaNumber) -> LeviCivitaNumber:
 
 
 def sub(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
-    return add(a, neg(b))
+    return add(a, b, negate=True)
 
 
 def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
@@ -358,9 +362,7 @@ def mul(a: LeviCivitaNumber, b: LeviCivitaNumber) -> LeviCivitaNumber:
                 accumulated[n] = _sum(accumulated[n], product)
             else:
                 accumulated[n] = product
-    pairs = tuple(
-        (n, _reduced(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1]
-    )
+    pairs = tuple((n, _reduced(c)) for n, c in sorted(accumulated.items()) if c[0] or c[1])
     return _number(denominator, pairs, top)
 
 
@@ -373,9 +375,7 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
     exactly.
     """
     if not a.pairs or a.pairs[0][1][0] <= 0 <= a.pairs[0][1][1]:
-        raise ZeroOrUnknownLeading(
-            "cannot invert: leading coefficient is zero or of unknown sign"
-        )
+        raise ZeroOrUnknownLeading("cannot invert: leading coefficient is zero or of unknown sign")
     u, inverse_c, n = _split_leading(a)
     return _series(u, order, _INVERSE, ((0, inverse_c),), -n)
 
@@ -498,7 +498,7 @@ def _split_leading(a: LeviCivitaNumber, halve: bool = False):
     return (denominator, steps, top - lead), inverse_c, lead
 
 
-#: Series rules (y_0, a, b, d, source, k1), all integers:
+#: Series rules (y_0, a, b, d, source, k1), all integers, y_0 in {0, 1}:
 #: d e y_e = sum_k (a k + b e) u_k y'_(e-k) with y' = rules[source];
 #: (1 + u)^alpha has a = d (alpha + 1) and b = -d.
 _INVERSE = ((1, 0, -1, 1, 0, 1),)
@@ -513,8 +513,13 @@ def _series(u, order, rules, combination, shift: int, offset: int = 0) -> LeviCi
     names times their factor triples, every exponent raised by shift / D.
     `order` caps (n + offset) / D, and the caps are integers on D joined with
     its denominator.  Every term sits at n >= 0, so an order below offset / D
-    acts as it: the result is then O(t^(shift / D)), its valuation."""
+    acts as it: the result is then O(t^(shift / D)), its valuation.  At u = 0
+    (no terms, no tail) it is the sum of the starts times their factors, exact."""
     denominator, steps, u_top = u
+    if not steps and u_top == INFINITE_ORDER:  # u = 0: each series is its start
+        start = reduce(_sum, (f for i, f in combination if rules[i][0]), (0, 0, 1))
+        pairs = ((shift, _reduced(start)),) if start[0] or start[1] else ()
+        return _number(denominator, pairs, INFINITE_ORDER)
     order_top, order_denominator = _order_ratio(order)
     factor = order_denominator // math.gcd(denominator, order_denominator)
     if factor != 1:
@@ -522,15 +527,12 @@ def _series(u, order, rules, combination, shift: int, offset: int = 0) -> LeviCi
         steps = [(k * factor, c) for k, c in steps]
         u_top, shift, offset = u_top * factor, shift * factor, offset * factor
     order_top = max(order_top * (denominator // order_denominator) - offset, 0)
-    if not steps and u_top == INFINITE_ORDER:
-        caps = [INFINITE_ORDER] * len(rules)  # u = 0: the exact starts
-    elif order_top == INFINITE_ORDER and steps:
+    if order_top == INFINITE_ORDER and steps:
         raise ValueError("series does not terminate at infinite truncation order")
-    else:
-        lead = steps[0][0] if steps else u_top
-        caps = [min(order_top, u_top + (k1 - 1) * lead) for *_, k1 in rules]
+    lead = steps[0][0] if steps else u_top
+    caps = [min(order_top, u_top + (k1 - 1) * lead) for *_, k1 in rules]
     series = [{0: (y0, y0, 1)} if y0 else {} for y0, *_ in rules]
-    top = max(caps) if steps else 0
+    top = max(caps)
     steps = [(k, c) for k, c in steps if k < top]
     reached, frontier = {0}, {0}
     while steps and frontier:
@@ -639,9 +641,7 @@ def approximate_within(y: LeviCivitaNumber, eps: LeviCivitaNumber) -> LeviCivita
     if sign(eps) <= 0:
         raise PreconditionViolated("eps must be strictly positive")
     e = eps.valuation
-    q = LeviCivitaNumber(
-        tuple((qe, c.midpoint) for qe, c in y.terms if qe <= e)
-    )
+    q = LeviCivitaNumber(tuple((qe, c.midpoint) for qe, c in y.terms if qe <= e))
     d = sub(y, q)
     if sign(sub(eps, d)) > 0 and sign(add(eps, d)) > 0:
         return q

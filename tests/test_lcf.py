@@ -14,7 +14,13 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import Interval, _cos_sin_rational, pi_interval, sqrt_interval
+from ihull.intervals import (
+    Interval,
+    _cos_sin_rational,
+    cos_sin_interval,
+    pi_interval,
+    sqrt_interval,
+)
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -687,6 +693,37 @@ def test_series_cost_is_linear_in_terms(monkeypatch):
     monkeypatch.setattr(lcf, "_product", counted)
     result = lcf.inverse(num("1 - t - t^2"), 200)
     assert len(result.terms) == 200 and 0 < calls <= 3 * 200
+
+
+def test_a_series_in_zero_is_its_start(monkeypatch):
+    # u = 0: cos/sin of an exact constant, the root of a constant and the
+    # inverse of an exact monomial are the start times its factor, at exact
+    # order, with no product of the recurrence or of the rescale
+    cases = []
+    for s in (lcf.zero(), num("1/3"), num("-22/7"), lcf.pi_number(64)):
+        cos_s, sin_s = cos_sin_interval(lcf.standard_part(s), 64)
+        cases.append((lcf.cos_enclosure, s, lcf.from_interval(cos_s)))
+        cases.append((lcf.sin_enclosure, s, lcf.from_interval(sin_s)))
+    for c in (F(9, 4), F(2)):
+        root = sqrt_interval(Interval.point(c), 64)
+        cases.append((lcf.sqrt, lcf.from_rational(c), lcf.from_interval(root)))
+    one_two = Interval(F(1), F(2))
+    cases.append((lcf.inverse, lcf.monomial(3, F(1, 3)), lcf.monomial(F(1, 3), F(-1, 3))))
+    cases.append((lcf.inverse, lcf.from_interval(one_two), lcf.from_interval(one_two.reciprocal())))
+    calls = 0
+    product = lcf._product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    monkeypatch.setattr(lcf, "_product", counted)
+    for op, x, expected in cases:
+        for order in (F(-1), F(8), F(7, 3)):
+            result = op(x, order) if op is lcf.inverse else op(x, order, 64)
+            assert result == expected and result.order == INFINITE_ORDER, (op, x, order)
+    assert calls == 0
 
 
 def test_cos_examples():

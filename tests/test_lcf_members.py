@@ -17,7 +17,7 @@ from ihull.intervals import Interval
 from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber, Magnitude
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(database=None, derandomize=True)
 
@@ -92,6 +92,18 @@ def test_ring_operations_hold_their_members(x, y, factor, data):
     _holds(lcf.neg(x), lcf.neg(mx))
     _holds(lcf.mul(x, y), lcf.mul(mx, my))
     _holds(lcf.scale(x, factor), lcf.scale(mx, _pick(data.draw, factor)))
+
+
+@PROPERTY
+@given(_numbers(), _numbers(), st.booleans())
+@example(lcf.from_rational(F(2, 3)) + lcf.T, None, True)  # exact: exact zero
+@example(LeviCivitaNumber([(F(-1), 2), (F(1, 2), F(1, 3))], F(5, 2)), None, True)  # O(t^(5/2))
+def test_sub_is_the_sum_with_the_negation(x, y, same):
+    y = x if same else y
+    difference = lcf.sub(x, y)
+    assert difference == lcf.add(x, lcf.neg(y)) == x - y
+    if same and all(c.is_exact for _, c in x.terms):
+        assert difference == lcf.zero(x.order)
 
 
 # -- series operations -----------------------------------------------------------
