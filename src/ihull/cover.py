@@ -11,6 +11,8 @@ shortest path is the straight chord of the developed cone,
 sqrt(r1^2 + r2^2 - 2 r1 r2 cos(dzeta)); at or beyond pi every path must
 either wrap around or dive toward the puncture, and the infimal length is
 r1 + r2 (attained only in the completion, through the restored origin).
+The regime is decided once per distance, from the signs of dzeta - pi and
+dzeta + pi on integer triples, with no number built for pi.
 
 With coordinates from the truncated-series field this module also decides,
 per point, whether it is infinitely near a standard point, near the restored
@@ -35,7 +37,7 @@ from .errors import (
     NotStandard,
     PreconditionViolated,
 )
-from .intervals import Record
+from .intervals import Record, pi_interval
 from .lcf import (
     DEFAULT_ORDER,
     DEFAULT_PRECISION,
@@ -118,20 +120,18 @@ def cover_distance(
 ) -> LeviCivitaNumber:
     """Geodesic distance on the cover (infimum metric).
 
-    Chord branch for |dzeta| < pi, r1 + r2 at or beyond pi.  Raises
-    BranchIndeterminate when |dzeta| vs. pi cannot be decided at this
-    precision (which includes any input sitting exactly on pi).
+    r1 + r2 when dzeta - pi > 0 or dzeta + pi < 0, the chord otherwise, each
+    sign read by `lcf.sign`'s rule against pi's enclosure: pi.hi + t is beyond
+    pi, pi.lo - t below it, and pi.lo + t or pi itself raise BranchIndeterminate.
     """
-    dz = lcf.sub(a.zeta, b.zeta)
-    pi_num = lcf.pi_number(precision)
+    dz, pi = lcf.sub(a.zeta, b.zeta), pi_interval(precision)
     try:
-        above = lcf.compare(dz, pi_num)
-        below = lcf.compare(dz, lcf.neg(pi_num))
+        above, below = lcf.sign_plus(dz, pi, negate=True), lcf.sign_plus(dz, pi)
     except IndeterminateComparison as exc:
         raise BranchIndeterminate(
             f"angle gap vs pi undecidable at precision {precision}: {exc}"
         ) from None
-    if above is Ordering.GT or below is Ordering.LT:
+    if above > 0 or below < 0:
         return lcf.add(a.r, b.r)
     return _chord_distance(a, b, dz, order, precision)
 

@@ -36,7 +36,7 @@ A coefficient [L/E, H/E] is stored as the reduced triple (L, H, E) an
 are equal tuples.  Operations run on triples (`intervals`' `_sum`, `_product`,
 `_reciprocal`) and store each result by `_reduced`, one gcd; `neg` needs none.
 An `Interval` is built only where a coefficient leaves (`coefficient`, `terms`,
-sqrt's c) and read only where one enters (`monomial`, sqrt c, cos, sin, pi).
+sqrt's c) and read only where one enters (`monomial`, `sign_plus`, sqrt c, cos, sin).
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -382,27 +382,48 @@ def inverse(a: LeviCivitaNumber, order=DEFAULT_ORDER) -> LeviCivitaNumber:
 
 # -- order ------------------------------------------------------------------------
 
-def _leading_term(a: LeviCivitaNumber) -> tuple[int, int]:
+def _leading_term(pairs) -> tuple[int, int]:
     """(i, s): pairs[i] is the first term whose coefficient excludes 0 and s its
     sign, else (len(pairs), 0).  Each term before pairs[i] may vanish."""
-    for i, (_, (lo, hi, _)) in enumerate(a.pairs):
+    for i, (_, (lo, hi, _)) in enumerate(pairs):
         if lo > 0:
             return i, 1
         if hi < 0:
             return i, -1
-    return len(a.pairs), 0
+    return len(pairs), 0
+
+
+def _sign_of(pairs, denominator: int, top) -> int:
+    """The sign of the number stored as (denominator, pairs, top), its
+    coefficients (L, H, E) with E > 0, none (0, 0), reduced or not."""
+    i, s = _leading_term(pairs)
+    # each term before pairs[i] may vanish, or take s's sign, or the other
+    if s and (not i or all(c[0] >= 0 if s > 0 else c[1] <= 0 for _, c in pairs[:i])):
+        return s
+    if not pairs and top == INFINITE_ORDER:
+        return 0
+    valuation = Fraction(pairs[0][0] if pairs else top, denominator)
+    raise IndeterminateComparison("sign undecidable at current precision", valuation)
 
 
 def sign(a: LeviCivitaNumber) -> int:
     """-1, 0, or +1; raises IndeterminateComparison when undecided, blocked at
     the valuation (the first exponent whose coefficient contains 0, else T)."""
-    i, s = _leading_term(a)
-    # each term before pairs[i] may vanish, or take s's sign, or the other
-    if s and (not i or all(c[0] >= 0 if s > 0 else c[1] <= 0 for _, c in a.pairs[:i])):
-        return s
-    if a.is_zero:
-        return 0
-    raise IndeterminateComparison("sign undecidable at current precision", a.valuation)
+    return _sign_of(a.pairs, a.denominator, a.top)
+
+
+def sign_plus(a: LeviCivitaNumber, constant, negate: bool = False) -> int:
+    """sign(a + c), or sign(a - c) when `negate`, for a rational or interval c:
+    `sign`'s scan over a's pairs with c's triple added at exponent 0, so it
+    answers and raises as sign(add(a, from_interval(c))) does, building no number."""
+    lo, hi, e = _as_triple(constant)
+    c, pairs = ((-hi, -lo, e) if negate else (lo, hi, e)), a.pairs
+    if a.top > 0:  # else c lies in a's unknown tail
+        i = next((k for k, (n, _) in enumerate(pairs) if n >= 0), len(pairs))
+        j = i + 1 if i < len(pairs) and pairs[i][0] == 0 else i  # pairs[i:j]: a's term at 0
+        c = _sum(pairs[i][1], c) if j > i else c
+        pairs = [*pairs[:i], *([(0, c)] if c[0] or c[1] else []), *pairs[j:]]
+    return _sign_of(pairs, a.denominator, a.top)
 
 
 def compare(a: LeviCivitaNumber, b: LeviCivitaNumber) -> Ordering:
@@ -441,7 +462,7 @@ def classify_magnitude(a: LeviCivitaNumber) -> Magnitude:
     still decidably infinite, while [-d, d] + t is unknown (appreciable or
     infinitesimal depending on the true coefficient).
     """
-    i, _ = _leading_term(a)
+    i, _ = _leading_term(a.pairs)
     if i < len(a.pairs):
         last = _class_of_exponent(a.pairs[i][0])
     elif a.top > 0:

@@ -2,8 +2,10 @@
 
 from fractions import Fraction as F
 from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ihull import cover, lcf
 from ihull.cover import CoverPoint, Verdict, classify_point, point
@@ -21,7 +23,14 @@ from ihull.intervals import (
     reduce_angle,
     sqrt_interval,
 )
-from ihull.lcf import IndeterminateComparison, Magnitude, Ordering, Ternary
+from ihull.lcf import (
+    INFINITE_ORDER,
+    IndeterminateComparison,
+    LeviCivitaNumber,
+    Magnitude,
+    Ordering,
+    Ternary,
+)
 from ihull.parsing import parse_number
 from test_intervals import assert_value_record
 
@@ -111,6 +120,99 @@ def test_branch_indeterminate_near_pi():
     # decidable again at higher precision: pi_mid is below pi or above it
     d = cover.cover_distance(point(1, 0), point(1, pi_mid), precision=256)
     assert d is not None
+
+
+def _branch_by_compare(dz, precision):
+    """The branch at angle gap dz as two comparisons with pi's number decide
+    it, or the class, message and exponent of what they raise."""
+    pi = lcf.pi_number(precision)
+    try:
+        above, below = lcf.compare(dz, pi), lcf.compare(dz, lcf.neg(pi))
+    except IndeterminateComparison as exc:
+        message = f"angle gap vs pi undecidable at precision {precision}: {exc}"
+        return BranchIndeterminate, message, None
+    return "r1 + r2" if above is Ordering.GT or below is Ordering.LT else "chord"
+
+
+def _branch(dz, precision):
+    """The branch `cover_distance` takes at angle gap dz, or the class,
+    message and exponent of what it raises."""
+    with mock.patch.object(cover, "_chord_distance", lambda *args: "chord"):
+        try:
+            d = cover.cover_distance(point(1, dz), point(1, 0), precision=precision)
+        except IndeterminateComparison as exc:
+            return type(exc), str(exc), exc.exponent
+    return d if isinstance(d, str) else "r1 + r2" if d == lcf.from_rational(2) else d
+
+
+_PI = pi_interval(64)
+_WIDE = Interval(F(-1), F(1))
+#: angle gaps at the edges of pi's enclosure [lo, hi] and a branch or the
+#: blocking exponent of the raise: dz - pi at pi.hi + t is [0, w] + t > 0
+_EDGES = [
+    (lcf.from_rational(_PI.lo) + T, 0),
+    (lcf.from_rational(_PI.lo) - T, "chord"),
+    (lcf.from_rational(_PI.hi) + T, "r1 + r2"),
+    (lcf.from_rational(_PI.hi) - T, 0),
+    (lcf.from_interval(_WIDE) + T, "chord"),  # of unknown magnitude
+    (lcf.monomial(_WIDE, -2) + lcf.monomial(5, -1), -2),  # infinite
+    (lcf.from_interval(_PI), 0),
+    (lcf.zero(), "chord"),
+]
+
+
+@pytest.mark.parametrize("dz, branch", [*_EDGES, *((-dz, branch) for dz, branch in _EDGES)])
+def test_branch_at_the_edges_of_pi(dz, branch):
+    got = _branch(dz, 64)
+    assert got == _branch_by_compare(dz, 64)
+    if isinstance(branch, str):
+        assert got == branch
+    else:
+        assert got[0] is BranchIndeterminate and got[1].endswith(f"(blocking exponent {branch})")
+
+
+@st.composite
+def _gaps(draw):
+    """A precision and an angle gap with terms at negative, zero and positive
+    exponents, coefficients near +-pi's enclosure, straddling 0 or exact, and
+    any order, 0 and below included."""
+    precision = draw(st.sampled_from((1, 2, 8, 64)))
+    pi = pi_interval(precision)
+    near_pi = st.sampled_from((pi.lo, pi.hi, pi.midpoint, pi, Interval(pi.lo, F(4)), F(3), F(4)))
+    small = st.builds(
+        lambda lo, width, den: Interval(F(lo, den), F(lo + width, den)),
+        st.integers(-4, 4), st.integers(0, 3), st.integers(1, 3),
+    )
+    exponents = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    terms = draw(st.lists(st.tuples(exponents, small), max_size=3))
+    if draw(st.booleans()):
+        terms.append((F(0), draw(st.one_of(near_pi, near_pi.map(lambda c: -c), small))))
+    orders = st.one_of(st.just(INFINITE_ORDER), st.builds(F, st.integers(-4, 8), st.integers(1, 3)))
+    return precision, LeviCivitaNumber(terms, draw(orders))
+
+
+@settings(database=None, derandomize=True, max_examples=300)
+@given(_gaps())
+@example((1, lcf.zero()))
+def test_branch_matches_the_comparisons_with_pi(gap):
+    precision, dz = gap
+    assert _branch(dz, precision) == _branch_by_compare(dz, precision)
+
+
+def test_distance_builds_no_pi_number_and_compares_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    for name in ("compare", "pi_number", "neg"):
+        monkeypatch.setattr(lcf, name, forbidden)
+    assert cover.cover_distance(point(1, 0), point(1, 4)) == lcf.from_rational(2)
+    assert CHORD_1 in cover.cover_distance(point(1, 0), point(1, 1)).coefficient(0)
+
+
+def test_branches_at_precision_one():
+    # pi_interval(1) = [281476/89625, 16/5]: 1 lies below it and 4 beyond
+    assert CHORD_1 in cover.cover_distance(point(1, 0), point(1, 1), precision=1).coefficient(0)
+    assert cover.cover_distance(point(1, 0), point(1, 4), precision=1) == lcf.from_rational(2)
 
 
 def test_branch_continuity_near_pi():

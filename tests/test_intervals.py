@@ -171,6 +171,13 @@ def test_pi_enclosure():
     assert 3 < rough.lo and rough.hi < 4
 
 
+def test_pi_enclosure_at_the_least_precision():
+    rough = pi_interval(1)
+    assert rough.lo < PI < rough.hi and rough.width <= F(1, 2)
+    with pytest.raises(ValueError):
+        pi_interval(0)
+
+
 def test_pi_refinement_nested():
     assert pi_interval(2).contains_interval(pi_interval(20))
     assert pi_interval(20).contains_interval(pi_interval(120))

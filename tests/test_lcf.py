@@ -186,6 +186,15 @@ def test_compare_indeterminate_carries_exponent():
     assert info.value.exponent == 0
 
 
+def test_sign_reads_past_a_lead_that_touches_zero():
+    # [0, 1] vanishes or is positive, so the next term's sign decides when it agrees
+    assert lcf.sign(lcf.from_interval(Interval(F(0), F(1))) + T) == 1
+    assert lcf.sign(lcf.from_interval(Interval(F(-1), F(0))) - T) == -1
+    with pytest.raises(IndeterminateComparison) as info:
+        lcf.sign(lcf.from_interval(Interval(F(0), F(1))) - T)
+    assert info.value.exponent == 0
+
+
 def test_compare_decides_despite_deep_straddle():
     # a straddling coefficient *after* a decisive one is irrelevant
     x = ONE + lcf.monomial(Interval(F(-1), F(1)), 1)

@@ -8,12 +8,13 @@ from fractions import Fraction as F
 import pytest
 
 from ihull import lcf
+from ihull.errors import IndeterminateComparison
 from ihull.intervals import ZERO_INTERVAL, Interval
 from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber
 from ihull.parsing import format_number, parse_number
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 PROPERTY = settings(database=None, derandomize=True)
 
@@ -67,6 +68,23 @@ def test_coefficient_reads_the_term_at_any_exponent(x, q):
     terms = dict(x.terms)
     assert x.coefficient(q) == terms.get(q, ZERO_INTERVAL)
     assert x.coefficient(q.numerator) == terms.get(q.numerator, ZERO_INTERVAL)
+
+
+def _sign_or_blocking_exponent(f, *args):
+    try:
+        return f(*args)
+    except IndeterminateComparison as exc:
+        return "blocked", exc.exponent
+
+
+@PROPERTY
+@given(_numbers, _coefficients, st.booleans())
+@example(lcf.from_rational(3) + lcf.monomial(Interval(-1, 1), 1), F(3), True)  # the 0 term cancels
+def test_sign_plus_reads_the_sum_off_the_stored_pairs(x, c, negate):
+    # the sign of x + c, or x - c, and where it blocks, with no sum built
+    total = lcf.add(x, lcf.monomial(c, 0), negate)
+    want = _sign_or_blocking_exponent(lcf.sign, total)
+    assert _sign_or_blocking_exponent(lcf.sign_plus, x, c, negate) == want
 
 
 @PROPERTY
