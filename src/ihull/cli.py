@@ -34,6 +34,7 @@ from .errors import (
     NotFinite,
     ParseError,
 )
+from .intervals import _triple
 from .parsing import format_number, number_to_json, parse_expression, parse_point
 
 EXIT_OK = 0
@@ -79,7 +80,10 @@ def net_points(text: str) -> int:
 
 def order_value(text: str) -> Fraction:
     # no exponent form: Fraction("1e10000000") computes 10^10000000 first
-    value = None if "e" in text.lower() else Fraction(text)
+    try:
+        value = None if "e" in text.lower() else Fraction(text)
+    except ZeroDivisionError:  # n/0
+        value = None
     if value is None or abs(value) > MAX_ORDER or value.denominator > MAX_ORDER_DENOMINATOR:
         raise argparse.ArgumentTypeError(
             f"order must be a rational n/d or decimal of size at most {MAX_ORDER} "
@@ -212,7 +216,7 @@ def _cmd_dist(args) -> int:
 
     def payload():
         st_json = None if st is None else {
-            "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(st)
+            "lo": str(st.lo), "hi": str(st.hi), "approx": parsing.approx_float(_triple(st))
         }
         payload = {"space": args.space, "distance": number_to_json(d), "standard_part": st_json}
         if blocked is not None:
@@ -227,7 +231,7 @@ def _cmd_dist(args) -> int:
         elif st.is_exact:
             tail = f"st = {st.lo}"
         else:
-            tail = f"st ~ {parsing.approx_text(st, 12)}"
+            tail = f"st ~ {parsing.approx_text(_triple(st), 12)}"
         return [f"d = {format_number(d)}", tail]
 
     _emit(args, payload, lines)
@@ -263,7 +267,7 @@ def _cmd_hull_dist(args) -> int:
         lambda: {
             "space": args.space,
             "hull_distance": {"lo": str(value.lo), "hi": str(value.hi)},
-            "approx": parsing.approx_float(value),
+            "approx": parsing.approx_float(_triple(value)),
         },
         lambda: [str(value)],
     )
@@ -314,12 +318,7 @@ def _cmd_oracle(args) -> int:
         lcf.standard_part(cover.cover_distance(pa, pb, precision=args.precision)).midpoint
     )
     gap = abs(approx - closed) / closed if closed else 0.0
-    payload = {
-        "oracle": approx,
-        "closed_form": closed,
-        "relative_gap": gap,
-        "grid": args.grid,
-    }
+    payload = {"oracle": approx, "closed_form": closed, "relative_gap": gap, "grid": args.grid}
     lines = [
         f"oracle      = {approx:.6f}",
         f"closed form = {closed:.6f}",

@@ -23,7 +23,7 @@ are reported, never silently counted as pass or fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import lcf
@@ -182,12 +182,10 @@ class Clause:
 
 @dataclass
 class HarnessReport:
-    space_id: str
-    claim: str
-    clauses: list[Clause] = field(default_factory=list)
-    probes: list[ProbeRow] = field(default_factory=list)
-    passed: bool = False
-    unknown_count: int = 0
+    clauses: list[Clause]
+    probes: list[ProbeRow]
+    passed: bool
+    unknown_count: int
 
 
 def _characterise(
@@ -221,8 +219,6 @@ def _characterise(
             found = rows[-1].probe
     note = f"{counterexample}: {found}" if found else f"no {counterexample}"
     return HarnessReport(
-        space_id=s.space_id,
-        claim=f"{registered} iff {rule}",
         clauses=[
             Clause(rule, found is None, note),
             Clause(registered, flag, "registered metadata"),

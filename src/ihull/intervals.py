@@ -118,16 +118,9 @@ class Interval(Record):
     def is_zero(self) -> bool:
         return not (self.lo_num or self.hi_num)
 
-    def contains_zero(self) -> bool:
-        return self.lo_num <= 0 <= self.hi_num
-
     def __contains__(self, value) -> bool:
         n, d = _ratio(value)
         return self.lo_num * d <= n * self.den <= self.hi_num * d
-
-    def contains_interval(self, other: "Interval") -> bool:
-        (l1, h1, e1), (l2, h2, e2) = _triple(self), _triple(other)
-        return l1 * e2 <= l2 * e1 and h2 * e1 <= h1 * e2
 
     # -- endpoints and measures: Fractions, built when read ------------------
 
@@ -135,10 +128,6 @@ class Interval(Record):
     hi = property(lambda self: Fraction(self.hi_num, self.den))
     width = property(lambda self: Fraction(self.hi_num - self.lo_num, self.den))
     midpoint = property(lambda self: Fraction(self.lo_num + self.hi_num, 2 * self.den))
-
-    def mag(self) -> Fraction:
-        """max |x| over the interval."""
-        return Fraction(max(-self.lo_num, self.hi_num), self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -153,11 +142,6 @@ class Interval(Record):
 
     def __mul__(self, other: "Interval") -> "Interval":
         return _interval(_reduced(_product(_triple(self), _triple(other))))
-
-    def reciprocal(self) -> "Interval":
-        if self.contains_zero():
-            raise ZeroDivisionError("reciprocal of an interval containing 0")
-        return _interval(_reciprocal(_triple(self)))
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
@@ -305,10 +289,6 @@ def pi_interval(precision: int) -> Interval:
     return Interval(16 * a5.lo - 4 * a239.hi, 16 * a5.hi - 4 * a239.lo)
 
 
-def two_pi_interval(precision: int) -> Interval:
-    return pi_interval(precision + 1) * Interval.point(2)
-
-
 # ---------------------------------------------------------------------------
 # angle reduction
 # ---------------------------------------------------------------------------
@@ -322,7 +302,7 @@ def reduce_angle(x: Fraction, precision: int) -> Interval:
     nest: any integer k gives the same cos and sin.
     """
     size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
-    two_pi = two_pi_interval(precision + size + 1)
+    two_pi = pi_interval(precision + size + 2) * Interval.point(2)
     return Interval.point(x) - two_pi * Interval.point(round(x / two_pi.midpoint))
 
 

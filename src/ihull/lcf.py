@@ -35,8 +35,9 @@ A coefficient [L/E, H/E] is stored as the reduced triple (L, H, E) an
 `Interval` stores (E > 0, L <= H, gcd 1), never (0, 0), so equal coefficients
 are equal tuples.  Operations run on triples (`intervals`' `_sum`, `_product`,
 `_reciprocal`) and store each result by `_reduced`, one gcd; `neg` needs none.
-An `Interval` is built only where a coefficient leaves (`coefficient`, `terms`,
-sqrt's c) and read only where one enters (`monomial`, `sign_plus`, sqrt c, cos, sin).
+An `Interval` is built only where a coefficient leaves for a caller
+(`coefficient`, `terms`, sqrt's c) and read only where one enters (`monomial`,
+`sign_plus`, sqrt c, cos, sin); `parsing` prints the stored integers.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -91,7 +92,6 @@ from .intervals import (
     _sum,
     _triple,
     cos_sin_interval,
-    pi_interval,
     sqrt_interval,
 )
 
@@ -618,11 +618,6 @@ def sqrt_nonnegative(
     if not a.pairs or a.pairs[0][1][0] <= 0:  # O(t^(L/2)), on twice a's lattice
         return _number(2 * a.denominator, (), a.pairs[0][0] if a.pairs else a.top)
     return sqrt(a, order, precision)
-
-
-def pi_number(precision: int = DEFAULT_PRECISION) -> LeviCivitaNumber:
-    """pi as an exponent-0 enclosure."""
-    return from_interval(pi_interval(precision))
 
 
 def cos_enclosure(

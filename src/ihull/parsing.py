@@ -29,7 +29,6 @@ from fractions import Fraction
 
 from . import lcf
 from .errors import IndeterminateComparison, ParseError, ZeroOrUnknownLeading
-from .intervals import Interval, _interval
 from .lcf import DEFAULT_ORDER, INFINITE_ORDER, LeviCivitaNumber
 
 _TOKEN_RE = re.compile(
@@ -272,65 +271,66 @@ def parse_point(text: str, order=INFINITE_ORDER) -> tuple[LeviCivitaNumber, ...]
 # formatting
 # ---------------------------------------------------------------------------
 
-def approx_float(value: Interval) -> float | None:
-    """The float nearest the midpoint of `value`, for display; None beyond
-    the float range.  The midpoint (L + H) / 2E of its triple is rounded
+def _rational(n: int, d: int) -> str:
+    """n/d, d >= 1, as `str(Fraction(n, d))` prints it: in lowest terms by one
+    gcd, with no "/1"."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def approx_float(c: tuple[int, int, int]) -> float | None:
+    """The float nearest the midpoint (L + H) / 2E of the interval of triple
+    c = (L, H, E), for display; None beyond the float range.  It is rounded
     once, by int true division, without a Fraction."""
+    lo, hi, den = c
     try:
-        return (value.lo_num + value.hi_num) / (2 * value.den)
+        return (lo + hi) / (2 * den)
     except OverflowError:
         return None
 
 
-def approx_text(value: Interval, digits: int) -> str:
-    """The midpoint of `value` to `digits` significant digits: the float's ``g``
-    format, or decimal rounding of the exact midpoint where no float holds it."""
-    approx = approx_float(value)
+def approx_text(c: tuple[int, int, int], digits: int) -> str:
+    """The midpoint of the interval of triple `c` to `digits` significant
+    digits: the float's ``g`` format, or decimal rounding of (L + H) / 2E where
+    no float holds it."""
+    approx = approx_float(c)
     if approx is not None:
         return f"{approx:.{digits}g}"
-    midpoint = value.midpoint
+    lo, hi, den = c
     context = decimal.Context(prec=digits, Emax=decimal.MAX_EMAX)
-    quotient = context.divide(decimal.Decimal(midpoint.numerator), midpoint.denominator)
+    quotient = context.divide(decimal.Decimal(lo + hi), 2 * den)
     return f"{quotient.normalize(context):g}"
 
 
-def _format_t_power(exponent: Fraction) -> str:
-    if not exponent:
+def _t_power(n: int, d: int) -> str:
+    """t^(n/d), d >= 1: "" at 0 and "t" at 1."""
+    if not n:
         return ""
-    if exponent.as_integer_ratio() == (1, 1):  # not Fraction ==, a call per term
-        return "t"
-    return f"t^{exponent}"
+    return "t" if n == d else f"t^{_rational(n, d)}"
 
 
-def _format_term(exponent: Fraction, coeff: tuple[int, int, int]) -> str:
-    tpart = _format_t_power(exponent)
+def _format_term(tpart: str, coeff: tuple[int, int, int]) -> str:
     n, hi, d = coeff
-    if n == hi:  # L/E is in lowest terms when L == H
-        c = str(n) if d == 1 else f"{n}/{d}"
-        if not tpart:
-            return c
-        if (n, d) == (1, 1):
-            return tpart
-        if (n, d) == (-1, 1):
-            return f"-{tpart}"
-        return f"{c}{tpart}"
-    approx = f"~{approx_text(_interval(coeff), 17)}"
-    return f"{approx}{tpart}" if tpart else approx
+    if n != hi:
+        return f"~{approx_text(coeff, 17)}{tpart}"
+    if tpart and d == 1 and n in (1, -1):  # 1 t^q prints as t^q
+        return tpart if n > 0 else f"-{tpart}"
+    return f"{_rational(n, d)}{tpart}"
 
 
 def format_number(x: LeviCivitaNumber) -> str:
     """Canonical display; inverse of `parse_number` on exact values."""
     parts = []
     for n, coeff in x.pairs:
-        rendered = _format_term(Fraction(n, x.denominator), coeff)
+        rendered = _format_term(_t_power(n, x.denominator), coeff)
         if not parts:
             parts.append(rendered)
         elif rendered.startswith("-"):
             parts.append(f" - {rendered[1:]}")
         else:
             parts.append(f" + {rendered}")
-    if x.order is not INFINITE_ORDER:
-        tail = f"O({_format_t_power(x.order) or '1'})"
+    if x.top != INFINITE_ORDER:
+        tail = f"O({_t_power(x.top, x.denominator) or '1'})"
         parts.append(f" + {tail}" if parts else tail)
     if not parts:
         return "0"
@@ -345,16 +345,13 @@ def number_to_json(x: LeviCivitaNumber):
     """JSON value: a grammar string for exact numbers, else a structured dict."""
     if x.is_exact:
         return format_number(x)
+    d = x.denominator
     return {
         "terms": [
-            {
-                "exponent": str(q),
-                "lo": str(c.lo),
-                "hi": str(c.hi),
-                "approx": approx_float(c),
-            }
-            for q, c in x.terms
+            {"exponent": _rational(n, d), "lo": _rational(lo, e), "hi": _rational(hi, e),
+             "approx": approx_float((lo, hi, e))}
+            for n, (lo, hi, e) in x.pairs
         ],
-        "order": None if x.order is INFINITE_ORDER else str(x.order),
+        "order": None if x.top == INFINITE_ORDER else _rational(x.top, d),
         "display": format_number(x),
     }

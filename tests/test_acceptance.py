@@ -252,7 +252,7 @@ def test_criterion_8_classification_and_branch_continuity():
         )
         assert above == lcf.from_rational(2 * radius)
         gap = lcf.sub(above, below).coefficient(0)
-        assert gap.mag() < F(1, 100) * radius
+        assert max(-gap.lo, gap.hi) < F(1, 100) * radius
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     _report(8, elapsed, 10, "classification table exact; branch gap < 1e-2 * r at pi +- 1e-3")

@@ -292,8 +292,9 @@ def test_order_and_net_above_their_bounds_are_rejected_before_any_computation(
         (("dist", "cover", "(1, 0)", "(1, 1)"), cli.MAX_DISTANCE_ORDER),
         (("hull-dist", "cover", "(1, 0)", "(1, 1)"), cli.MAX_DISTANCE_ORDER),
     ):
-        # an exponent form is refused unread: Fraction would first build 10^exponent
-        for order in (*too_large(limit), "1e100000"):
+        # an exponent form is refused unread: Fraction would first build 10^exponent;
+        # a zero denominator gets the same usage message, not a traceback
+        for order in (*too_large(limit), "1e100000", "1/0", "-3/0"):
             code, out, err = run(capsys, *command, f"--order={order}")
             assert code == 2 and out == ""
             if isinstance(order, int) and abs(order) <= cli.MAX_ORDER:

@@ -23,12 +23,13 @@ from ihull.hull import (
     is_approachable,
     is_nearstandard,
 )
-from ihull.intervals import Interval
+from ihull.intervals import Interval, pi_interval
 from ihull.lcf import IndeterminateComparison, LeviCivitaNumber, Magnitude, Ternary
 
 T = lcf.T
 TI = lcf.T_INVERSE
 ONE = lcf.one()
+PI = lcf.from_interval(pi_interval(lcf.DEFAULT_PRECISION))
 
 LINE = spaces.get_space("rationals-line")
 PLANE = spaces.get_space("euclidean-plane")
@@ -135,9 +136,8 @@ def test_hull_distance_cover_flagship():
 def test_hull_distance_cover_pair_at_angle_pi():
     # seen from the basepoint (1, 0) the angle pi~ sits on the branch
     # boundary, but the pair itself is on the chord branch
-    pi = lcf.pi_number()
-    x = halo(COVER, COVER.point(ONE, pi))
-    y = halo(COVER, COVER.point(2, pi))
+    x = halo(COVER, COVER.point(ONE, PI))
+    y = halo(COVER, COVER.point(2, PI))
     assert F(1) in hull_distance(COVER, x, y)
 
 
@@ -221,7 +221,7 @@ def test_hull_distance_same_as_configured_order(order):
         pairs = list(zip(points[::2], points[1::2])) + [(p, p) for p in points[:2]]
         if space.dimension == 2:
             pairs += [
-                (space.point(ONE, lcf.pi_number()), space.point(2, lcf.pi_number())),
+                (space.point(ONE, PI), space.point(2, PI)),
                 (space.point(unknown_r, ONE), space.point(1, 0)),
             ]
         for a, b in pairs:
@@ -274,7 +274,7 @@ def _sweep_point(space, rng):
         return probes.finite_probes(space, rng, 1)[0]
     zeta = rng.choice([
         probes.random_finite(rng),
-        lcf.scale(lcf.pi_number(), probes.random_fraction(rng, 3)),
+        lcf.scale(PI, probes.random_fraction(rng, 3)),
         lcf.add(lcf.from_rational(F(355, 113)), probes.random_infinitesimal(rng)),
     ])
     if kind == "enclosed":
@@ -320,8 +320,8 @@ def test_hull_distance_same_as_the_representatives_alone():
                         pairs += [(a, a), (_moved(b, rng), b)]
                 if space.dimension == 2:
                     pairs += [
-                        (space.point(ONE, lcf.pi_number()), space.point(2, lcf.pi_number())),
-                        (space.point(1, 0), space.point(1, lcf.pi_number())),
+                        (space.point(ONE, PI), space.point(2, PI)),
+                        (space.point(1, 0), space.point(1, PI)),
                         (space.point(T, 1), space.point(unknown_r, 1)),
                     ]
                 else:

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from ihull import lcf
+from ihull.errors import ZeroOrUnknownLeading
 from ihull.intervals import (
     ONE_INTERVAL,
     ZERO_INTERVAL,
     Interval,
     _interval,
+    _reciprocal,
     _reduced,
     _triple,
     cos_sin_interval,
@@ -48,7 +51,7 @@ def _reference(x, y):
 
 
 def _results(x, y):
-    reciprocal = None if x.contains_zero() else x.reciprocal()
+    reciprocal = None if 0 in x else _interval(_reciprocal(_triple(x)))
     return x + y, x - y, x * y, reciprocal
 
 
@@ -57,9 +60,9 @@ def _results(x, y):
 def test_core_arithmetic_equals_the_fraction_reference(x, y):
     got = [None if r is None else (r.lo, r.hi) for r in _results(x, y)]
     assert got == list(_reference(x, y))
-    if x.contains_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.reciprocal()
+    if 0 in x:  # the reciprocal of an interval holding 0
+        with pytest.raises(ZeroOrUnknownLeading):
+            lcf.inverse(lcf.from_interval(x))
 
 
 @PROPERTY
@@ -110,7 +113,6 @@ def test_one_value_by_any_route_is_one_record(x, y, k):
 def test_measures_equal_their_fraction_definitions(x):
     assert ((-x).lo, (-x).hi) == (-x.hi, -x.lo)
     assert x.width == x.hi - x.lo and x.midpoint == (x.lo + x.hi) / 2
-    assert x.mag() == max(abs(x.lo), abs(x.hi))
 
 
 @PROPERTY
@@ -120,8 +122,8 @@ def test_every_producer_boxes_a_reduced_triple(x, y, precision):
     results = [x + y, x - y, x * y, -x, *cos_sin_interval(x, precision)]
     if x.lo_num >= 0:
         results.append(sqrt_interval(x, precision))
-    if not x.contains_zero():
-        results.append(x.reciprocal())
+    if 0 not in x:
+        results.append(_interval(_reciprocal(_triple(x))))
     for r in results:
         low, high, den = _triple(r)
         assert den > 0 and low <= high and math.gcd(low, high, den) == 1, r

@@ -7,15 +7,14 @@ from random import Random
 
 import pytest
 
-from ihull import intervals
-from ihull.errors import NotPositive
+from ihull import intervals, lcf
+from ihull.errors import NotPositive, ZeroOrUnknownLeading
 from ihull.intervals import (
     Interval,
     cos_sin_interval,
     pi_interval,
     reduce_angle,
     sqrt_interval,
-    two_pi_interval,
 )
 from ihull.parsing import parse_number
 
@@ -68,7 +67,7 @@ def test_interval_arithmetic():
     assert a * b == Interval(F(-2), F(6))
     assert (-a) == Interval(F(-2), F(-1))
     assert a * Interval.point(-2) == Interval(F(-4), F(-2))
-    assert a.reciprocal() == Interval(F(1, 2), F(1))
+    assert Interval(1 / a.hi, 1 / a.lo) == Interval(F(1, 2), F(1))
     assert a.intersect(b) == Interval(F(1), F(2))
     assert Interval(F(2), F(3)).intersect(Interval(F(4), F(5))) is None
 
@@ -76,10 +75,10 @@ def test_interval_arithmetic():
 def test_interval_predicates():
     assert Interval.point(3).is_exact
     assert Interval(F(0), F(0)).is_zero
-    assert Interval(F(0), F(1)).contains_zero()
+    assert 0 in Interval(F(0), F(1))
     assert F(1, 2) in Interval(F(0), F(1))
-    with pytest.raises(ZeroDivisionError):
-        Interval(F(-1), F(1)).reciprocal()
+    with pytest.raises(ZeroOrUnknownLeading):  # the reciprocal of an interval holding 0
+        lcf.inverse(lcf.from_interval(Interval(F(-1), F(1))))
 
 
 def _reference_arithmetic(x, y):
@@ -166,6 +165,7 @@ def test_sqrt_interval_requires_nonnegative():
 def test_pi_enclosure():
     enc = pi_interval(64)
     assert enc.lo < PI < enc.hi
+    assert PI in lcf.from_interval(enc).coefficient(0)
     assert enc.width <= F(1, 2**64)
     rough = pi_interval(5)
     assert 3 < rough.lo and rough.hi < 4
@@ -179,9 +179,10 @@ def test_pi_enclosure_at_the_least_precision():
 
 
 def test_pi_refinement_nested():
-    assert pi_interval(2).contains_interval(pi_interval(20))
-    assert pi_interval(20).contains_interval(pi_interval(120))
-    assert two_pi_interval(10).contains_interval(two_pi_interval(50))
+    assert pi_interval(2).intersect(pi_interval(20)) == pi_interval(20)
+    assert pi_interval(20).intersect(pi_interval(120)) == pi_interval(120)
+    two_pi = [pi_interval(p + 1) * Interval.point(2) for p in (10, 50)]
+    assert two_pi[0].intersect(two_pi[1]) == two_pi[1]
 
 
 def test_cos_sin_rational_points():
@@ -216,7 +217,7 @@ def test_cos_interval_input_padding():
 def test_cos_refinement_nested():
     outer, _ = cos_sin_interval(Interval.point(1), 16)
     inner, _ = cos_sin_interval(Interval.point(1), 96)
-    assert outer.contains_interval(inner)
+    assert outer.intersect(inner) == inner
 
 
 def test_enclosures_contain_mpmath_intervals():
@@ -238,13 +239,16 @@ def test_enclosures_contain_mpmath_intervals():
     saved, iv.prec = iv.prec, 320
     try:
         for precision in (64, 256):
-            assert pi_interval(precision).contains_interval(as_interval(iv.pi))
+            pi = as_interval(iv.pi)
+            assert pi_interval(precision).intersect(pi) == pi
             for x in xs:
                 root = sqrt_interval(Interval.point(abs(x)), precision)
-                assert root.contains_interval(reference(iv.sqrt, abs(x))), x
+                root_ref = reference(iv.sqrt, abs(x))
+                assert root.intersect(root_ref) == root_ref, x
                 c, s = cos_sin_interval(Interval.point(x), precision)
-                assert c.contains_interval(reference(iv.cos, x)), x
-                assert s.contains_interval(reference(iv.sin, x)), x
+                cos_ref, sin_ref = reference(iv.cos, x), reference(iv.sin, x)
+                assert c.intersect(cos_ref) == cos_ref, x
+                assert s.intersect(sin_ref) == sin_ref, x
     finally:
         iv.prec = saved
 
@@ -284,7 +288,7 @@ def test_cos_sin_contain_mpmath_intervals_at_large_arguments():
             cos_ref, sin_ref = as_interval(iv.cos(arg)), as_interval(iv.sin(arg))
             for precision in (16, 64, 256):
                 c, s = cos_sin_interval(Interval.point(x), precision)
-                assert c.contains_interval(cos_ref) and s.contains_interval(sin_ref), x
+                assert c.intersect(cos_ref) == cos_ref and s.intersect(sin_ref) == sin_ref, x
                 assert max(c.width, s.width) <= F(1, 2**precision), x
     finally:
         iv.prec = saved
@@ -296,7 +300,7 @@ def test_cos_sin_nested_for_every_pair_of_precisions():
         enclosures = [cos_sin_interval(Interval.point(x), p) for p in range(1, 81)]
         for i, (c_p, s_p) in enumerate(enclosures):
             for c_q, s_q in enclosures[i + 1:]:
-                assert c_p.contains_interval(c_q) and s_p.contains_interval(s_q), x
+                assert c_p.intersect(c_q) == c_q and s_p.intersect(s_q) == s_q, x
 
 
 def test_cos_sin_nested_at_the_widest_admissible_raw_enclosures(monkeypatch):
@@ -317,7 +321,7 @@ def test_cos_sin_nested_at_the_widest_admissible_raw_enclosures(monkeypatch):
     for x in (F(1), F(-2, 3), F(10**6), _near_multiple_of_pi(3)):
         enclosures = [cos_sin_interval(Interval.point(x), p) for p in range(1, 41)]
         for (c_p, s_p), (c_q, s_q) in zip(enclosures, enclosures[1:]):
-            assert c_p.contains_interval(c_q) and s_p.contains_interval(s_q), x
+            assert c_p.intersect(c_q) == c_q and s_p.intersect(s_q) == s_q, x
 
 
 def test_cos_cost_does_not_grow_with_the_argument(monkeypatch):

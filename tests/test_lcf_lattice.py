@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ihull import lcf
+from ihull import lcf, parsing
 from ihull.errors import IndeterminateComparison
 from ihull.intervals import ZERO_INTERVAL, Interval
 from ihull.lcf import INFINITE_ORDER, LeviCivitaNumber
@@ -60,6 +60,38 @@ def test_rebuilt_and_parsed_numbers_equal_the_stored_one(x):
     assert [n for n, _ in x.pairs] == sorted({n for n, _ in x.pairs})
     assert x.order == INFINITE_ORDER or x.order == F(x.top, x.denominator)
     assert parse_number(format_number(x)) == x
+
+
+@PROPERTY
+@given(st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 200), st.integers(1, 1 << 40))
+@example(0, 1, 1)
+@example(0, 12, 5)
+@example(-6, 4, 1)
+@example(7, 1, 3)
+def test_a_printed_rational_is_what_its_fraction_prints(n, d, k):
+    # the stored integers print as their Fraction does, reduced or not
+    assert parsing._rational(n, d) == str(F(n, d))
+    assert parsing._rational(n * k, d * k) == str(F(n, d))
+
+
+def _json_from_terms(x):
+    """`number_to_json` of x computed from its terms as Fractions and Intervals."""
+    if x.is_exact:
+        return format_number(x)
+    return {
+        "terms": [
+            {"exponent": str(q), "lo": str(c.lo), "hi": str(c.hi), "approx": float(c.midpoint)}
+            for q, c in x.terms
+        ],
+        "order": None if x.order is INFINITE_ORDER else str(x.order),
+        "display": format_number(x),
+    }
+
+
+@PROPERTY
+@given(_numbers)
+def test_json_from_the_stored_integers_equals_the_json_from_the_terms(x):
+    assert parsing.number_to_json(x) == _json_from_terms(x)
 
 
 @PROPERTY

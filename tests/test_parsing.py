@@ -8,7 +8,7 @@ import pytest
 
 from ihull import lcf, parsing
 from ihull.errors import IndeterminateComparison, ParseError
-from ihull.intervals import Interval
+from ihull.intervals import Interval, _triple
 from ihull.parsing import (
     MAX_NESTING,
     approx_float,
@@ -194,6 +194,29 @@ def test_format_number_makes_no_fraction_comparison(monkeypatch):
     assert calls == []
 
 
+def test_printing_builds_no_fraction(monkeypatch):
+    # exponents, the order, coefficients and endpoints print from the stored integers
+    x = parse_number("1/3t^-2/3 + O(t^17/6)") + lcf.monomial(Interval(F(1, 2), F(3, 4)), F(5, 6))
+    built = []
+    new = F.__new__
+    counted = lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)
+    monkeypatch.setattr(F, "__new__", counted)
+    text, payload = format_number(x), number_to_json(x)
+    assert built == []
+    F(1, 3)  # the count sees a Fraction built
+    assert built == [(1, 3)]
+    monkeypatch.undo()
+    assert text == "1/3t^-2/3 + ~0.625t^5/6 + O(t^17/6)"
+    assert payload == {
+        "terms": [
+            {"exponent": "-2/3", "lo": "1/3", "hi": "1/3", "approx": 1 / 3},
+            {"exponent": "5/6", "lo": "1/2", "hi": "3/4", "approx": 0.625},
+        ],
+        "order": "17/6",
+        "display": text,
+    }
+
+
 def test_sums_merge_each_term_a_logarithmic_number_of_times(monkeypatch):
     # a left fold merges up to k terms at the k-th "+", n^2/2 for the sum
     n = 4096
@@ -299,4 +322,4 @@ def test_display_float_is_the_correctly_rounded_midpoint():
             want = float(c.midpoint)
         except OverflowError:
             want = None
-        assert repr(approx_float(c)) == repr(want), c
+        assert repr(approx_float(_triple(c))) == repr(want), c
