@@ -769,6 +769,11 @@ def test_cos_rejects_infinite():
         lcf.cos_enclosure(TI, 4, 64)
 
 
+def test_pi_number():
+    PI = F(31415926535897932384626433832795028841971, 10**40)
+    assert PI in lcf.from_interval(pi_interval(64)).coefficient(0)
+
+
 def test_refinement_monotonicity():
     coarse = lcf.sqrt(lcf.from_rational(2), 4, 24).coefficient(0)
     fine = lcf.sqrt(lcf.from_rational(2), 4, 96).coefficient(0)
