@@ -310,10 +310,10 @@ def _cmd_oracle(args) -> int:
     space = spaces.get_space("cover", precision=args.precision)
     coords = [space.point(*parse_point(p)).coords for p in (args.p1, args.p2)]
     a, b = (tuple(_grid_coordinate(cover.exact_standard_value(c)) for c in p) for p in coords)
+    pa, pb = (cover.CoverPoint(*p) for p in coords)  # a radius <= 0 fails before any grid
     cfg = gridoracle.window_for([a, b], n_r=args.grid, n_zeta=args.grid)
     approx = gridoracle.oracle_distance(cfg, a, b)
     # at exact standard points no series runs, so no order is needed
-    pa, pb = (cover.CoverPoint(*p) for p in coords)
     closed = float(
         lcf.standard_part(cover.cover_distance(pa, pb, precision=args.precision)).midpoint
     )

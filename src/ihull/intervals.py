@@ -10,16 +10,17 @@ An interval is stored as its reduced integer triple (L, H, E), meaning
 intervals have equal fields.  `lo` and `hi` build a Fraction each when read,
 for JSON, checks and callers; arithmetic and every test of sign,
 exactness or containment read the integers (exact is L == H, certainly
-positive L > 0).  Sum, product and reciprocal run on triples, the form `lcf`
-stores coefficients in: `_triple` reads the fields, `_reduced` puts a triple
-over its least E by one gcd and `_interval` boxes a reduced triple as it is.
+positive L > 0).  Sum, product, reciprocal, sqrt and cos/sin run on triples,
+the form `lcf` stores coefficients in: `_triple` reads the fields, `_reduced`
+puts a triple over its least E by one gcd and `_interval` boxes one as it is.
 A chain of exact operations on triples gives the rationals the same chain on
 Fractions gives, without a gcd after each (Brent and Zimmermann, Modern
 Computer Arithmetic, ch. 1).
 
-Enclosures are *nested under refinement*: calling any function here but
-`reduce_angle` with a larger `precision` returns an interval contained in the
-one returned at a smaller precision.  Tests rely on this.
+Enclosures are *nested under refinement*: `pi_interval` and the private
+kernels `_sqrt` and `_cos_sin`, called with a larger `precision`, return an
+enclosure contained in the one returned at a smaller precision (`reduce_angle`
+need not).  Tests rely on this.
 
 cos and sin at a rational s run on integers.  An |s| of 4 or more is first
 reduced by `reduce_angle` to an enclosure of s - 2 pi k within
@@ -216,23 +217,22 @@ def _reciprocal(x: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 ZERO_INTERVAL = _interval((0, 0, 1))
-ONE_INTERVAL = _interval((1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
 # square roots
 # ---------------------------------------------------------------------------
 
-def sqrt_interval(x: Interval, precision: int) -> Interval:
-    """Enclosure of sqrt over the interval; requires x.lo >= 0.  At each
-    endpoint n/d in lowest terms, sqrt(n/d) = isqrt(n*d*4^p) / (d*2^p) up to
-    one unit in the last place (an unreduced n/d gives another rational);
-    exact at perfect rational squares.  Bounds at p + 1 nest inside those at p."""
-    lo_num, hi_num, den = _triple(x)
+def _sqrt(c: tuple[int, int, int], precision: int) -> tuple[int, int, int]:
+    """Enclosure of sqrt over a triple with L >= 0.  At each endpoint n/d in
+    lowest terms, sqrt(n/d) = isqrt(n*d*4^p) / (d*2^p) up to one unit in the
+    last place (an unreduced n/d gives another rational); exact at perfect
+    rational squares.  Bounds at p + 1 nest inside those at p."""
+    lo_num, hi_num, den = c
     if lo_num < 0:
-        raise NotPositive(f"sqrt of interval {x} reaching below 0")
+        raise NotPositive(f"sqrt of interval {_interval(c)} reaching below 0")
     (lo, _, d1), (_, hi, d2) = (_root_bounds(n, den, precision) for n in (lo_num, hi_num))
-    return _interval(_reduced((lo * d2, hi * d1, d1 * d2)))
+    return _reduced((lo * d2, hi * d1, d1 * d2))
 
 
 def _root_bounds(n: int, e: int, precision: int) -> tuple[int, int, int]:
@@ -320,42 +320,61 @@ _COS_SIN_GUARD_BITS = 12
 _REDUCE_ABOVE = 4
 
 
-def _cos_sin_rational(s: Fraction, precision: int) -> tuple[Interval, Interval]:
-    """Enclosures [m - 4g, m + 4g] of (cos s, sin s) from raw enclosures of
-    half-width <= g = 2^-(precision + C) (module docstring)."""
-    if not s:
-        return ONE_INTERVAL, ZERO_INTERVAL
-    bits = precision + _COS_SIN_EXTRA_BITS
-    n, d = s.as_integer_ratio()
-    angle = _interval((n, n, d)) if abs(n) < _REDUCE_ABOVE * d else reduce_angle(s, bits + 8)
-    raw = _fixed_cos_sin(angle, bits + _COS_SIN_GUARD_BITS, bits)
-    if raw is None:
-        raise AssertionError(f"cos/sin of {s}: raw enclosure wider than 2g")
-    (cos_lo, cos_hi), (sin_lo, sin_hi) = raw
-    return _around(cos_lo + cos_hi, bits), _around(sin_lo + sin_hi, bits)
+def _cos_sin(c: tuple[int, int, int], precision: int):
+    """Enclosures of (cos, sin) over a triple, as triples: at the midpoint
+    s = (L + H)/2E, [m - 4g, m + 4g] from raw enclosures of half-width <= g =
+    2^-(precision + C) (module docstring), each padded by the half-width
+    (|cos'|, |sin'| <= 1) and clamped to [-1, 1].  A point needs no pad, an
+    enclosure within [-1, 1] no clamp, and s no gcd: kn/kd and n/d give the
+    same fixed-point argument."""
+    lo, hi, den = c
+    n, d = lo + hi, 2 * den
+    if not n:
+        cos, sin = (1, 1, 1), (0, 0, 1)
+    else:
+        bits = precision + _COS_SIN_EXTRA_BITS
+        reduce = abs(n) >= _REDUCE_ABOVE * d
+        angle = _triple(reduce_angle(Fraction(n, d), bits + 8)) if reduce else (n, n, d)
+        raw = _fixed_cos_sin(angle, bits + _COS_SIN_GUARD_BITS, bits)
+        if raw is None:
+            raise AssertionError(f"cos/sin of {Fraction(n, d)}: raw enclosure wider than 2g")
+        cos, sin = (_around(e_lo + e_hi, bits) for e_lo, e_hi in raw)
+    if lo != hi:
+        pad = (lo - hi, hi - lo, 2 * den)  # [-w/2, w/2], w the width
+        cos, sin = _reduced(_sum(cos, pad)), _reduced(_sum(sin, pad))
+    return _clamp(cos), _clamp(sin)
 
 
-def _around(twice_mid: int, bits: int) -> Interval:
+def _around(twice_mid: int, bits: int) -> tuple[int, int, int]:
     """[m - 4g, m + 4g] for m = twice_mid / 2^(bits + G + 1), G the guard
     bits, rounded to the nearest multiple of g/2, g = 2^-bits."""
     m = (twice_mid + (1 << (_COS_SIN_GUARD_BITS - 1))) >> _COS_SIN_GUARD_BITS
     unit = 1 << (bits + 1)
-    return _interval(_reduced((m - 8, m + 8, unit)))
+    return _reduced((m - 8, m + 8, unit))
 
 
-def _fixed_cos_sin(x: Interval, w: int, bits: int):
+def _clamp(c: tuple[int, int, int]) -> tuple[int, int, int]:
+    """c met with [-1, 1]: it encloses a cos or a sin, so the two meet."""
+    lo, hi, den = c
+    if -den <= lo and hi <= den:
+        return c
+    return _reduced((max(lo, -den), min(hi, den), den))
+
+
+def _fixed_cos_sin(c: tuple[int, int, int], w: int, bits: int):
     """Raw integer enclosures ((L, H), (L', H')) of 2^w cos x and 2^w sin x
-    for every x in the interval, by Taylor sums on w-bit fixed point, or None
-    when either is wider than 2 * 2^(w - bits)."""
-    if x.lo_num >= 0:
-        a_lo, a_hi, sin_sign = x.lo_num, x.hi_num, 1
-    elif x.hi_num <= 0:
-        a_lo, a_hi, sin_sign = -x.hi_num, -x.lo_num, -1
+    for every x in the triple's interval, by Taylor sums on w-bit fixed point,
+    or None when either is wider than 2 * 2^(w - bits)."""
+    lo, hi, den = c
+    if lo >= 0:
+        a_lo, a_hi, sin_sign = lo, hi, 1
+    elif hi <= 0:
+        a_lo, a_hi, sin_sign = -hi, -lo, -1
     else:
-        a_lo, a_hi, sin_sign = 0, max(-x.lo_num, x.hi_num), 0
+        a_lo, a_hi, sin_sign = 0, max(-lo, hi), 0
     one = 1 << w
-    x_lo = a_lo * one // x.den
-    x_hi = -(-a_hi * one // x.den)
+    x_lo = a_lo * one // den
+    x_hi = -(-a_hi * one // den)
     sq_lo = x_lo * x_lo >> w
     sq_hi = -(-x_hi * x_hi >> w)
     limit = 1 << (w - bits)  # g in units of 2^-w
@@ -391,24 +410,3 @@ def _alternating_sum(t_lo, t_hi, sq_lo, sq_hi, m, w, limit):
             tail = -(-next_hi * divisor // (divisor - sq_hi))
             return lo - tail, hi + tail
         t_lo, t_hi, sign, m = next_lo, next_hi, -sign, m + 2
-
-
-def cos_sin_interval(x: Interval, precision: int) -> tuple[Interval, Interval]:
-    """Enclosures of (cos, sin) over a rational interval.
-
-    Evaluates both at the midpoint and pads each by the halfwidth
-    (|cos'|, |sin'| <= 1), then clamps to [-1, 1].  An exact point is its
-    own midpoint and needs no pad, and an enclosure within [-1, 1] no clamp.
-    """
-    c, s = _cos_sin_rational(x.midpoint, precision)
-    lo, hi, den = _triple(x)
-    if lo != hi:
-        pad = (lo - hi, hi - lo, 2 * den)  # [-w/2, w/2], w the width
-        c, s = (_interval(_reduced(_sum(_triple(e), pad))) for e in (c, s))
-    return _clamp(c), _clamp(s)
-
-
-def _clamp(enc: Interval) -> Interval:
-    if -enc.den <= enc.lo_num and enc.hi_num <= enc.den:
-        return enc
-    return enc.intersect(_interval((-1, 1, 1))) or enc

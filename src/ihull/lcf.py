@@ -34,10 +34,11 @@ n < top and orders combine by + and min, with no case for an exact operand.
 A coefficient [L/E, H/E] is stored as the reduced triple (L, H, E) an
 `Interval` stores (E > 0, L <= H, gcd 1), never (0, 0), so equal coefficients
 are equal tuples.  Operations run on triples (`intervals`' `_sum`, `_product`,
-`_reciprocal`) and store each result by `_reduced`, one gcd; `neg` needs none.
-An `Interval` is built only where a coefficient leaves for a caller
-(`coefficient`, `terms`, sqrt's c) and read only where one enters (`monomial`,
-`sign_plus`, sqrt c, cos, sin); `parsing` prints the stored integers.
+`_reciprocal`, and `_sqrt` and `_cos_sin` for a series' start) and store each
+result by `_reduced`, one gcd; `neg` needs none.  An `Interval` is built only
+where a coefficient leaves for a caller (`coefficient`, `terms`, and the
+standard part cos and sin start from) and read only where one enters
+(`monomial`, `sign_plus`); `parsing` prints the stored integers.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -84,15 +85,15 @@ from .intervals import (
     Interval,
     ZERO_INTERVAL,
     Record,
+    _cos_sin,
     _interval,
     _product,
     _ratio,
     _reciprocal,
     _reduced,
+    _sqrt,
     _sum,
     _triple,
-    cos_sin_interval,
-    sqrt_interval,
 )
 
 #: Truncation order of exact values ("no unknown tail").
@@ -599,7 +600,7 @@ def sqrt(
     if not a.pairs or a.pairs[0][1][0] <= 0:
         raise NotPositive("sqrt requires a strictly positive leading coefficient")
     u, _, n = _split_leading(a, halve=True)
-    root_c = _triple(sqrt_interval(_interval(a.pairs[0][1]), precision))
+    root_c = _sqrt(a.pairs[0][1], precision)
     return _series(u, order, _SQRT, ((0, root_c),), n // 2, n // 2)
 
 
@@ -624,9 +625,8 @@ def cos_enclosure(
     a: LeviCivitaNumber, order=DEFAULT_ORDER, precision: int = DEFAULT_PRECISION
 ) -> LeviCivitaNumber:
     """cos of a finite value: cos(s)cos(u) - sin(s)sin(u) with s = st-part."""
-    (cos_s, sin_s), u = _angle_addition_parts(a, precision)
-    lo, hi, den = _triple(sin_s)
-    return _series(u, order, _COS_SIN, ((0, _triple(cos_s)), (1, (-hi, -lo, den))), 0)
+    (cos_s, (lo, hi, den)), u = _angle_addition_parts(a, precision)
+    return _series(u, order, _COS_SIN, ((0, cos_s), (1, (-hi, -lo, den))), 0)
 
 
 def sin_enclosure(
@@ -634,14 +634,14 @@ def sin_enclosure(
 ) -> LeviCivitaNumber:
     """sin of a finite value, by the same angle-addition split as cos."""
     (cos_s, sin_s), u = _angle_addition_parts(a, precision)
-    return _series(u, order, _COS_SIN, ((1, _triple(cos_s)), (0, _triple(sin_s))), 0)
+    return _series(u, order, _COS_SIN, ((1, cos_s), (0, sin_s)), 0)
 
 
 def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
-    """(cos s, sin s) and u as `_series` takes it for a = s + u, s the
-    standard part (NotFinite unless determined), u the positive part."""
+    """(cos s, sin s) as triples and u as `_series` takes it for a = s + u, s
+    the standard part (NotFinite unless determined), u the positive part."""
     u = (a.denominator, [(n, c) for n, c in a.pairs if n > 0], a.top)
-    return cos_sin_interval(standard_part(a), precision), u
+    return _cos_sin(_triple(standard_part(a)), precision), u
 
 
 # -- rational approximation -----------------------------------------------------------

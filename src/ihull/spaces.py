@@ -23,9 +23,9 @@ verdict is as sound as the magnitude tests on the coordinates themselves:
 
 * rationals-line: d(x, 0) = |x|, so a point is finite iff its coordinate is.
   Every finite hyperrational is approachable (rationals are dense at
-  standard scales); a point is nearstandard iff its standard part is an
-  exact rational, since an interval-valued standard part arises only from
-  enclosures of irrationals (sqrt, cos), which no rational matches.
+  standard scales).  `locate` gives the standard point when the standard
+  part is one exact rational and none otherwise, though a wider enclosure
+  may hold a rational: that "no" has no certificate (ROADMAP item 1).
 * euclidean-plane: max(|x|, |y|) <= d((x, y), 0) <= |x| + |y|, so a point
   is finite iff both coordinates are.  Every finite point is approachable
   and nearstandard (its standard part, coordinatewise, is the standard
@@ -38,10 +38,10 @@ verdict is as sound as the magnitude tests on the coordinates themselves:
   |r - 1| <= d((r, zeta), (1, 0)) <= r + 1 and a point is finite iff r
   is, whatever zeta.  A surely finite r of unknown magnitude is therefore
   finite even when its cover classification is unknown; the restored
-  origin is finite.  Approachability and nearstandardness are delegated
-  to one cover classification per point; the inapproachable verdict is
-  backed by the separation-rectangle certificate, the origin-halo verdict
-  by the explicit short path to (eps, 0).
+  origin is finite.  Approachability and nearstandardness are read from one
+  `classify_point` verdict per point, from the magnitudes of r and zeta:
+  `locate` calls neither `separation_certificate` nor `origin_path_bound`,
+  so no certificate backs an inapproachable or origin-halo verdict (item 1).
 """
 
 from __future__ import annotations

@@ -236,6 +236,20 @@ def test_oracle_rejects_a_wrong_coordinate_count(capsys):
         assert code == 2 and "cover needs 2 coordinates, got 1" in err
 
 
+def test_oracle_rejects_a_radius_at_most_zero_before_any_grid(capsys, monkeypatch):
+    from ihull import gridoracle
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a rejected point must not reach the grid")
+
+    for name in ("window_for", "oracle_distance", "oracle_distances", "_build_graph"):
+        monkeypatch.setattr(gridoracle, name, unreachable)
+    for p1 in ("(-1, 0)", "(0, 0)"):
+        for command in (["oracle"], ["dist", "cover"]):
+            code, out, err = run(capsys, *command, p1, "(1, 1)")
+            assert (code, out) == (2, "") and "radial coordinate must be positive" in err, err
+
+
 def test_oracle_rejects_a_grid_above_the_bound(capsys, monkeypatch):
     from ihull import gridoracle
 
@@ -313,6 +327,23 @@ def test_order_and_net_above_their_bounds_are_rejected_before_any_computation(
         main(["dist", "cover", "(1, 0)", "(1, 1)", f"--order={cli.MAX_DISTANCE_ORDER}"])
     assert [cli.net_points(str(n)) for n in (2, 3, 10, 12)] == [2, 3, 10, 12]
     assert cli.net_points(str(cli.MAX_NET_POINTS)) == cli.MAX_NET_POINTS
+
+
+def test_a_negative_fractional_order_is_written_with_equals(capsys, monkeypatch):
+    # argparse reads "-1/2" after --order as a flag, not as a negative number
+    # (README, the --order paragraph)
+    from ihull import cli
+
+    code, out, err = run(capsys, "eval", "1/(1-t)", "--order", "-1/2")
+    assert (code, out) == (2, "") and "argument --order: expected one argument" in err
+    orders = []
+    parse_expression = cli.parse_expression
+    monkeypatch.setattr(
+        cli, "parse_expression", lambda text, order: orders.append(order) or parse_expression(text, order)
+    )
+    for flags in (["--order=-1/2"], ["--order", "-1"], ["--order", "-0.5"]):
+        assert run(capsys, "eval", "1/(1-t)", *flags) == (0, "O(1)\n", ""), flags
+    assert orders == [Fraction(-1, 2), -1, Fraction(-1, 2)]
 
 
 def test_lattice_above_the_bound_is_rejected_before_any_computation(capsys, monkeypatch):

@@ -16,13 +16,7 @@ from ihull.errors import (
     NotStandard,
     PreconditionViolated,
 )
-from ihull.intervals import (
-    Interval,
-    cos_sin_interval,
-    pi_interval,
-    reduce_angle,
-    sqrt_interval,
-)
+from ihull.intervals import Interval, pi_interval, reduce_angle
 from ihull.lcf import (
     INFINITE_ORDER,
     IndeterminateComparison,
@@ -32,6 +26,7 @@ from ihull.lcf import (
     Ternary,
 )
 from ihull.parsing import parse_number
+from kernels import cos_sin_interval, sqrt_interval
 from test_intervals import assert_value_record
 
 T = lcf.T

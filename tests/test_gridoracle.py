@@ -20,7 +20,8 @@ from ihull.gridoracle import (
     oracle_distances,
     window_for,
 )
-from ihull.intervals import Interval, cos_sin_interval, pi_interval
+from ihull.intervals import Interval, pi_interval
+from kernels import cos_sin_interval
 
 CHORD_1 = 0.9588510772084060  # closed form for (1,0)-(1,1)
 

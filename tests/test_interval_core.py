@@ -8,16 +8,14 @@ import pytest
 from ihull import lcf
 from ihull.errors import ZeroOrUnknownLeading
 from ihull.intervals import (
-    ONE_INTERVAL,
     ZERO_INTERVAL,
     Interval,
     _interval,
     _reciprocal,
     _reduced,
     _triple,
-    cos_sin_interval,
-    sqrt_interval,
 )
+from kernels import cos_sin_interval, sqrt_interval
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -98,7 +96,7 @@ def test_one_value_by_any_route_is_one_record(x, y, k):
         Interval(x.lo, x.hi),
         _interval(_reduced(tuple(k * n for n in _triple(x)))),
         x + ZERO_INTERVAL,
-        x * ONE_INTERVAL,
+        x * Interval.point(1),
     ]
     assert all(r == x and hash(r) == hash(x) for r in routes)
     total = Interval(x.lo + y.lo, x.hi + y.hi)

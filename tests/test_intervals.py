@@ -9,14 +9,9 @@ import pytest
 
 from ihull import intervals, lcf
 from ihull.errors import NotPositive, ZeroOrUnknownLeading
-from ihull.intervals import (
-    Interval,
-    cos_sin_interval,
-    pi_interval,
-    reduce_angle,
-    sqrt_interval,
-)
+from ihull.intervals import Interval, pi_interval, reduce_angle
 from ihull.parsing import parse_number
+from kernels import cos_sin_interval, sqrt_interval
 
 # reference digits, frozen from an independent high-precision evaluation
 SQRT2 = F(14142135623730950488016887242096980785696, 10**40)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from ihull import lcf
+from ihull import intervals, lcf
 from ihull.errors import (
     IndeterminateComparison,
     NotFinite,
@@ -14,13 +14,7 @@ from ihull.errors import (
     PreconditionViolated,
     ZeroOrUnknownLeading,
 )
-from ihull.intervals import (
-    Interval,
-    _cos_sin_rational,
-    cos_sin_interval,
-    pi_interval,
-    sqrt_interval,
-)
+from ihull.intervals import Interval, pi_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     LeviCivitaNumber,
@@ -29,6 +23,7 @@ from ihull.lcf import (
     Ternary,
 )
 from ihull.probes import random_appreciable_positive, random_exact, random_finite
+from kernels import cos_sin_interval, sqrt_interval
 
 T = lcf.T
 TI = lcf.T_INVERSE
@@ -563,11 +558,12 @@ def reference_shift(a, delta):
 
 def reference_cos_sin(x, precision):
     """cos_sin_interval as it ran before its exact-point path: midpoint,
-    pad by the halfwidth and clamp to [-1, 1], also at an exact point."""
+    pad by the halfwidth and clamp to [-1, 1], also at an exact point.  The
+    point's enclosure arrives clamped, which leaves the padded clamp as it is."""
     pad = x.width / 2
     return tuple(
         Interval(e.lo - pad, e.hi + pad).intersect(Interval(F(-1), F(1)))
-        for e in _cos_sin_rational(x.midpoint, precision)
+        for e in cos_sin_interval(Interval.point(x.midpoint), precision)
     )
 
 
@@ -734,6 +730,32 @@ def test_a_series_in_zero_is_its_start(monkeypatch):
             result = op(x, order) if op is lcf.inverse else op(x, order, 64)
             assert result == expected and result.order == INFINITE_ORDER, (op, x, order)
     assert calls == 0
+
+
+def test_sqrt_cos_sin_hand_the_kernels_stored_triples(monkeypatch):
+    # the root of the lead and cos/sin of the standard part run on the
+    # triples the field stores: no Fraction is built, and no Interval is
+    # boxed but the standard part that cos and sin read
+    ops = (lcf.sqrt, lcf.cos_enclosure, lcf.sin_enclosure)
+    cases = [(op, x, op(x, 4, 64)) for op, x in zip(ops, map(num, ("2 + t", "1/3 + t", "1/3 + t")))]
+    counts = {"Fraction": 0, "Interval": 0}
+    fraction_new, box = F.__new__, intervals._interval
+
+    def counted_fraction(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def counted_box(c):
+        counts["Interval"] += 1
+        return box(c)
+
+    monkeypatch.setattr(F, "__new__", counted_fraction)
+    monkeypatch.setattr(intervals, "_interval", counted_box)
+    monkeypatch.setattr(lcf, "_interval", counted_box)
+    for op, x, expected in cases:
+        counts.update(Fraction=0, Interval=0)
+        assert op(x, 4, 64) == expected
+        assert counts == {"Fraction": 0, "Interval": 0 if op is lcf.sqrt else 1}, (op, counts)
 
 
 def test_cos_examples():
