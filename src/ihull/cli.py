@@ -43,7 +43,7 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 #: The largest --precision accepted: enclosing pi alone grows like p^2.4,
-#: about 0.1 s at 4,000 bits and 3 s at 16,000.
+#: about 0.02 s at 4,096 bits and 0.75 s at 16,000 (2-core x86-64, Python 3.11).
 MAX_PRECISION = 4096
 #: The largest |--order| (README's `--order` paragraph: the worst eval found takes ~37 s).
 MAX_ORDER = 2048

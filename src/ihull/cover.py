@@ -273,7 +273,7 @@ def separated_net(n: int) -> list[CoverPoint]:
 
 def exact_standard_value(x: LeviCivitaNumber) -> Fraction:
     """The rational value of an exact standard number, else NotStandard."""
-    if not x.is_exact or any(q != 0 for q, _ in x.terms):
+    if not x.is_exact or any(n != 0 for n, _ in x.pairs):
         raise NotStandard("exact standard coordinates required")
     return x.coefficient(0).lo
 

@@ -97,16 +97,16 @@ def window_for(
     connectivity: str = "8-neighbor+knight",
 ) -> GridConfig:
     """A window containing `points` with margin, deep enough toward the
-    puncture that through-origin dips are representable."""
+    puncture that through-origin dips are representable: a path through it
+    pays about r_min * span, so past an angle span of 8 the floor r_min =
+    min r / 100 shrinks with the span (the same window up to 8)."""
     rs = [p[0] for p in points]
     zs = [p[1] for p in points]
-    r_lo = min(0.01 * min(rs), 0.5 * min(rs))
-    r_hi = 1.2 * max(rs)
     span = max(zs) - min(zs)
     pad = 0.15 * span + 0.3
     return GridConfig(
-        r_min=r_lo,
-        r_max=r_hi,
+        r_min=0.01 * min(rs) * 8 / max(span, 8),
+        r_max=1.2 * max(rs),
         zeta_min=min(zs) - pad,
         zeta_max=max(zs) + pad,
         n_r=n_r,

@@ -7,23 +7,25 @@ property).  An exact number is the degenerate interval with `lo == hi`.
 
 An interval is stored as its reduced integer triple (L, H, E), meaning
 [L/E, H/E] with E > 0 and gcd(L, H, E) = 1: a canonical form, so equal
-intervals have equal fields.  `lo` and `hi` build a Fraction each when read,
-for JSON, checks and callers; arithmetic and every test of sign,
-exactness or containment read the integers (exact is L == H, certainly
-positive L > 0).  Sum, product, reciprocal, sqrt and cos/sin run on triples,
-the form `lcf` stores coefficients in: `_triple` reads the fields, `_reduced`
-puts a triple over its least E by one gcd and `_interval` boxes one as it is.
-A chain of exact operations on triples gives the rationals the same chain on
-Fractions gives, without a gcd after each (Brent and Zimmermann, Modern
-Computer Arithmetic, ch. 1).
+intervals have equal fields.  A Fraction is built only for a caller: by the
+views `lo`, `hi`, `width` and `midpoint`, by `intersect` and display, by
+`_ratio` reading a value that is neither an int nor a Fraction, and in an
+error message; arithmetic and every test of sign, exactness or containment
+read the integers (exact is L == H, certainly positive L > 0).  Sum, product,
+reciprocal, sqrt, cos/sin, angle reduction and pi's Machin sums run on
+triples, the form `lcf` stores coefficients in: `_triple` reads the fields,
+`_reduced` puts a triple over its least E by one gcd and `_interval` boxes one
+as it is.  A chain of exact operations on triples gives the rationals the
+same chain on Fractions gives, without a gcd after each (Brent and
+Zimmermann, Modern Computer Arithmetic, ch. 1).
 
 Enclosures are *nested under refinement*: `pi_interval` and the private
 kernels `_sqrt` and `_cos_sin`, called with a larger `precision`, return an
-enclosure contained in the one returned at a smaller precision (`reduce_angle`
-need not).  Tests rely on this.
+enclosure contained in the one returned at a smaller precision
+(`_reduce_angle` need not).  Tests rely on this.
 
 cos and sin at a rational s run on integers.  An |s| of 4 or more is first
-reduced by `reduce_angle` to an enclosure of s - 2 pi k within
+reduced by `_reduce_angle` to an enclosure of s - 2 pi k within
 pi + 2^-(precision + C + 8) of 0: any integer k gives the same cos and sin,
 so k is not certified, and the proof below needs only that the raw enclosure
 contains the value with half-width at most g.  For the magnitude a of either
@@ -247,29 +249,20 @@ def _root_bounds(n: int, e: int, precision: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# pi
+# pi and angle reduction
 # ---------------------------------------------------------------------------
 
-def _arctan_inv_bounds(x: int, target: Fraction) -> Interval:
-    """Enclosure of arctan(1/x) from consecutive partial sums.
-
-    The series sum (-1)^k / ((2k+1) x^(2k+1)) alternates with strictly
-    decreasing terms, so the limit always lies between consecutive partial
-    sums.  More terms give nested enclosures.
-    """
-    x2 = x * x
-    power = x  # x^(2k+1)
-    k = 0
-    total = Fraction(0)
-    while True:
-        term = Fraction(1, (2 * k + 1) * power)
-        if term <= target:
-            if k % 2 == 0:
-                return Interval(total, total + term)
-            return Interval(total - term, total)
-        total += term if k % 2 == 0 else -term
-        power *= x2
-        k += 1
+def _arctan_inv(x: int, bits: int) -> tuple[int, int, int]:
+    """Enclosure of arctan(1/x) as a triple.  The series sum (-1)^k /
+    ((2k+1) x^(2k+1)) alternates with strictly decreasing terms, so the limit
+    lies between consecutive partial sums, here the two about the first term
+    at most 2^-bits.  More terms give nested enclosures."""
+    total, k, power = (0, 0, 1), 0, x  # power = x^(2k+1)
+    while (2 * k + 1) * power < 1 << bits:
+        total = _sum(total, ((-1) ** k, (-1) ** k, (2 * k + 1) * power))
+        k, power = k + 1, power * x * x
+    # the first term left out is added at an even k and subtracted at an odd one
+    return _sum(total, (-(k % 2), 1 - k % 2, (2 * k + 1) * power))
 
 
 @lru_cache(maxsize=None)
@@ -277,33 +270,29 @@ def pi_interval(precision: int) -> Interval:
     """Rational interval containing pi with width <= 2^-precision.
 
     Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239), each arctan
-    bracketed by consecutive alternating partial sums.
+    bracketed by consecutive alternating partial sums, summed on triples.
     """
     if precision < 1:
         raise ValueError("precision must be a positive integer")
-    target = Fraction(1, 1 << (precision + 6))
-    a5 = _arctan_inv_bounds(5, target)
-    a239 = _arctan_inv_bounds(239, target)
-    # endpoints formed directly: a first call at a new precision then adds
-    # no interval operation to the work it is made from
-    return Interval(16 * a5.lo - 4 * a239.hi, 16 * a5.hi - 4 * a239.lo)
+    a5, a239 = _arctan_inv(5, precision + 6), _arctan_inv(239, precision + 6)
+    return _interval(_reduced(_sum(_product((16, 16, 1), a5), _product((-4, -4, 1), a239))))
 
 
-# ---------------------------------------------------------------------------
-# angle reduction
-# ---------------------------------------------------------------------------
+def _reduce_angle(n: int, d: int, precision: int) -> tuple[int, int, int]:
+    """An enclosure of s - 2 pi k as a triple, s = n/d with d > 0, k the
+    integer nearest s / 2 pi by the midpoint of 2 pi enclosed at precision +
+    m + 1 bits, |s| < 2^m, a tie going to the even k, as `round` rounds.
 
-def reduce_angle(x: Fraction, precision: int) -> Interval:
-    """An enclosure of x - 2 pi k, k the integer nearest x / 2 pi by the
-    midpoint of 2 pi enclosed at precision + n + 1 bits, |x| < 2^n.
-
-    |k| < 2^(n+1), so it is at most 2^-precision wide and lies within
+    |k| < 2^(m+1), so it is at most 2^-precision wide and lies within
     pi + 2^-precision of 0.  k is not certified and the enclosure need not
     nest: any integer k gives the same cos and sin.
     """
-    size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
-    two_pi = pi_interval(precision + size + 2) * Interval.point(2)
-    return Interval.point(x) - two_pi * Interval.point(round(x / two_pi.midpoint))
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    lo, hi, e = _triple(pi_interval(precision + max(n.bit_length() - d.bit_length() + 1, 0) + 2))
+    k, rem = divmod(n * e, d * (lo + hi))  # s over the midpoint (L + H)/E of 2 pi
+    k += 2 * rem + k % 2 > d * (lo + hi)  # up past the half, or at it to the even k
+    return _reduced(_sum((n, n, d), _product((-2 * k, -2 * k, 1), (lo, hi, e))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +323,7 @@ def _cos_sin(c: tuple[int, int, int], precision: int):
     else:
         bits = precision + _COS_SIN_EXTRA_BITS
         reduce = abs(n) >= _REDUCE_ABOVE * d
-        angle = _triple(reduce_angle(Fraction(n, d), bits + 8)) if reduce else (n, n, d)
+        angle = _reduce_angle(n, d, bits + 8) if reduce else (n, n, d)
         raw = _fixed_cos_sin(angle, bits + _COS_SIN_GUARD_BITS, bits)
         if raw is None:
             raise AssertionError(f"cos/sin of {Fraction(n, d)}: raw enclosure wider than 2g")

@@ -36,9 +36,10 @@ A coefficient [L/E, H/E] is stored as the reduced triple (L, H, E) an
 are equal tuples.  Operations run on triples (`intervals`' `_sum`, `_product`,
 `_reciprocal`, and `_sqrt` and `_cos_sin` for a series' start) and store each
 result by `_reduced`, one gcd; `neg` needs none.  An `Interval` is built only
-where a coefficient leaves for a caller (`coefficient`, `terms`, and the
-standard part cos and sin start from) and read only where one enters
-(`monomial`, `sign_plus`); `parsing` prints the stored integers.
+where a coefficient leaves for a caller (`coefficient`, `terms`,
+`standard_part`) and read only where one enters (`monomial`, `sign_plus`);
+`parsing` reads literals onto triples and lattices (`_monomial`, `_number`)
+and prints the stored integers.
 
 Sign and magnitude queries answer only when every member of the denoted set
 agrees; otherwise they report unknown / raise IndeterminateComparison with
@@ -252,7 +253,7 @@ def one() -> LeviCivitaNumber:
 
 
 def from_rational(value) -> LeviCivitaNumber:
-    return monomial(Fraction(value), 0)
+    return monomial(value, 0)
 
 
 def from_interval(value: Interval) -> LeviCivitaNumber:
@@ -260,11 +261,12 @@ def from_interval(value: Interval) -> LeviCivitaNumber:
 
 
 def monomial(coeff, exponent) -> LeviCivitaNumber:
-    c = _as_triple(coeff)
-    if not (c[0] or c[1]):
-        return zero()
-    n, d = _ratio(exponent)
-    return _number(d, ((n, c),), INFINITE_ORDER)
+    return _monomial(_as_triple(coeff), *_ratio(exponent))
+
+
+def _monomial(c: tuple[int, int, int], n: int, d: int) -> LeviCivitaNumber:
+    """c t^(n/d) for a reduced triple c and d > 0."""
+    return _number(d, ((n, c),), INFINITE_ORDER) if c[0] or c[1] else zero()
 
 
 def t_power(exponent) -> LeviCivitaNumber:
@@ -483,15 +485,19 @@ def is_surely_finite(a: LeviCivitaNumber) -> bool:
 
 
 def standard_part(a: LeviCivitaNumber) -> Interval:
-    """The real coefficient at exponent 0, as an interval; st(a) - a is
-    infinitesimal.
+    """st(a), the real coefficient at exponent 0 as an interval (`_standard`)."""
+    c = _standard(a)
+    return _interval(c) if c[0] or c[1] else ZERO_INTERVAL
 
-    The one standard-part rule: answered when every member is finite and the
+
+def _standard(a: LeviCivitaNumber) -> tuple[int, int, int]:
+    """The stored triple at exponent 0, (0, 0, 1) where none is stored, by the
+    one standard-part rule: answered when every member is finite and the
     truncation order is above 0; NotFinite when every member is infinite;
     otherwise IndeterminateComparison, blocked at v(a).
     """
-    if is_surely_finite(a) and a.top > 0:
-        return a.coefficient(0)
+    if is_surely_finite(a) and a.top > 0:  # so a's first term, if any, is at n >= 0
+        return a.pairs[0][1] if a.pairs and a.pairs[0][0] == 0 else (0, 0, 1)
     if classify_magnitude(a) is Magnitude.INFINITE:
         raise NotFinite("standard part undefined: value is infinite")
     raise IndeterminateComparison("standard part undetermined", a.valuation)
@@ -641,7 +647,7 @@ def _angle_addition_parts(a: LeviCivitaNumber, precision: int):
     """(cos s, sin s) as triples and u as `_series` takes it for a = s + u, s
     the standard part (NotFinite unless determined), u the positive part."""
     u = (a.denominator, [(n, c) for n, c in a.pairs if n > 0], a.top)
-    return _cos_sin(_triple(standard_part(a)), precision), u
+    return _cos_sin(_standard(a), precision), u
 
 
 # -- rational approximation -----------------------------------------------------------

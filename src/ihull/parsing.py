@@ -25,7 +25,6 @@ from __future__ import annotations
 import decimal
 import math
 import re
-from fractions import Fraction
 
 from . import lcf
 from .errors import IndeterminateComparison, ParseError, ZeroOrUnknownLeading
@@ -180,46 +179,49 @@ class _Parser:
             self.expect(")")
             return value
         if kind == "rational":
-            coeff = self._fraction(text, pos)
-            if self.peek()[1] == "t":
-                self.next()
-                return lcf.monomial(coeff, self._optional_exponent())
-            return lcf.from_rational(coeff)
+            n, d = self._ratio(text, pos)
+            if self.peek()[1] != "t":
+                return lcf._monomial((n, n, d), 0, 1)
+            self.next()
+            return lcf._monomial((n, n, d), *self._optional_exponent())
         if text == "t":
-            return lcf.monomial(1, self._optional_exponent())
+            return lcf._monomial((1, 1, 1), *self._optional_exponent())
         if text == "O":
             self.expect("(")
             tok = self.next()
             if tok[1] == "t":
-                exponent = self._optional_exponent()
-            elif tok[0] == "rational" and self._fraction(tok[1], tok[2]) == 1:
-                exponent = Fraction(0)  # O(1)
+                n, d = self._optional_exponent()
+            elif tok[0] == "rational" and self._ratio(tok[1], tok[2]) == (1, 1):
+                n, d = 0, 1  # O(1)
             else:
                 raise ParseError("expected t or 1 inside O(...)", tok[2])
             self.expect(")")
-            return lcf.zero(exponent)
+            return lcf._number(d, (), n)
         raise ParseError(f"unexpected {text or 'end of input'!r}", pos)
 
-    def _optional_exponent(self) -> Fraction:
+    def _optional_exponent(self) -> tuple[int, int]:
+        """The exponent after a "t" as (n, d) in lowest terms; (1, 1) when none is written."""
         if self.peek()[1] != "^":
-            return Fraction(1)
+            return 1, 1
         self.next()
-        negate = False
-        if self.peek()[1] == "-":
+        negate = self.peek()[1] == "-"
+        if negate:
             self.next()
-            negate = True
         kind, text, pos = self.next()
         if kind != "rational":
             raise ParseError("expected a rational exponent after ^", pos)
-        value = self._fraction(text, pos)
-        return -value if negate else value
+        n, d = self._ratio(text, pos)
+        return -n if negate else n, d
 
     @staticmethod
-    def _fraction(text: str, pos: int) -> Fraction:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ParseError("zero denominator in rational literal", pos) from None
+    def _ratio(text: str, pos: int) -> tuple[int, int]:
+        """(n, d) in lowest terms, d > 0, for a rational token "n" or "n/d"."""
+        n, _, d = text.partition("/")
+        n, d = int(n), int(d or 1)
+        if not d:
+            raise ParseError("zero denominator in rational literal", pos)
+        g = math.gcd(n, d)
+        return n // g, d // g
 
 
 def _size(x: LeviCivitaNumber) -> int:

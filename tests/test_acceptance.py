@@ -10,7 +10,8 @@ import time
 from fractions import Fraction as F
 from random import Random
 
-from ihull import cover, gridoracle, hull, lcf, probes, spaces
+import oracle_extra
+from ihull import cover, hull, lcf, probes, spaces
 from ihull.cover import Verdict, classify_point, point
 from ihull.intervals import Interval, pi_interval
 from ihull.lcf import Magnitude, Ordering, Ternary
@@ -43,6 +44,7 @@ def test_criterion_1_flagship_distance_and_bound():
 
 def test_criterion_2_inapproachability_ball():
     """Certificate radius 1/2 for 100 standard points; grid confirms > 0.5."""
+    gridoracle = oracle_extra.gridoracle()
     start = time.monotonic()
     rng = Random(42)
     center = point(ONE, TI)
@@ -125,6 +127,7 @@ def test_criterion_4_hull_distance_well_defined():
 
 def test_criterion_5_closed_form_vs_oracle():
     """50 random pairs at 256x256, 8-neighbor+knight: gap <= 8%, median <= 3%."""
+    gridoracle = oracle_extra.gridoracle()
     start = time.monotonic()
     rng = Random(20260810)
     gaps = []

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import cli_sweep
+import oracle_extra
 from ihull.cli import main
 from ihull.parsing import exponent_lcm, parse_number, parse_point
 
@@ -101,6 +102,8 @@ _FLAG_VALUE = {"--order": "8", "--precision": "64", "--seed": "0"}
     ],
 )
 def test_flags_a_subcommand_does_not_use_are_rejected(capsys, command, flag):
+    if command == "oracle":
+        oracle_extra.gridoracle()
     assert run(capsys, *_BASE_ARGV[command])[0] == 0
     code, _, err = run(capsys, *_BASE_ARGV[command], flag, _FLAG_VALUE[flag])
     assert code == 2 and f"unrecognized arguments: {flag}" in err
@@ -202,6 +205,7 @@ def test_net(capsys):
 
 
 def test_oracle(capsys):
+    oracle_extra.gridoracle()
     code, out, _ = run(capsys, "oracle", "(1, 0)", "(2, 0)", "--grid", "64")
     assert code == 0
     assert "oracle" in out and "closed form" in out
@@ -214,6 +218,7 @@ def test_oracle(capsys):
 
 
 def test_oracle_closed_form_at_the_exact_input(capsys):
+    oracle_extra.gridoracle()
     # 1/3000000000 is not recovered from its float by limit_denominator(10**9)
     code, out, _ = run(
         capsys, "oracle", "(1, 0)", "(1, 1/3000000000)", "--grid", "16", "--json"
@@ -231,13 +236,14 @@ def test_oracle_closed_form_at_the_exact_input(capsys):
 
 
 def test_oracle_rejects_a_wrong_coordinate_count(capsys):
+    oracle_extra.gridoracle()
     for command in (["oracle", "1", "2"], ["dist", "cover", "1", "2"]):
         code, _, err = run(capsys, *command)
         assert code == 2 and "cover needs 2 coordinates, got 1" in err
 
 
 def test_oracle_rejects_a_radius_at_most_zero_before_any_grid(capsys, monkeypatch):
-    from ihull import gridoracle
+    gridoracle = oracle_extra.gridoracle()
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a rejected point must not reach the grid")
@@ -251,7 +257,7 @@ def test_oracle_rejects_a_radius_at_most_zero_before_any_grid(capsys, monkeypatc
 
 
 def test_oracle_rejects_a_grid_above_the_bound(capsys, monkeypatch):
-    from ihull import gridoracle
+    gridoracle = oracle_extra.gridoracle()
 
     def unreachable(*args):
         raise AssertionError("a rejected grid must not be built")
@@ -267,7 +273,9 @@ def test_oracle_rejects_a_grid_above_the_bound(capsys, monkeypatch):
 
 
 def test_precision_above_the_bound_is_rejected_before_any_computation(capsys, monkeypatch):
-    from ihull import cli, gridoracle, spaces
+    from ihull import cli, spaces
+
+    gridoracle = oracle_extra.gridoracle()
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a rejected precision must not reach the library")
@@ -421,6 +429,7 @@ def test_product_bits_above_the_bound_are_parse_errors(capsys, monkeypatch):
 
 
 def test_oracle_coordinates_a_float_cannot_hold(capsys):
+    oracle_extra.gridoracle()
     too_large = "1" + "0" * 400
     code, _, err = run(capsys, "oracle", f"({too_large}, 0)", "(1, 1)", "--grid", "16")
     assert code == 2 and err.startswith("error:") and "too large" in err
@@ -496,6 +505,7 @@ def test_approximate_text_beyond_the_float_range(capsys):
 
 
 def test_oracle_window_whose_edge_weights_overflow(capsys):
+    oracle_extra.gridoracle()
     # the window is finite, but r * dzeta squared is not: rejected before any
     # graph is built, so numpy never warns and no inf is printed
     with warnings.catch_warnings():
@@ -798,6 +808,8 @@ def _readme_examples():
 
 @pytest.mark.parametrize("argv, comment", _readme_examples())
 def test_readme_example(capsys, argv, comment):
+    if argv[0] == "oracle":
+        oracle_extra.gridoracle()
     code, out, _ = run(capsys, *argv)
     assert code == 0
     if argv[0] in ("eval", "classify", "hull-dist"):

@@ -16,7 +16,7 @@ from ihull.errors import (
     NotStandard,
     PreconditionViolated,
 )
-from ihull.intervals import Interval, pi_interval, reduce_angle
+from ihull.intervals import Interval, pi_interval
 from ihull.lcf import (
     INFINITE_ORDER,
     IndeterminateComparison,
@@ -26,7 +26,7 @@ from ihull.lcf import (
     Ternary,
 )
 from ihull.parsing import parse_number
-from kernels import cos_sin_interval, sqrt_interval
+from kernels import cos_sin_interval, reduce_angle, sqrt_interval
 from test_intervals import assert_value_record
 
 T = lcf.T

@@ -5,8 +5,12 @@ import math
 from fractions import Fraction
 from random import Random
 
-import numpy as np
 import pytest
+
+from oracle_extra import gridoracle
+
+gridoracle()  # skips this module, before numpy is imported, without the oracle extra
+import numpy as np  # noqa: E402
 
 from ihull.errors import OutOfWindow
 from ihull.gridoracle import (
@@ -74,6 +78,28 @@ def test_through_origin_dip():
     assert cfg.r_min <= 0.02  # deep enough for the dip path
     d = oracle_distance(cfg, (1, 0), (1, 4))
     assert abs(d - 2.0) <= 0.05 * 2
+
+
+def test_a_wide_angle_gap_deepens_the_floor():
+    # the path through the puncture pays about r_min * span, so a floor of
+    # min r / 100 at every span put the answer for (1, 0)-(1, 100) near 2.98
+    for z in (100.0, 1000.0):
+        d = oracle_distance(window_for([(1.0, 0.0), (1.0, z)]), (1.0, 0.0), (1.0, z))
+        assert 2.0 - 1e-9 <= d <= 2.0 * 1.08, z
+
+
+def test_windows_up_to_an_angle_span_of_8_keep_their_floor():
+    # the floor min(r / 100, r / 2) of every window spanning at most 8, which
+    # the benchmark's pairs and acceptance criterion 5 use, bit for bit
+    rng = Random(8)
+    cases = [[(1.0, 0.0), (0.5, 8.0)], [(0.7, -3.0), (1.3, 5.0)]]
+    cases += [[(rng.uniform(0.5, 2.0), rng.uniform(0.0, 8.0)) for _ in range(2)] for _ in range(50)]
+    for points in cases:
+        rs, zs = [r for r, _ in points], [z for _, z in points]
+        pad = 0.15 * (max(zs) - min(zs)) + 0.3
+        assert window_for(points) == GridConfig(
+            min(0.01 * min(rs), 0.5 * min(rs)), 1.2 * max(rs), min(zs) - pad, max(zs) + pad
+        ), points
 
 
 def test_chord_agreement():

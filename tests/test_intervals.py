@@ -6,12 +6,13 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ihull import intervals, lcf
 from ihull.errors import NotPositive, ZeroOrUnknownLeading
-from ihull.intervals import Interval, pi_interval, reduce_angle
+from ihull.intervals import Interval, _triple, pi_interval
 from ihull.parsing import parse_number
-from kernels import cos_sin_interval, sqrt_interval
+from kernels import cos_sin_interval, reduce_angle, sqrt_interval
 
 # reference digits, frozen from an independent high-precision evaluation
 SQRT2 = F(14142135623730950488016887242096980785696, 10**40)
@@ -170,6 +171,29 @@ def test_pi_enclosure_at_the_least_precision():
     assert rough.lo < PI < rough.hi and rough.width <= F(1, 2)
     with pytest.raises(ValueError):
         pi_interval(0)
+
+
+def _fraction_pi(precision: int) -> Interval:
+    """pi_interval's enclosure built on Fractions: Machin's formula with each
+    arctan(1/x) between the partial sums about its first term at most
+    2^-(precision + 6)."""
+    target = F(1, 1 << (precision + 6))
+
+    def arctan_inv(x: int) -> tuple[F, F]:
+        total, k, power = F(0), 0, x
+        while F(1, (2 * k + 1) * power) > target:
+            total += F((-1) ** k, (2 * k + 1) * power)
+            k, power = k + 1, power * x * x
+        term = F(1, (2 * k + 1) * power)
+        return (total, total + term) if k % 2 == 0 else (total - term, total)
+
+    (lo5, hi5), (lo239, hi239) = arctan_inv(5), arctan_inv(239)
+    return Interval(16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239)
+
+
+def test_pi_enclosure_equals_its_fraction_construction():
+    for precision in range(1, 257):
+        assert pi_interval(precision) == _fraction_pi(precision), precision
 
 
 def test_pi_refinement_nested():
@@ -349,11 +373,47 @@ def test_cos_sin_width_check_runs_once(monkeypatch):
         guards.append(w - bits)
         return kernel(x, w, bits)
 
-    monkeypatch.setattr(intervals, "reduce_angle", lambda x, p: Interval(F(0), F(1, 2**40)))
+    monkeypatch.setattr(intervals, "_reduce_angle", lambda n, d, p: (0, 1, 2**40))
     monkeypatch.setattr(intervals, "_fixed_cos_sin", counted)
     with pytest.raises(AssertionError, match=r"^cos/sin of 10: raw enclosure wider than 2g"):
         cos_sin_interval(Interval.point(F(10)), 64)
     assert guards == [12]
+
+
+def _fraction_reduce_angle(x: F, precision: int) -> Interval:
+    """The angle reduction on Intervals and Fractions: x less 2 pi k, k the
+    integer nearest x over the midpoint of 2 pi, rounded by `round`."""
+    size = max(x.numerator.bit_length() - x.denominator.bit_length() + 1, 0)
+    two_pi = intervals.pi_interval(precision + size + 2) * Interval.point(2)
+    return Interval.point(x) - two_pi * Interval.point(round(x / two_pi.midpoint))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**20),
+    st.integers(1, 200),
+    st.integers(1, 6),
+)
+@example(F(10**30 + 1, 3), 64, 2)
+def test_reduce_angle_equals_its_fraction_construction(x, precision, scale):
+    # the kernel takes the unreduced n/d that cos/sin hand it
+    n, d = x.numerator * scale, x.denominator * scale
+    assert intervals._reduce_angle(n, d, precision) == _triple(_fraction_reduce_angle(x, precision))
+
+
+@pytest.mark.parametrize(
+    "pi, x, reduced",
+    [(3, 3, 3), (3, 9, -3), (3, 15, 3), (3, 21, -3), (3, F(27, 2), F(3, 2)),
+     (F(27, 10), F(27, 2), F(27, 10)), (F(9, 4), F(27, 4), F(-9, 4)), (F(9, 4), F(45, 4), F(9, 4))],
+)
+def test_reduce_angle_rounds_a_tie_to_even(monkeypatch, pi, x, reduced):
+    # with pi a point, x / 2 pi can be a half-integer, and k is then the even
+    # neighbour, as `round` takes it; 27/2 over 6 is no tie (k is 2), over
+    # 27/5 it is 5/2
+    monkeypatch.setattr(intervals, "pi_interval", lambda precision: Interval.point(pi))
+    for x, reduced in ((F(x), reduced), (-F(x), -reduced)):
+        got = intervals._reduce_angle(x.numerator, x.denominator, 64)
+        assert got == _triple(Interval.point(reduced)) == _triple(_fraction_reduce_angle(x, 64)), x
 
 
 def test_reduce_angle_is_narrow_and_within_pi_of_zero():

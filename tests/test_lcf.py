@@ -734,8 +734,7 @@ def test_a_series_in_zero_is_its_start(monkeypatch):
 
 def test_sqrt_cos_sin_hand_the_kernels_stored_triples(monkeypatch):
     # the root of the lead and cos/sin of the standard part run on the
-    # triples the field stores: no Fraction is built, and no Interval is
-    # boxed but the standard part that cos and sin read
+    # triples the field stores: no Fraction is built and no Interval is boxed
     ops = (lcf.sqrt, lcf.cos_enclosure, lcf.sin_enclosure)
     cases = [(op, x, op(x, 4, 64)) for op, x in zip(ops, map(num, ("2 + t", "1/3 + t", "1/3 + t")))]
     counts = {"Fraction": 0, "Interval": 0}
@@ -755,7 +754,7 @@ def test_sqrt_cos_sin_hand_the_kernels_stored_triples(monkeypatch):
     for op, x, expected in cases:
         counts.update(Fraction=0, Interval=0)
         assert op(x, 4, 64) == expected
-        assert counts == {"Fraction": 0, "Interval": 0 if op is lcf.sqrt else 1}, (op, counts)
+        assert counts == {"Fraction": 0, "Interval": 0}, (op, counts)
 
 
 def test_cos_examples():

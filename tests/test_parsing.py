@@ -217,6 +217,23 @@ def test_printing_builds_no_fraction(monkeypatch):
     }
 
 
+def test_parsing_builds_no_fraction(monkeypatch):
+    # literals and exponents are read as integer pairs into the stored
+    # triples and lattice, and O(...) as an order on the lattice
+    text = "1/3t^-2/3 + 7/4t^5/6 + (1 + t)/(3 - t^1/2) + O(t^17/6)"
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    value = parse_expression(text, 4)
+    F(1, 3)  # the count sees a Fraction built
+    assert built == [(1, 3)]
+    monkeypatch.undo()
+    assert format_number(value) == (
+        "1/3t^-2/3 + 1/3 + 1/9t^1/2 + 7/4t^5/6 + 10/27t + 10/81t^3/2 + 10/243t^2"
+        " + 10/729t^5/2 + O(t^17/6)"
+    )
+
+
 def test_sums_merge_each_term_a_logarithmic_number_of_times(monkeypatch):
     # a left fold merges up to k terms at the k-th "+", n^2/2 for the sum
     n = 4096
