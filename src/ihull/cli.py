@@ -247,15 +247,14 @@ def _cmd_classify(args) -> int:
     if len(coords) != 2:
         raise ParseError("expected a number or a pair", 0)
     from . import cover
-    classified = cover.classify_point(cover.CoverPoint(coords[0], coords[1]))
+    verdict = cover.classify_point(cover.CoverPoint(coords[0], coords[1]))
+    near = verdict is cover.Verdict.NEARSTANDARD
+    st = lambda: [str(lcf.standard_part(c)) for c in coords]  # called in _emit: no digit limit
 
     def payload():
-        payload = {"kind": "cover", "verdict": classified.verdict.value}
-        if classified.standard_point is not None:
-            payload["standard_point"] = [str(i) for i in classified.standard_point]
-        return payload
+        return {"kind": "cover", "verdict": verdict.value, **({"standard_point": st()} if near else {})}
 
-    _emit(args, payload, lambda: [str(classified)])
+    _emit(args, payload, lambda: ["nearstandard ({}, {})".format(*st()) if near else verdict.value])
     return EXIT_OK
 
 

@@ -84,18 +84,6 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-class CoverClassification(Record):
-    """A verdict, and the standard point (st r, st zeta) when it is NEARSTANDARD, else None."""
-
-    __slots__ = ("verdict", "standard_point")
-
-    def __str__(self) -> str:
-        if self.verdict is Verdict.NEARSTANDARD:
-            r, z = self.standard_point
-            return f"nearstandard ({r}, {z})"
-        return self.verdict.value
-
-
 class SeparationCertificate(Record):
     """A rectangle around `center` that every path to a finite-angle point
     must exit, plus the resulting metric-ball radius.
@@ -233,7 +221,7 @@ def origin_path_bound(a: CoverPoint) -> LeviCivitaNumber:
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_point(a: CoverPoint) -> CoverClassification:
+def classify_point(a: CoverPoint) -> Verdict:
     """Locate `a` relative to the standard cover, its completion, and beyond.
 
     infinite r        -> outside_galaxy
@@ -242,19 +230,16 @@ def classify_point(a: CoverPoint) -> CoverClassification:
     """
     mr = lcf.classify_magnitude(a.r)
     if mr is Magnitude.INFINITE:
-        return CoverClassification(Verdict.OUTSIDE_GALAXY, None)
+        return Verdict.OUTSIDE_GALAXY
     if mr is Magnitude.INFINITESIMAL:
-        return CoverClassification(Verdict.ORIGIN_HALO, None)
+        return Verdict.ORIGIN_HALO
     if mr is Magnitude.APPRECIABLE:
         mz = lcf.classify_magnitude(a.zeta)
         if mz in (Magnitude.INFINITESIMAL, Magnitude.APPRECIABLE):
-            return CoverClassification(
-                Verdict.NEARSTANDARD,
-                (lcf.standard_part(a.r), lcf.standard_part(a.zeta)),
-            )
+            return Verdict.NEARSTANDARD
         if mz is Magnitude.INFINITE:
-            return CoverClassification(Verdict.FINITE_INAPPROACHABLE, None)
-    return CoverClassification(Verdict.UNKNOWN, None)
+            return Verdict.FINITE_INAPPROACHABLE
+    return Verdict.UNKNOWN
 
 
 # ---------------------------------------------------------------------------

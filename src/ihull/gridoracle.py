@@ -116,10 +116,12 @@ def window_for(
 
 
 def _check_margin(cfg: GridConfig, point: tuple[float, float]) -> None:
+    """10% of the window on each side, the lower radial one on the levels' log
+    scale: r >= r_min^0.9 r_max^0.1, by Bernoulli <= r_min + 10% of r's span."""
     r, z = point
     margin_r = 0.1 * (cfg.r_max - cfg.r_min)
     margin_z = 0.1 * (cfg.zeta_max - cfg.zeta_min)
-    if not (cfg.r_min + margin_r <= r <= cfg.r_max - margin_r):
+    if not (cfg.r_min**0.9 * cfg.r_max**0.1 <= r <= cfg.r_max - margin_r):
         raise OutOfWindow(f"radius {r} within 10% of the window boundary")
     if not (cfg.zeta_min + margin_z <= z <= cfg.zeta_max - margin_z):
         raise OutOfWindow(f"angle {z} within 10% of the window boundary")

@@ -253,10 +253,7 @@ def one() -> LeviCivitaNumber:
 
 
 def from_rational(value) -> LeviCivitaNumber:
-    return monomial(value, 0)
-
-
-def from_interval(value: Interval) -> LeviCivitaNumber:
+    """The constant `value`: a rational, or an `Interval` as its coefficient."""
     return monomial(value, 0)
 
 
@@ -418,7 +415,7 @@ def sign(a: LeviCivitaNumber) -> int:
 def sign_plus(a: LeviCivitaNumber, constant, negate: bool = False) -> int:
     """sign(a + c), or sign(a - c) when `negate`, for a rational or interval c:
     `sign`'s scan over a's pairs with c's triple added at exponent 0, so it
-    answers and raises as sign(add(a, from_interval(c))) does, building no number."""
+    answers and raises as sign(add(a, from_rational(c))) does, building no number."""
     lo, hi, e = _as_triple(constant)
     c, pairs = ((-hi, -lo, e) if negate else (lo, hi, e)), a.pairs
     if a.top > 0:  # else c lies in a's unknown tail

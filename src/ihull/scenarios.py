@@ -130,8 +130,8 @@ def _cover_inapproachable(seed: int) -> list[dict]:
         ),
         _check(
             "classification",
-            cover.classify_point(center).verdict is cover.Verdict.FINITE_INAPPROACHABLE,
-            f"(1, t^-1) classifies as {cover.classify_point(center)}",
+            cover.classify_point(center) is cover.Verdict.FINITE_INAPPROACHABLE,
+            f"(1, t^-1) classifies as {cover.classify_point(center).value}",
         ),
     ]
     space = spaces.get_space("cover")

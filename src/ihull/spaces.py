@@ -39,7 +39,8 @@ verdict is as sound as the magnitude tests on the coordinates themselves:
   is, whatever zeta.  A surely finite r of unknown magnitude is therefore
   finite even when its cover classification is unknown; the restored
   origin is finite.  Approachability and nearstandardness are read from one
-  `classify_point` verdict per point, from the magnitudes of r and zeta:
+  `classify_point` verdict per point, from the magnitudes of r and zeta,
+  and a nearstandard point's standard point from `_standard_point`:
   `locate` calls neither `separation_certificate` nor `origin_path_bound`,
   so no certificate backs an inapproachable or origin-halo verdict (item 1).
 """
@@ -84,13 +85,14 @@ def _finite_ternary(*coords: LeviCivitaNumber) -> Ternary:
 
 
 def _standard_point(a: ExtendedPoint) -> ExtendedPoint | None:
-    """The coordinatewise standard part of `a`, or None where a coordinate
-    has none or `lcf.standard_part` cannot decide it."""
+    """The coordinatewise standard part of `a`, each coordinate's stored
+    triple at exponent 0 (`lcf._standard`) as a number, or None where a
+    coordinate has none or its standard part is undecided."""
     try:
-        parts = [lcf.standard_part(c) for c in a.coords]
+        parts = [lcf._standard(c) for c in a.coords]
     except (NotFinite, IndeterminateComparison):
         return None
-    return ExtendedPoint(a.space_id, tuple(map(lcf.from_interval, parts)))
+    return ExtendedPoint(a.space_id, tuple(lcf._monomial(c, 0, 1) for c in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +181,12 @@ def _cover_space(space_id: str, restored: bool, order, precision) -> SpaceDescri
         p = cover_point(a)
         if p is None:
             return Location(Ternary.TRUE, Ternary.TRUE, origin)
-        classified = classify_point(p)
+        verdict = classify_point(p)
         # the origin halo's standard point is the origin, missing from the cover
-        near = origin if classified.verdict is Verdict.ORIGIN_HALO else None
-        st = classified.standard_point  # set when nearstandard
-        if st is not None:
-            near = ExtendedPoint(space_id, tuple(map(lcf.from_interval, st)))
-        return Location(_finite_ternary(p.r), _APPROACHABLE[classified.verdict], near)
+        near = origin if verdict is Verdict.ORIGIN_HALO else None
+        if verdict is Verdict.NEARSTANDARD:
+            near = _standard_point(a)
+        return Location(_finite_ternary(p.r), _APPROACHABLE[verdict], near)
 
     return SpaceDescriptor(
         space_id=space_id,

@@ -235,6 +235,15 @@ def test_oracle_closed_form_at_the_exact_input(capsys):
     assert json.loads(out)["closed_form"] == pytest.approx(1 / 3e24, rel=1e-12)
 
 
+def test_oracle_answers_radii_far_apart(capsys):
+    oracle_extra.gridoracle()
+    # the lower radial margin is 10% of the window's log span, so radii more
+    # than about 8.3x apart are answered
+    for far in ("(9, 1)", "(100, 1)", "(20, 5)"):
+        code, out, _ = run(capsys, "oracle", "(1, 0)", far, "--json")
+        assert code == 0 and json.loads(out)["relative_gap"] < 0.01, far
+
+
 def test_oracle_rejects_a_wrong_coordinate_count(capsys):
     oracle_extra.gridoracle()
     for command in (["oracle", "1", "2"], ["dist", "cover", "1", "2"]):

@@ -46,7 +46,7 @@ def test_point_requires_positive_radius():
     # r of undecided sign is indeterminate, not invalid: a higher order or
     # precision may settle it
     with pytest.raises(IndeterminateComparison, match=r"radial coordinate of unknown sign"):
-        CoverPoint(lcf.from_interval(Interval(F(-1), F(1))), lcf.zero())
+        CoverPoint(lcf.from_rational(Interval(F(-1), F(1))), lcf.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_branch_indeterminate_near_pi():
 def _branch_by_compare(dz, precision):
     """The branch at angle gap dz as two comparisons with pi's number decide
     it, or the class, message and exponent of what they raise."""
-    pi = lcf.from_interval(pi_interval(precision))
+    pi = lcf.from_rational(pi_interval(precision))
     try:
         above, below = lcf.compare(dz, pi), lcf.compare(dz, lcf.neg(pi))
     except IndeterminateComparison as exc:
@@ -149,9 +149,9 @@ _EDGES = [
     (lcf.from_rational(_PI.lo) - T, "chord"),
     (lcf.from_rational(_PI.hi) + T, "r1 + r2"),
     (lcf.from_rational(_PI.hi) - T, 0),
-    (lcf.from_interval(_WIDE) + T, "chord"),  # of unknown magnitude
+    (lcf.from_rational(_WIDE) + T, "chord"),  # of unknown magnitude
     (lcf.monomial(_WIDE, -2) + lcf.monomial(5, -1), -2),  # infinite
-    (lcf.from_interval(_PI), 0),
+    (lcf.from_rational(_PI), 0),
     (lcf.zero(), "chord"),
 ]
 
@@ -312,17 +312,6 @@ def test_cover_records_are_value_records():
         center, point(1, parse_number("t^-1")), point(2, TI), ("r", "zeta"),
         "CoverPoint(r=LeviCivitaNumber(1), zeta=LeviCivitaNumber(t^-1))",
     )
-    near = classify_point(point(2, 1))
-    assert_value_record(
-        near, classify_point(point(2, 1)), classify_point(center), ("verdict", "standard_point"),
-        "CoverClassification(verdict=<Verdict.NEARSTANDARD: 'nearstandard'>, standard_point="
-        "(Interval(lo=Fraction(2, 1), hi=Fraction(2, 1)), "
-        "Interval(lo=Fraction(1, 1), hi=Fraction(1, 1))))",
-    )
-    assert repr(classify_point(center)) == (
-        "CoverClassification(verdict=<Verdict.FINITE_INAPPROACHABLE: "
-        "'finite_inapproachable'>, standard_point=None)"
-    )
     fields = ("center", "r_lo", "r_hi", "zeta_halfwidth", "ball_radius")
     assert_value_record(
         cover.separation_certificate(center),
@@ -364,12 +353,15 @@ def test_lower_bound_preconditions():
 # ---------------------------------------------------------------------------
 
 def test_classification_table():
-    nearstd = classify_point(point(ONE + T, lcf.from_rational(5)))
-    assert nearstd.verdict is Verdict.NEARSTANDARD
-    assert nearstd.standard_point == (Interval.point(1), Interval.point(5))
-    assert classify_point(point(ONE, TI)).verdict is Verdict.FINITE_INAPPROACHABLE
-    assert classify_point(point(T, lcf.t_power(-2))).verdict is Verdict.ORIGIN_HALO
-    assert classify_point(point(TI, lcf.zero())).verdict is Verdict.OUTSIDE_GALAXY
+    from ihull import hull, spaces
+
+    assert classify_point(point(ONE + T, lcf.from_rational(5))) is Verdict.NEARSTANDARD
+    space = spaces.get_space("cover")
+    near = hull.locate(space, space.point(ONE + T, lcf.from_rational(5))).nearstandard
+    assert near.coords == (ONE, lcf.from_rational(5))
+    assert classify_point(point(ONE, TI)) is Verdict.FINITE_INAPPROACHABLE
+    assert classify_point(point(T, lcf.t_power(-2))) is Verdict.ORIGIN_HALO
+    assert classify_point(point(TI, lcf.zero())) is Verdict.OUTSIDE_GALAXY
 
 
 def test_origin_halo_bound_is_infinitesimal():
@@ -390,7 +382,7 @@ def test_classification_consistency_with_galaxy():
 
     space = spaces.get_space("cover")
     witness = space.point(ONE, TI)
-    assert classify_point(point(ONE, TI)).verdict is Verdict.FINITE_INAPPROACHABLE
+    assert classify_point(point(ONE, TI)) is Verdict.FINITE_INAPPROACHABLE
     assert hull.in_galaxy(space, witness) is Ternary.TRUE
     assert hull.is_approachable(space, witness) is Ternary.FALSE
 

@@ -151,6 +151,15 @@ def test_out_of_window():
         oracle_distance(cfg, (1, 0), (1, 40))
 
 
+def test_the_lower_radial_margin_is_read_on_the_log_scale():
+    # r_min 0.01 and r_max 10.8: radius 1 lies below 10% of the linear span,
+    # 1.0889, but above r_min^0.9 r_max^0.1 = 0.02012, the log scale's 10%
+    cfg = window_for([(1.0, 0.0), (9.0, 1.0)])
+    assert oracle_distance(cfg, (1.0, 0.0), (9.0, 1.0)) >= 8.5
+    with pytest.raises(OutOfWindow):
+        oracle_distance(cfg, (0.02, 0.0), (9.0, 1.0))
+
+
 def test_multi_target_single_source():
     # bundling inserts every target's coordinates as grid levels, so the
     # graph differs slightly from per-pair runs; values agree to grid accuracy

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from ihull import hull, lcf, probes, spaces
+from ihull import hull, intervals, lcf, probes, spaces
 from ihull.errors import (
     BranchIndeterminate,
     IhullError,
@@ -29,7 +29,7 @@ from ihull.lcf import IndeterminateComparison, LeviCivitaNumber, Magnitude, Tern
 T = lcf.T
 TI = lcf.T_INVERSE
 ONE = lcf.one()
-PI = lcf.from_interval(pi_interval(lcf.DEFAULT_PRECISION))
+PI = lcf.from_rational(pi_interval(lcf.DEFAULT_PRECISION))
 
 LINE = spaces.get_space("rationals-line")
 PLANE = spaces.get_space("euclidean-plane")
@@ -508,6 +508,23 @@ def test_cover_oracles():
     near = is_nearstandard(COVER, plain)
     assert near is not None
     assert near.coords[0] == ONE and near.coords[1] == lcf.from_rational(5)
+
+
+def test_standard_points_are_built_from_the_stored_triples(monkeypatch):
+    # `locate` reads each standard point off the coordinates' stored triples,
+    # and a hull distance of two nearstandard points builds only its result
+    a = COVER.point(ONE + T, lcf.from_rational(5))
+    b = COVER.point(lcf.from_rational(F(2, 3)) - T, ONE + T)
+    plane = PLANE.point(lcf.from_rational(F(1, 3)) + T, ONE - T)
+    hull_distance(COVER, a, b)  # fills pi_interval's cache
+    built = []
+    init = intervals.Record.__init__
+    monkeypatch.setattr(intervals.Record, "__init__", lambda *args: built.append(args[0]) or init(*args))
+    assert hull.locate(COVER, a).nearstandard.coords == (ONE, lcf.from_rational(5))
+    assert hull.locate(PLANE, plane).nearstandard.coords == (lcf.from_rational(F(1, 3)), ONE)
+    assert built == []
+    d = hull_distance(COVER, a, b)
+    assert built == [d]
 
 
 def test_completion_oracles():

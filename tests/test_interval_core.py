@@ -60,7 +60,7 @@ def test_core_arithmetic_equals_the_fraction_reference(x, y):
     assert got == list(_reference(x, y))
     if 0 in x:  # the reciprocal of an interval holding 0
         with pytest.raises(ZeroOrUnknownLeading):
-            lcf.inverse(lcf.from_interval(x))
+            lcf.inverse(lcf.from_rational(x))
 
 
 @PROPERTY

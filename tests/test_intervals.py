@@ -74,7 +74,7 @@ def test_interval_predicates():
     assert 0 in Interval(F(0), F(1))
     assert F(1, 2) in Interval(F(0), F(1))
     with pytest.raises(ZeroOrUnknownLeading):  # the reciprocal of an interval holding 0
-        lcf.inverse(lcf.from_interval(Interval(F(-1), F(1))))
+        lcf.inverse(lcf.from_rational(Interval(F(-1), F(1))))
 
 
 def _reference_arithmetic(x, y):

@@ -57,7 +57,7 @@ def test_terms_canonicalized():
 def test_exactness_flags():
     assert ONE.is_exact and lcf.zero().is_zero
     assert not lcf.zero(F(3)).is_zero
-    assert not lcf.from_interval(Interval(F(1), F(2))).is_exact
+    assert not lcf.from_rational(Interval(F(1), F(2))).is_exact
 
 
 def test_constructors_equal_the_public_constructor():
@@ -69,12 +69,12 @@ def test_constructors_equal_the_public_constructor():
         assert lcf.monomial(c, q) == LeviCivitaNumber(((q, c),))
         assert lcf.monomial(iv, q) == LeviCivitaNumber(((q, iv),))
         assert lcf.from_rational(c) == LeviCivitaNumber(((0, c),))
-        assert lcf.from_interval(iv) == LeviCivitaNumber(((0, iv),))
+        assert lcf.from_rational(iv) == LeviCivitaNumber(((0, iv),))
         assert lcf.t_power(q) == LeviCivitaNumber(((q, 1),))
-        assert lcf.monomial(0, q).is_zero and lcf.from_interval(Interval(0, 0)).is_zero
+        assert lcf.monomial(0, q).is_zero and lcf.from_rational(Interval(0, 0)).is_zero
     assert ONE == LeviCivitaNumber(((0, 1),))
     assert type(ONE.terms[0][0]) is F and type(lcf.t_power(2).terms[0][0]) is F
-    assert lcf.from_interval(pi_interval(32)) == LeviCivitaNumber(((0, pi_interval(32)),))
+    assert lcf.from_rational(pi_interval(32)) == LeviCivitaNumber(((0, pi_interval(32)),))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_inverse_rejects_unknown_leading():
     with pytest.raises(ZeroOrUnknownLeading):
         lcf.inverse(lcf.zero(), 4)
     with pytest.raises(ZeroOrUnknownLeading):
-        lcf.inverse(lcf.from_interval(Interval(F(-1), F(1))), 4)
+        lcf.inverse(lcf.from_rational(Interval(F(-1), F(1))), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +177,16 @@ def test_compare_indeterminate_carries_exponent():
         lcf.compare(truncate(ONE, 3), ONE)
     assert info.value.exponent == 3
     with pytest.raises(IndeterminateComparison) as info:
-        lcf.sign(lcf.from_interval(Interval(F(-1), F(1))))
+        lcf.sign(lcf.from_rational(Interval(F(-1), F(1))))
     assert info.value.exponent == 0
 
 
 def test_sign_reads_past_a_lead_that_touches_zero():
     # [0, 1] vanishes or is positive, so the next term's sign decides when it agrees
-    assert lcf.sign(lcf.from_interval(Interval(F(0), F(1))) + T) == 1
-    assert lcf.sign(lcf.from_interval(Interval(F(-1), F(0))) - T) == -1
+    assert lcf.sign(lcf.from_rational(Interval(F(0), F(1))) + T) == 1
+    assert lcf.sign(lcf.from_rational(Interval(F(-1), F(0))) - T) == -1
     with pytest.raises(IndeterminateComparison) as info:
-        lcf.sign(lcf.from_interval(Interval(F(0), F(1))) - T)
+        lcf.sign(lcf.from_rational(Interval(F(0), F(1))) - T)
     assert info.value.exponent == 0
 
 
@@ -292,7 +292,7 @@ def test_series_on_truncated_arguments():
 
 
 def test_series_on_interval_coefficients():
-    x = lcf.from_interval(Interval(F(1), F(2))) + T
+    x = lcf.from_rational(Interval(F(1), F(2))) + T
     assert lcf.inverse(x, 3) == LeviCivitaNumber(
         (
             (F(0), Interval(F(1, 2), F(1))),
@@ -705,17 +705,17 @@ def test_a_series_in_zero_is_its_start(monkeypatch):
     # inverse of an exact monomial are the start times its factor, at exact
     # order, with no product of the recurrence or of the rescale
     cases = []
-    for s in (lcf.zero(), num("1/3"), num("-22/7"), lcf.from_interval(pi_interval(64))):
+    for s in (lcf.zero(), num("1/3"), num("-22/7"), lcf.from_rational(pi_interval(64))):
         cos_s, sin_s = cos_sin_interval(lcf.standard_part(s), 64)
-        cases.append((lcf.cos_enclosure, s, lcf.from_interval(cos_s)))
-        cases.append((lcf.sin_enclosure, s, lcf.from_interval(sin_s)))
+        cases.append((lcf.cos_enclosure, s, lcf.from_rational(cos_s)))
+        cases.append((lcf.sin_enclosure, s, lcf.from_rational(sin_s)))
     for c in (F(9, 4), F(2)):
         root = sqrt_interval(Interval.point(c), 64)
-        cases.append((lcf.sqrt, lcf.from_rational(c), lcf.from_interval(root)))
+        cases.append((lcf.sqrt, lcf.from_rational(c), lcf.from_rational(root)))
     one_two = Interval(F(1), F(2))
     half_one = Interval(1 / one_two.hi, 1 / one_two.lo)
     cases.append((lcf.inverse, lcf.monomial(3, F(1, 3)), lcf.monomial(F(1, 3), F(-1, 3))))
-    cases.append((lcf.inverse, lcf.from_interval(one_two), lcf.from_interval(half_one)))
+    cases.append((lcf.inverse, lcf.from_rational(one_two), lcf.from_rational(half_one)))
     calls = 0
     product = lcf._product
 
@@ -792,7 +792,7 @@ def test_cos_rejects_infinite():
 
 def test_pi_number():
     PI = F(31415926535897932384626433832795028841971, 10**40)
-    assert PI in lcf.from_interval(pi_interval(64)).coefficient(0)
+    assert PI in lcf.from_rational(pi_interval(64)).coefficient(0)
 
 
 def test_refinement_monotonicity():
@@ -818,7 +818,7 @@ def test_classify_examples():
 
 
 def test_classify_straddles():
-    wide = lcf.from_interval(Interval(F(-1), F(1)))
+    wide = lcf.from_rational(Interval(F(-1), F(1)))
     assert lcf.classify_magnitude(wide + T) is Magnitude.UNKNOWN
     # a definite deeper term rescues the verdict
     assert (
@@ -845,7 +845,7 @@ def test_halo_equal_examples():
     assert lcf.halo_equal(ONE, ONE + lcf.t_power(3)) is Ternary.TRUE
     assert lcf.halo_equal(ONE, lcf.from_rational(2)) is Ternary.FALSE
     assert lcf.halo_equal(TI, TI + T) is Ternary.TRUE
-    wide = lcf.from_interval(Interval(F(-1), F(1)))
+    wide = lcf.from_rational(Interval(F(-1), F(1)))
     assert lcf.halo_equal(wide, lcf.zero()) is Ternary.UNKNOWN
 
 

@@ -156,7 +156,7 @@ def test_every_operation_stores_reduced_triples(x, c, u, order):
     # sin series of a number with an interval lead
     for y in (lcf.neg(x), lcf.scale(x, c), lcf.add(x, u), lcf.mul(x, u), lcf.magnitude_bound(x)):
         assert _canonical(y)
-    a = lcf.add(lcf.from_interval(Interval(1, 2)), u)
+    a = lcf.add(lcf.from_rational(Interval(1, 2)), u)
     for f in (lcf.inverse, lcf.sqrt, lcf.cos_enclosure, lcf.sin_enclosure):
         assert _canonical(f(a, order))
 
